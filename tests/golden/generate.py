@@ -1,0 +1,89 @@
+"""Regenerate the golden snapshot kept in this directory.
+
+Run from the repository root:
+
+    PYTHONPATH=src python3 tests/golden/generate.py
+
+Each case is a ``shadowlab`` command line; its golden file ``NAME.json`` holds
+the exact bytes the command writes with ``--out``.  ``tests/test_golden.py``
+reruns every case and compares the bytes.  Regenerate only for an intended
+change of a report or record, and say why in the same change.
+
+The experiments run at their defaults.  The checks run with ``--timings`` and
+together cover all four properties, all three outcomes, witnesses from the
+anchor, the affine solver, Newton, the grid and refinement, a raw ``random:``
+method, and both the circle and the torus.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import sys
+from pathlib import Path
+
+HERE = Path(__file__).resolve().parent
+
+_DRIFT = ["--system", "shear", "--method", "translate:0.01", "--x", "0,0", "--eps", "0.1"]
+_RANDOM = ["--system", "cat", "--x", "0.2,0.3", "--N", "3"]
+
+CASES = {
+    "experiment-drift-inverse": ["experiment", "drift-inverse"],
+    "experiment-drift-weak": ["experiment", "drift-weak"],
+    "experiment-drift-orbital": ["experiment", "drift-orbital"],
+    "experiment-drift-orbital-cat": ["experiment", "drift-orbital", "--base", "cat"],
+    "experiment-rotation-dichotomy": ["experiment", "rotation-dichotomy"],
+    "experiment-property-gallery": ["experiment", "property-gallery"],
+    "check-inverse-cat-anchor": ["check", "inverse", "--system", "cat", "--method", "same",
+                                 "--x", "0.2,0.3", "--eps", "0.1", "--N", "10"],
+    "check-direct-cat-affine": ["check", "direct", "--system", "cat", "--method", "translate:0.001",
+                                "--x", "0.2,0.3", "--eps", "0.05", "--N", "10"],
+    "check-inverse-cat-perturbed-newton": ["check", "inverse", "--system", "cat",
+                                           "--method", "perturb:shear-sin:0.001",
+                                           "--x", "0.2,0.3", "--eps", "0.05", "--N", "20"],
+    "check-inverse-shear-newton": ["check", "inverse", *_DRIFT, "--N", "5"],
+    "check-inverse-shear-certified": ["check", "inverse", *_DRIFT, "--N", "25", "--grid", "64"],
+    "check-inverse-shear-inconclusive": ["check", "inverse", *_DRIFT, "--N", "25", "--grid", "8"],
+    "check-weak-shear-certified": ["check", "weak", *_DRIFT, "--N", "25", "--grid", "64"],
+    "check-orbital-shear-certified": ["check", "orbital", *_DRIFT, "--N", "25", "--grid", "64"],
+    "check-weak-random-grid": ["check", "weak", *_RANDOM, "--method", "random:0.01",
+                               "--eps", "0.1", "--grid", "16"],
+    "check-inverse-random-refinement": ["check", "inverse", *_RANDOM, "--method", "random:0.01",
+                                        "--eps", "0.05", "--grid", "4"],
+    "check-orbital-random-uncertified": ["check", "orbital", *_RANDOM, "--method", "random:0.01",
+                                         "--eps", "0.02", "--grid", "8"],
+    "check-inverse-random-uncertified": ["check", "inverse", "--system", "cat",
+                                         "--method", "random:0.001", "--x", "0.2,0.3",
+                                         "--eps", "0.1", "--N", "10", "--grid", "32"],
+    "check-orbital-golden-anchor": ["check", "orbital", "--system", "golden",
+                                    "--method", "rotation:+0.01", "--x", "0.0",
+                                    "--eps", "0.1", "--N", "25"],
+    "check-weak-circle-certified": ["check", "weak", "--system", "identity1",
+                                    "--method", "rotation:0.02", "--x", "0.3",
+                                    "--eps", "0.1", "--N", "10", "--grid", "64"],
+    "check-direct-circle-certified": ["check", "direct", "--system", "identity1",
+                                      "--method", "rotation:0.02", "--x", "0.3",
+                                      "--eps", "0.1", "--N", "10", "--grid", "64"],
+}
+
+
+def run(name: str, out: Path) -> int:
+    """Run case ``name`` through the CLI, writing its output to ``out``; returns the exit code."""
+    from shadowlab import cli
+
+    argv = list(CASES[name]) + ["--threads", "2", "--out", str(out)]
+    if argv[0] == "check":
+        argv.append("--timings")
+    with contextlib.redirect_stderr(io.StringIO()):
+        return cli.main(argv)
+
+
+def main() -> int:
+    for name in CASES:
+        code = run(name, HERE / f"{name}.json")
+        print(f"{name}: exit {code}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

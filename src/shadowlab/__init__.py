@@ -9,13 +9,11 @@ available.
 """
 
 from .geometry import (
-    PointSet,
     TorusPoint,
     dist_array,
-    dist_to_set_array,
-    one_sided_within,
-    point_to_set_dist,
+    lattice_points,
     reduce_to_unit,
+    sq_dist_array,
     torus_dist,
     wrap_to_half,
 )

@@ -21,7 +21,6 @@ import inspect
 import json
 import sys
 import time
-from dataclasses import dataclass
 
 from .experiments import EXPERIMENTS
 from .orbits import MethodSpec, method_from_map, orbit_csv_text, orbit_segment, random_method, write_orbit_csv
@@ -47,7 +46,6 @@ from .systems import (
 )
 
 __all__ = [
-    "RunConfig",
     "parse_system_spec",
     "parse_method_spec",
     "build_parser",
@@ -72,7 +70,7 @@ _CHECKERS = {
 
 
 # ---------------------------------------------------------------------------
-# Specs and configuration
+# Specs and arguments
 # ---------------------------------------------------------------------------
 
 def parse_system_spec(spec: str) -> SystemMap:
@@ -141,39 +139,15 @@ def parse_method_spec(spec: str, f: SystemMap, N: int, seed: int) -> MethodSpec:
     raise ValueError(f"unknown method spec {spec!r}")
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """One invocation's worth of inputs, normalized from the parsed flags."""
-
-    command: str
-    system: str | None = None
-    method: str | None = None
-    x: tuple[float, ...] | None = None
-    prop: str | None = None
-    experiment: str | None = None
-    delta: float | None = None
-    eps: float | None = None
-    N: int | None = None
-    grid: int | None = None
-    theta: float | None = None
-    base: str | None = None
-    n_methods: int | None = None
-    include: str | None = None
-    drift_delta: float | None = None
-    drift_eps: float | None = None
-    drift_N: int | None = None
-    rotation_grid: int | None = None
-    seed: int = 0
-    threads: int | None = None
-    out: str | None = None
-    timings: bool = False
-
-
 def _parse_point(text: str) -> tuple[float, ...]:
     values = tuple(float(v) for v in text.split(","))
     if len(values) not in (1, 2):
         raise ValueError("points have one or two comma-separated coordinates")
     return values
+
+
+def _parse_rows(text: str) -> tuple[str, ...]:
+    return tuple(r for r in text.split(",") if r)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -212,52 +186,25 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_exp = sub.add_parser("experiment", parents=[common], help="run a scripted experiment")
     p_exp.add_argument("name", choices=sorted(EXPERIMENTS), help="experiment to run")
-    p_exp.add_argument("--delta", type=float, help="method size override")
-    p_exp.add_argument("--eps", type=float, help="tracking accuracy override")
-    p_exp.add_argument("--N", type=int, help="horizon override")
-    p_exp.add_argument("--grid", type=int, help="lattice points per axis override")
-    p_exp.add_argument("--theta", type=float, help="rotation angle (rotation-dichotomy)")
-    p_exp.add_argument("--base", choices=("neutral", "cat"), help="drift-orbital base system")
-    p_exp.add_argument("--n-methods", dest="n_methods", type=int,
-                       help="number of seeded perturbations on the gallery's cat row")
-    p_exp.add_argument("--include", help="gallery rows, comma-separated; empty string for none")
-    p_exp.add_argument("--drift-delta", dest="drift_delta", type=float,
-                       help="gallery drift rows: method size")
-    p_exp.add_argument("--drift-eps", dest="drift_eps", type=float,
-                       help="gallery drift rows: tracking accuracy")
-    p_exp.add_argument("--drift-N", dest="drift_N", type=int,
-                       help="gallery drift rows: horizon")
-    p_exp.add_argument("--rotation-grid", dest="rotation_grid", type=int,
-                       help="lattice points for circle sweeps")
+    overrides = [
+        p_exp.add_argument("--delta", type=float, help="method size override"),
+        p_exp.add_argument("--eps", type=float, help="tracking accuracy override"),
+        p_exp.add_argument("--N", type=int, help="horizon override"),
+        p_exp.add_argument("--grid", type=int, help="lattice points per axis override"),
+        p_exp.add_argument("--theta", type=float, help="rotation angle (rotation-dichotomy)"),
+        p_exp.add_argument("--base", choices=("neutral", "cat"), help="drift-orbital base system"),
+        p_exp.add_argument("--n-methods", dest="n_cat_methods", metavar="N_METHODS", type=int,
+                           help="number of seeded perturbations on the gallery's cat row"),
+        p_exp.add_argument("--include", type=_parse_rows,
+                           help="gallery rows, comma-separated; empty string for none"),
+        p_exp.add_argument("--drift-delta", type=float, help="gallery drift rows: method size"),
+        p_exp.add_argument("--drift-eps", type=float, help="gallery drift rows: tracking accuracy"),
+        p_exp.add_argument("--drift-N", type=int, help="gallery drift rows: horizon"),
+        p_exp.add_argument("--rotation-grid", type=int, help="lattice points for circle sweeps"),
+    ]
+    # Each override's dest is the runner's keyword; its flag names it in errors.
+    p_exp.set_defaults(override_flags={a.dest: a.option_strings[0] for a in overrides})
     return parser
-
-
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    get = lambda name, default=None: getattr(args, name, default)
-    return RunConfig(
-        command=args.command,
-        system=get("system"),
-        method=get("method"),
-        x=get("x"),
-        prop=get("property"),
-        experiment=get("name"),
-        delta=get("delta"),
-        eps=get("eps"),
-        N=get("N"),
-        grid=get("grid"),
-        theta=get("theta"),
-        base=get("base"),
-        n_methods=get("n_methods"),
-        include=get("include"),
-        drift_delta=get("drift_delta"),
-        drift_eps=get("drift_eps"),
-        drift_N=get("drift_N"),
-        rotation_grid=get("rotation_grid"),
-        seed=args.seed,
-        threads=args.threads,
-        out=args.out,
-        timings=args.timings,
-    )
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -272,30 +219,32 @@ def _emit(text: str, out: str | None) -> None:
 # Commands
 # ---------------------------------------------------------------------------
 
-def cmd_orbit(config: RunConfig) -> int:
+def cmd_orbit(args: argparse.Namespace) -> int:
     """Write the CSV dump of the true orbit segment through --x."""
-    f = parse_system_spec(config.system)
-    po = orbit_segment(f, config.x, config.N)
-    if config.out is None:
+    f = parse_system_spec(args.system)
+    po = orbit_segment(f, args.x, args.N)
+    if args.out is None:
         sys.stdout.write(orbit_csv_text(po))
     else:
-        write_orbit_csv(po, config.out)
+        write_orbit_csv(po, args.out)
     return 0
 
 
-def cmd_check(config: RunConfig) -> int:
+def cmd_check(args: argparse.Namespace) -> int:
     """Run one property check and report the verdict as JSON."""
-    f = parse_system_spec(config.system)
-    m = parse_method_spec(config.method, f, config.N, config.seed)
+    if args.grid < 1:
+        raise ValueError(f"--grid must be at least 1, got {args.grid}")
+    f = parse_system_spec(args.system)
+    m = parse_method_spec(args.method, f, args.N, args.seed)
     counters: dict = {}
-    verdict = _CHECKERS[config.prop](f, m, config.x, config.eps, config.N,
-                                     grid_step=1.0 / config.grid,
-                                     threads=config.threads, counters=counters)
+    verdict = _CHECKERS[args.property](f, m, args.x, args.eps, args.N,
+                                       grid_step=1.0 / args.grid,
+                                       threads=args.threads, counters=counters)
     record = verdict.to_record()
-    record["seed"] = config.seed
-    if config.timings:
+    record["seed"] = args.seed
+    if args.timings:
         record["timings"] = {k: counters[k] for k in sorted(counters)}
-    _emit(json.dumps(record, sort_keys=True, indent=2) + "\n", config.out)
+    _emit(json.dumps(record, sort_keys=True, indent=2) + "\n", args.out)
     if verdict.outcome == "tracked":
         return 0
     if verdict.outcome == "failed" and verdict.certified:
@@ -303,34 +252,16 @@ def cmd_check(config: RunConfig) -> int:
     return 4
 
 
-def cmd_experiment(config: RunConfig) -> int:
+def cmd_experiment(args: argparse.Namespace) -> int:
     """Run a scripted experiment and report it as JSON."""
-    runner = EXPERIMENTS[config.experiment]
+    runner = EXPERIMENTS[args.name]
     accepted = inspect.signature(runner).parameters
-    overrides = {
-        "delta": config.delta,
-        "eps": config.eps,
-        "N": config.N,
-        "grid": config.grid,
-        "theta": config.theta,
-        "base": config.base,
-        "n_cat_methods": config.n_methods,
-        "drift_delta": config.drift_delta,
-        "drift_eps": config.drift_eps,
-        "drift_N": config.drift_N,
-        "rotation_grid": config.rotation_grid,
-    }
-    if config.include is not None:
-        overrides["include"] = tuple(r for r in config.include.split(",") if r)
-    kwargs = {"seed": config.seed, "threads": config.threads}
-    for key, value in overrides.items():
-        if value is None:
-            continue
+    kwargs = {k: v for k, v in vars(args).items() if k in args.override_flags and v is not None}
+    for key in kwargs:
         if key not in accepted:
-            raise ValueError(f"experiment {config.experiment!r} does not take --{key.replace('_', '-')}")
-        kwargs[key] = value
-    report = runner(**kwargs)
-    _emit(report.to_json(), config.out)
+            raise ValueError(f"experiment {args.name!r} does not take {args.override_flags[key]}")
+    report = runner(seed=args.seed, threads=args.threads, **kwargs)
+    _emit(report.to_json(), args.out)
     return {"consistent": 0, "inconsistent": 5, "inconclusive": 4}[report.conclusion]
 
 
@@ -340,14 +271,13 @@ _DISPATCH = {"orbit": cmd_orbit, "check": cmd_check, "experiment": cmd_experimen
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    config = _config_from_args(args)
     start = time.perf_counter()
     try:
-        code = _DISPATCH[config.command](config)
+        code = _DISPATCH[args.command](args)
     except (ConstructionError, ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"shadowlab: error: {exc}", file=sys.stderr)
         return 2
-    if config.timings:
+    if args.timings:
         print(f"wall seconds: {time.perf_counter() - start:.3f}", file=sys.stderr)
     return code
 

@@ -1,30 +1,27 @@
-"""Points, the quotient metric, and finite point sets on the circle and 2-torus.
+"""Points, the quotient metric, and lattices on the circle and 2-torus.
 
 Phase space is the quotient [0,1)^n with n in {1, 2}.  Distances are Euclidean
 on the flat quotient: the minimum over integer translates of a lift.  Because
 the lattice is a product of unit lattices, the minimum decomposes per axis,
-which is what the array helpers below implement; the three-translates-per-axis
-enumeration is kept as the reference in the test suite.
+which is what the array kernels below implement; the three-translates-per-axis
+enumeration is kept as the reference in the test suite.  This module is the
+only place that knows the per-axis wrap formula.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
-from typing import Iterable
 
 import numpy as np
 
 __all__ = [
     "TorusPoint",
-    "PointSet",
     "torus_dist",
-    "point_to_set_dist",
-    "one_sided_within",
     "reduce_to_unit",
     "wrap_to_half",
+    "sq_dist_array",
     "dist_array",
-    "dist_to_set_array",
+    "lattice_points",
 ]
 
 
@@ -45,22 +42,35 @@ def wrap_to_half(values):
     return r - 0.5
 
 
-def dist_array(a, b):
-    """Quotient distance between coordinate arrays; last axis holds components.
+def sq_dist_array(a, b):
+    """Squared quotient distance between coordinate arrays; last axis holds components.
 
     Broadcasts like an elementwise operation, so ``a`` of shape (m, 1, d) against
-    ``b`` of shape (t, d) yields the full (m, t) distance matrix.
+    ``b`` of shape (t, d) yields the full (m, t) matrix.  The objectives reduce
+    squared distances and take one square root at the end.
     """
     d = np.abs(np.asarray(a, dtype=float) - np.asarray(b, dtype=float)) % 1.0
     d = np.minimum(d, 1.0 - d)
-    return np.sqrt(np.einsum("...i,...i->...", d, d))
+    return np.einsum("...i,...i->...", d, d)
 
 
-def dist_to_set_array(points, targets):
-    """Distance from each row of ``points`` (m, d) to the set ``targets`` (t, d)."""
-    points = np.asarray(points, dtype=float)
-    targets = np.asarray(targets, dtype=float)
-    return dist_array(points[..., None, :], targets).min(axis=-1)
+def dist_array(a, b):
+    """Quotient distance between coordinate arrays: the square root of :func:`sq_dist_array`."""
+    return np.sqrt(sq_dist_array(a, b))
+
+
+def lattice_points(G: int, dim: int, offset: float = 0.0, idx=None) -> np.ndarray:
+    """Points of the lattice with coordinates (k + offset) / G, k = 0..G-1 per axis.
+
+    Points are numbered by flat index in ij order: on the torus, index i sits
+    at k = i // G on the first axis and k = i % G on the second.  ``idx``
+    selects some of them; the default is the whole lattice.  Returns shape
+    (number of points, dim).
+    """
+    idx = np.arange(G ** dim) if idx is None else np.asarray(idx)
+    if dim == 1:
+        return ((idx + offset) / G)[:, None]
+    return np.stack([(idx // G + offset) / G, (idx % G + offset) / G], axis=1)
 
 
 @dataclass(frozen=True)
@@ -94,65 +104,8 @@ class TorusPoint:
         return "(" + ", ".join(f"{c:.12g}" for c in self.coords) + ")"
 
 
-@dataclass(frozen=True)
-class PointSet:
-    """A finite, nonempty set of points of one common dimension."""
-
-    points: tuple[TorusPoint, ...]
-
-    def __post_init__(self):
-        pts = tuple(self.points)
-        if len(pts) == 0:
-            raise ValueError("point set must be nonempty")
-        dims = {p.dim for p in pts}
-        if len(dims) != 1:
-            raise ValueError(f"mixed dimensions in point set: {sorted(dims)}")
-        object.__setattr__(self, "points", pts)
-
-    @property
-    def dim(self) -> int:
-        return self.points[0].dim
-
-    def __len__(self):
-        return len(self.points)
-
-    def __iter__(self):
-        return iter(self.points)
-
-    @cached_property
-    def array(self) -> np.ndarray:
-        """Coordinates as an (m, dim) array."""
-        return np.array([p.coords for p in self.points], dtype=float)
-
-    @classmethod
-    def from_array(cls, arr) -> "PointSet":
-        arr = np.asarray(arr, dtype=float)
-        if arr.ndim == 1:
-            arr = arr[:, None]
-        return cls(tuple(TorusPoint(tuple(row)) for row in arr))
-
-
-def _require_same_dim(a, b):
-    if a.dim != b.dim:
-        raise ValueError(f"dimension mismatch: {a.dim} vs {b.dim}")
-
-
 def torus_dist(p: TorusPoint, q: TorusPoint) -> float:
     """Quotient distance d(p, q); at most 1/2 on the circle, sqrt(2)/2 on the torus."""
-    _require_same_dim(p, q)
+    if p.dim != q.dim:
+        raise ValueError(f"dimension mismatch: {p.dim} vs {q.dim}")
     return float(dist_array(p.as_array(), q.as_array()))
-
-
-def point_to_set_dist(p: TorusPoint, s: PointSet) -> float:
-    """Distance from ``p`` to the nearest member of ``s``."""
-    _require_same_dim(p, s)
-    return float(dist_array(s.array, p.as_array()).min())
-
-
-def one_sided_within(s1: PointSet, s2: PointSet, eps: float) -> bool:
-    """True iff every point of ``s1`` lies within the closed eps-neighborhood of ``s2``."""
-    _require_same_dim(s1, s2)
-    if eps < 0:
-        raise ValueError("eps must be nonnegative")
-    nearest = dist_array(s1.array[:, None, :], s2.array).min(axis=1)
-    return bool(np.all(nearest <= eps))

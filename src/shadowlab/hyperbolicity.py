@@ -13,8 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import TorusPoint, reduce_to_unit, torus_dist, wrap_to_half
-from .systems import LinearAutomorphism, SystemMap
+from .geometry import TorusPoint, lattice_points, reduce_to_unit, torus_dist, wrap_to_half
+from .systems import LinearAutomorphism, SystemMap, _hyperbolic_eigen
 
 __all__ = [
     "PeriodicPointRecord",
@@ -211,22 +211,10 @@ def anosov_certificate_linear(A) -> AnosovCertificate | None:
     """
     aut = A if isinstance(A, LinearAutomorphism) else LinearAutomorphism(A)
     Af = aut.matrix.astype(float)
-    w, V = np.linalg.eig(Af)
-    if np.iscomplexobj(w) and np.abs(w.imag).max() > 1e-12:
-        return None  # complex pair on the unit circle (|det| = 1)
-    w = w.real
-    V = V.real
-    if np.any(np.abs(np.abs(w) - 1.0) <= 1e-12):
+    eigen = _hyperbolic_eigen(Af)
+    if eigen is None:
         return None
-
-    order = np.argsort(-np.abs(w))
-    w = w[order]
-    V = V[:, order]
-    for j in range(2):
-        col = V[:, j] / np.linalg.norm(V[:, j])
-        lead = col[np.nonzero(np.abs(col) > 1e-14)[0][0]]
-        V[:, j] = col if lead > 0 else -col
-    lam_u, lam_s = float(w[0]), float(w[1])
+    V, _, lam_u, lam_s = eigen
     rate = max(abs(lam_s), 1.0 / abs(lam_u))
     C = float(np.linalg.cond(V))
 
@@ -305,9 +293,7 @@ def cone_criterion(f: SystemMap, opening: float = 0.2, grid: int = 64, iteration
         E = np.eye(2)  # defective (single eigendirection): fall back to a basis
     Einv = np.linalg.inv(E)
 
-    ax = (np.arange(grid) + 0.5) / grid
-    g0, g1 = np.meshgrid(ax, ax, indexing="ij")
-    pts = np.stack([g0.ravel(), g1.ravel()], axis=1)
+    pts = lattice_points(grid, 2, offset=0.5)
 
     # Accumulated forward and backward Jacobians over `iterations` steps.
     Jf = np.broadcast_to(np.eye(2), (len(pts), 2, 2)).copy()

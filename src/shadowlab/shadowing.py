@@ -30,9 +30,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import TorusPoint, dist_array, reduce_to_unit, wrap_to_half
+from .geometry import TorusPoint, dist_array, lattice_points, reduce_to_unit, sq_dist_array, wrap_to_half
 from .orbits import TRUE_ORBIT_DELTA, MethodSpec, PseudoOrbit, orbit_segment
-from .systems import LinearAutomorphism, SystemMap, spectral_norm
+from .systems import LinearAutomorphism, SystemMap, _hyperbolic_eigen, spectral_norm
 
 __all__ = [
     "NonHyperbolicError",
@@ -59,6 +59,10 @@ LIP_CAP = 25.0
 # Raw (callable) methods are evaluated point by point in Python; grids are
 # deterministically coarsened to at most this many points for them.
 RAW_GRID_CAP = 20000
+# Local refinement around the grid minimum: REFINE_LEVELS nested grids of
+# 2 * REFINE_FACTOR + 1 points per axis, each REFINE_FACTOR times finer.
+REFINE_LEVELS = 2
+REFINE_FACTOR = 8
 
 
 class NonHyperbolicError(ValueError):
@@ -146,29 +150,6 @@ class ShadowVerdict:
 # ---------------------------------------------------------------------------
 # Exact solver for hyperbolic affine maps
 # ---------------------------------------------------------------------------
-
-def _hyperbolic_eigen(B: np.ndarray):
-    """(V, Vinv, lam_u, lam_s) with unit columns (unstable first), or None."""
-    B = np.asarray(B, dtype=float)
-    if B.shape != (2, 2):
-        return None
-    w, V = np.linalg.eig(B)
-    if np.iscomplexobj(w) and np.abs(w.imag).max() > 1e-12:
-        return None
-    w = w.real
-    V = V.real
-    order = np.argsort(-np.abs(w))
-    w = w[order]
-    V = V[:, order]
-    if abs(abs(w[0]) - 1.0) <= 1e-12 or abs(abs(w[1]) - 1.0) <= 1e-12:
-        return None
-    for j in range(2):
-        col = V[:, j]
-        col = col / np.linalg.norm(col)
-        lead = col[np.nonzero(np.abs(col) > 1e-14)[0][0]]
-        V[:, j] = col if lead > 0 else -col
-    return V, np.linalg.inv(V), float(w[0]), float(w[1])
-
 
 def solve_tracking_constant(A) -> float:
     """K with achieved <= K * delta for the affine solver: cond(V) * geometric-series factor."""
@@ -289,10 +270,43 @@ def shadow_solve_newton(f: SystemMap, po: PseudoOrbit, tol: float = 1e-10, max_i
 # Tracking objectives (vectorized over candidate points y)
 # ---------------------------------------------------------------------------
 
-def _sq_dist(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    d = np.abs(a - b) % 1.0
-    d = np.minimum(d, 1.0 - d)
-    return np.einsum("...i,...i->...", d, d)
+def _fold_objective(targets: np.ndarray, steps, n: int, mode: str) -> np.ndarray:
+    """Squared objective of n candidates, folded over their orbit positions.
+
+    ``steps`` yields (i, z): z holds the candidates' positions (n, dim) at
+    orbit index i, where index N is the anchor and targets[i] the matching
+    target.  "pointwise" compares z with targets[i]; "weak" compares it with
+    the set of distinct targets, and "orbital" also folds the reverse
+    inclusion.  max and min are exact, so the order of the steps is free.
+    """
+    uniq = np.unique(targets, axis=0) if mode != "pointwise" else None
+    acc = np.zeros(n)
+    rmin = np.full((n, len(uniq)), np.inf) if mode == "orbital" else None
+    for i, z in steps:
+        if mode == "pointwise":
+            np.maximum(acc, sq_dist_array(z, targets[i]), out=acc)
+        else:
+            D = sq_dist_array(z[:, None, :], uniq[None, :, :])
+            np.maximum(acc, D.min(axis=1), out=acc)
+            if rmin is not None:
+                np.minimum(rmin, D, out=rmin)
+    if rmin is not None:
+        np.maximum(acc, rmin.max(axis=1), out=acc)
+    return acc
+
+
+def _map_steps(g: SystemMap, Y: np.ndarray, N: int):
+    """(i, g^(i-N)(Y)) for every orbit index i, one map step at a time."""
+    yield N, Y
+    z = Y
+    for k in range(1, N + 1):
+        z = g.forward(z)
+        yield N + k, z
+    z = Y
+    for k in range(1, N + 1):
+        z = g.backward(z)
+        yield N - k, z
+
 
 def _objective_core(g: SystemMap, targets: np.ndarray, ys: np.ndarray, N: int, mode: str) -> np.ndarray:
     T = np.asarray(targets, dtype=float)
@@ -300,34 +314,7 @@ def _objective_core(g: SystemMap, targets: np.ndarray, ys: np.ndarray, N: int, m
         raise ValueError("targets must cover indices -N..N")
     scalar = ys.ndim == 1
     Y = ys[None, :] if scalar else ys
-    uniq = np.unique(T, axis=0) if mode != "pointwise" else None
-
-    acc = np.zeros(len(Y))
-    rmin = np.full((len(Y), len(uniq)), np.inf) if mode == "orbital" else None
-
-    def visit(k: int, z: np.ndarray):
-        nonlocal acc
-        if mode == "pointwise":
-            np.maximum(acc, _sq_dist(z, T[N + k]), out=acc)
-        else:
-            D = _sq_dist(z[:, None, :], uniq[None, :, :])
-            np.maximum(acc, D.min(axis=1), out=acc)
-            if rmin is not None:
-                np.minimum(rmin, D, out=rmin)
-
-    visit(0, Y)
-    z = Y
-    for k in range(1, N + 1):
-        z = g.forward(z)
-        visit(k, z)
-    z = Y
-    for k in range(1, N + 1):
-        z = g.backward(z)
-        visit(-k, z)
-
-    if mode == "orbital":
-        np.maximum(acc, rmin.max(axis=1), out=acc)
-    out = np.sqrt(acc)
+    out = np.sqrt(_fold_objective(T, _map_steps(g, Y, N), len(Y), mode))
     return float(out[0]) if scalar else out
 
 
@@ -344,20 +331,6 @@ def weak_objective(g: SystemMap, targets, ys, N: int):
 def orbital_objective(g: SystemMap, targets, ys, N: int):
     """Larger of the two one-sided inclusion errors between {g^k(y)} and {targets}."""
     return _objective_core(g, targets, np.asarray(ys, dtype=float), N, "orbital")
-
-
-def _points_objective(points: np.ndarray, targets: np.ndarray, N: int, mode: str) -> float:
-    """Objective for an explicit method orbit (raw methods)."""
-    T = np.asarray(targets, dtype=float)
-    P = np.asarray(points, dtype=float)
-    if mode == "pointwise":
-        return float(np.sqrt(_sq_dist(P, T).max()))
-    uniq = np.unique(T, axis=0)
-    D = _sq_dist(P[:, None, :], uniq[None, :, :])
-    w = D.min(axis=1).max()
-    if mode == "weak":
-        return float(np.sqrt(w))
-    return float(np.sqrt(max(w, D.min(axis=0).max())))
 
 
 def horizon_lipschitz_bound(g: SystemMap, N: int, cap: float = LIP_CAP) -> float | None:
@@ -394,20 +367,14 @@ def horizon_lipschitz_bound(g: SystemMap, N: int, cap: float = LIP_CAP) -> float
 # Certified grid search
 # ---------------------------------------------------------------------------
 
-def _grid_points(idx: np.ndarray, G: int, dim: int) -> np.ndarray:
-    if dim == 1:
-        return (idx / G)[:, None]
-    return np.stack([(idx // G) / G, (idx % G) / G], axis=1)
-
-
-def _refine(objective, center: np.ndarray, step: float, levels: int = 2, factor: int = 8):
+def _refine(objective, center: np.ndarray, step: float):
     """Best (value, point) from nested local grids around center, spanning +-step."""
     best_v = math.inf
     best_p = center
     c = center
     s = step
-    for _ in range(levels):
-        offs = np.arange(-factor, factor + 1) * (s / factor)
+    for _ in range(REFINE_LEVELS):
+        offs = np.arange(-REFINE_FACTOR, REFINE_FACTOR + 1) * (s / REFINE_FACTOR)
         if len(c) == 1:
             local = c[None, :] + offs[:, None]
         else:
@@ -420,7 +387,7 @@ def _refine(objective, center: np.ndarray, step: float, levels: int = 2, factor:
             best_v = float(vals[i])
             best_p = local[i]
         c = local[i]
-        s = s / factor
+        s = s / REFINE_FACTOR
     return best_v, best_p
 
 
@@ -434,7 +401,7 @@ def _sweep(objective, dim: int, G: int, eps: float, threads: int):
 
     def eval_chunk(start: int):
         idx = np.arange(start, min(start + GRID_CHUNK, total))
-        vals = objective(_grid_points(idx, G, dim))
+        vals = objective(lattice_points(G, dim, idx=idx))
         qual = np.nonzero(vals < eps)[0]
         first = int(idx[qual[0]]) if len(qual) else None
         a = int(np.argmin(vals))
@@ -484,7 +451,7 @@ def _search(objective, dim: int, eps: float, grid_step: float, candidates, lip_b
     counters["grid_points"] = counters.get("grid_points", 0) + G ** dim
 
     if first_qual is not None:
-        pt = _grid_points(np.array([first_qual]), G, dim)[0]
+        pt = lattice_points(G, dim, idx=[first_qual])[0]
         v = float(objective(pt[None, :])[0])
         return {
             "outcome": "tracked",
@@ -495,9 +462,10 @@ def _search(objective, dim: int, eps: float, grid_step: float, candidates, lip_b
             "note": "witness from grid (lexicographically first qualifying point)",
         }
 
-    center = _grid_points(np.array([gargmin]), G, dim)[0]
+    center = lattice_points(G, dim, idx=[gargmin])[0]
     rv, rp = _refine(objective, center, 1.0 / G)
-    counters["refinement_points"] = counters.get("refinement_points", 0) + 2 * (2 * 8 + 1) ** dim
+    refined = REFINE_LEVELS * (2 * REFINE_FACTOR + 1) ** dim
+    counters["refinement_points"] = counters.get("refinement_points", 0) + refined
     if rv < eps:
         return {
             "outcome": "tracked",
@@ -557,8 +525,8 @@ def _solver_candidate(driver: SystemMap, targets: np.ndarray, delta_hint: float,
 
 def _run_check(property_name: str, mode: str, f: SystemMap, m: MethodSpec, x, eps: float,
                N: int, grid_step: float, seeds, threads, counters):
-    if eps <= 0:
-        raise ValueError("eps must be positive")
+    if not (math.isfinite(eps) and eps > 0):
+        raise ValueError(f"eps must be finite and positive, got {eps}")
     if N < 1:
         raise ValueError("N must be at least 1")
     if grid_step <= 0:
@@ -582,11 +550,8 @@ def _run_check(property_name: str, mode: str, f: SystemMap, m: MethodSpec, x, ep
             return _objective_core(driver, targets, ys, N, mode if mode != "direct" else "pointwise")
     else:
         def objective(ys):
-            out = np.empty(len(ys))
-            for i, y in enumerate(ys):
-                pts = m.evaluate(y, N).as_array()
-                out[i] = _points_objective(pts, targets, N, mode)
-            return out
+            orbits = np.stack([m.evaluate(y, N).as_array() for y in ys], axis=1)
+            return np.sqrt(_fold_objective(targets, enumerate(orbits), len(ys), mode))
 
     candidates = [("anchor", x0)]
     for s in seeds:

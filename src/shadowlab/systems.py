@@ -19,7 +19,7 @@ from typing import Callable
 
 import numpy as np
 
-from .geometry import TorusPoint, dist_array, reduce_to_unit
+from .geometry import TorusPoint, dist_array, lattice_points, reduce_to_unit
 
 __all__ = [
     "ConstructionError",
@@ -88,6 +88,29 @@ def det_batch(M) -> np.ndarray:
     if M.shape[-1] == 1:
         return M[..., 0, 0]
     return M[..., 0, 0] * M[..., 1, 1] - M[..., 0, 1] * M[..., 1, 0]
+
+
+def _hyperbolic_eigen(B: np.ndarray):
+    """(V, Vinv, lam_u, lam_s) with unit columns (unstable first), or None."""
+    B = np.asarray(B, dtype=float)
+    if B.shape != (2, 2):
+        return None
+    w, V = np.linalg.eig(B)
+    if np.iscomplexobj(w) and np.abs(w.imag).max() > 1e-12:
+        return None
+    w = w.real
+    V = V.real
+    order = np.argsort(-np.abs(w))
+    w = w[order]
+    V = V[:, order]
+    if abs(abs(w[0]) - 1.0) <= 1e-12 or abs(abs(w[1]) - 1.0) <= 1e-12:
+        return None
+    for j in range(2):
+        col = V[:, j]
+        col = col / np.linalg.norm(col)
+        lead = col[np.nonzero(np.abs(col) > 1e-14)[0][0]]
+        V[:, j] = col if lead > 0 else -col
+    return V, np.linalg.inv(V), float(w[0]), float(w[1])
 
 
 @dataclass(frozen=True, eq=False)
@@ -167,17 +190,9 @@ class SystemMap:
         return f"SystemMap({self.label!r}, dim={self.dim})"
 
 
-def _probe_points(dim: int, per_axis: int = 17) -> np.ndarray:
-    # offset lattice so probes avoid the special orbits sitting on rationals
-    ax = (np.arange(per_axis) + 0.37) / per_axis
-    if dim == 1:
-        return ax[:, None]
-    g = np.meshgrid(ax, ax, indexing="ij")
-    return np.stack(g, axis=-1).reshape(-1, 2)
-
-
 def _construction_check(m: SystemMap, roundtrip_tol: float = 1e-9, volume_tol: float = 1e-9):
-    pts = _probe_points(m.dim)
+    # offset lattice so probes avoid the special orbits sitting on rationals
+    pts = lattice_points(17, m.dim, offset=0.37)
     back = m.backward(m.forward(pts))
     rt = dist_array(back, pts).max()
     if rt > roundtrip_tol:
@@ -468,20 +483,15 @@ def make_conservative_perturbation(base: SystemMap, delta: float, mode: str, see
     raise ConstructionError(f"unknown perturbation mode {mode!r}")
 
 
-def _sample_grid(dim: int, samples: int) -> np.ndarray:
-    """Dyadic per-axis lattice with at least ``samples`` points per axis.
+def _dyadic(samples: int) -> int:
+    """Per-axis lattice size: ``samples`` rounded up to a power of two.
 
-    Rounding the count up to a power of two makes coarser lattices subsets of
-    finer ones, so grid suprema are monotone nondecreasing in ``samples``.
+    Coarser dyadic lattices are subsets of finer ones, so grid suprema are
+    monotone nondecreasing in ``samples``.
     """
     if samples < 1:
         raise ValueError("samples must be at least 1")
-    per = 1 << max(0, (samples - 1).bit_length())
-    ax = np.arange(per) / per
-    if dim == 1:
-        return ax[:, None]
-    g = np.meshgrid(ax, ax, indexing="ij")
-    return np.stack(g, axis=-1).reshape(-1, 2)
+    return 1 << max(0, (samples - 1).bit_length())
 
 
 def c1_distance(f: SystemMap, g: SystemMap, samples: int = 256) -> float:
@@ -494,7 +504,7 @@ def c1_distance(f: SystemMap, g: SystemMap, samples: int = 256) -> float:
     """
     if f.dim != g.dim:
         raise ValueError(f"dimension mismatch: {f.dim} vs {g.dim}")
-    pts = _sample_grid(f.dim, samples)
+    pts = lattice_points(_dyadic(samples), f.dim)
     c0 = float(dist_array(f.forward(pts), g.forward(pts)).max())
     dd = np.asarray(f.differential(pts), dtype=float) - np.asarray(g.differential(pts), dtype=float)
     c1 = float(spectral_norm_batch(dd).max())
@@ -503,7 +513,7 @@ def c1_distance(f: SystemMap, g: SystemMap, samples: int = 256) -> float:
 
 def volume_defect(f: SystemMap, samples: int = 128) -> float:
     """Largest deviation of |det Df| from 1 over a per-axis sample lattice."""
-    pts = _sample_grid(f.dim, samples)
+    pts = lattice_points(_dyadic(samples), f.dim)
     return float(np.max(np.abs(np.abs(det_batch(f.differential(pts))) - 1.0)))
 
 
@@ -513,22 +523,28 @@ def map_to_descriptor(m: SystemMap) -> dict:
 
 
 def map_from_descriptor(d: dict) -> SystemMap:
-    """Rebuild a map from its descriptor.  Inverse of :func:`map_to_descriptor`."""
+    """Rebuild a map from its descriptor.  Inverse of :func:`map_to_descriptor`.
+
+    A descriptor that lacks a key its kind needs raises ValueError.
+    """
     kind = d.get("kind")
-    if kind == "linear":
-        return make_linear(np.asarray(d["matrix"]))
-    if kind == "rotation":
-        return make_rotation(float(d["theta"]))
-    if kind == "translate":
-        return make_translation_method_map(map_from_descriptor(d["base"]), float(d["delta"]))
-    if kind == "translate-block":
-        base = torus_identity()
-        return make_translation_method_map(base, float(d["delta"]), block=d["block"])
-    if kind == "perturbation":
-        base = map_from_descriptor(d["base"])
-        mode = d["mode"]
-        rebuilt = make_conservative_perturbation(base, float(d["delta"]), mode, seed=d.get("seed"))
-        return rebuilt
+    try:
+        if kind == "linear":
+            return make_linear(np.asarray(d["matrix"]))
+        if kind == "rotation":
+            return make_rotation(float(d["theta"]))
+        if kind == "translate":
+            return make_translation_method_map(map_from_descriptor(d["base"]), float(d["delta"]))
+        if kind == "translate-block":
+            base = torus_identity()
+            return make_translation_method_map(base, float(d["delta"]), block=d["block"])
+        if kind == "perturbation":
+            base = map_from_descriptor(d["base"])
+            mode = d["mode"]
+            rebuilt = make_conservative_perturbation(base, float(d["delta"]), mode, seed=d.get("seed"))
+            return rebuilt
+    except KeyError as exc:
+        raise ValueError(f"{kind} descriptor lacks the key {exc}") from None
     raise ValueError(f"unknown map kind {kind!r}")
 
 

@@ -338,6 +338,18 @@ def test_usage_errors_exit_two(argv, capsys):
          "--x", "0,0", "--eps", "0.1", "--N", "5"],
         ["check", "inverse", "--system", "cat", "--method", "rotation:+0.01",
          "--x", "0,0", "--eps", "0.1", "--N", "5"],
+        ["check", "inverse", "--system", "cat", "--method", "same",
+         "--x", "0,0", "--eps", "0.1", "--N", "5", "--grid", "0"],
+        ["check", "inverse", "--system", '{"kind":"linear"}', "--method", "same",
+         "--x", "0,0", "--eps", "0.1", "--N", "5"],
+        ["check", "inverse", "--system", "golden", "--method", '{"kind":"rotation"}',
+         "--x", "0", "--eps", "0.1", "--N", "5"],
+        ["check", "inverse", "--system", "cat", "--method", '{"kind":"translate","delta":0.01}',
+         "--x", "0,0", "--eps", "0.1", "--N", "5"],
+        ["check", "inverse", "--system", "cat", "--method", "same",
+         "--x", "0,0", "--eps", "nan", "--N", "5"],
+        ["check", "inverse", "--system", "cat", "--method", "same",
+         "--x", "0,0", "--eps", "inf", "--N", "5"],
     ],
 )
 def test_spec_errors_exit_two_with_message(argv, capsys):
@@ -346,10 +358,11 @@ def test_spec_errors_exit_two_with_message(argv, capsys):
     assert err.startswith("shadowlab: error:")
 
 
-def test_experiment_rejects_unknown_override(capsys):
-    rc, _, err = run_cli(["experiment", "drift-inverse", "--theta", "0.3"], capsys)
+@pytest.mark.parametrize("flag", ["--theta", "--n-methods"])
+def test_experiment_rejects_unknown_override(flag, capsys):
+    rc, _, err = run_cli(["experiment", "drift-inverse", flag, "2"], capsys)
     assert rc == 2
-    assert "does not take --theta" in err
+    assert f"does not take {flag}\n" in err
 
 
 def test_rotation_dichotomy_rejects_low_period_angle(capsys):

@@ -1,4 +1,4 @@
-"""Tests for the quotient metric and the point/set containers."""
+"""Tests for the quotient metric, torus points and lattices."""
 
 import math
 import random
@@ -9,13 +9,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from shadowlab.geometry import (
-    PointSet,
     TorusPoint,
     dist_array,
-    dist_to_set_array,
-    one_sided_within,
-    point_to_set_dist,
+    lattice_points,
     reduce_to_unit,
+    sq_dist_array,
     torus_dist,
     wrap_to_half,
 )
@@ -122,7 +120,7 @@ def test_translation_invariance_1d(x, t):
 
 
 # ---------------------------------------------------------------------------
-# Points, sets, and one-sided inclusion
+# Points
 # ---------------------------------------------------------------------------
 
 def test_torus_point_reduces_and_compares():
@@ -135,43 +133,6 @@ def test_torus_point_reduces_and_compares():
 def test_dimension_mismatch_rejected():
     with pytest.raises(ValueError):
         torus_dist(TorusPoint((0.1,)), TorusPoint((0.1, 0.2)))
-
-
-def test_point_set_requires_common_dim_and_nonempty():
-    with pytest.raises(ValueError):
-        PointSet(())
-    with pytest.raises(ValueError):
-        PointSet((TorusPoint((0.1,)), TorusPoint((0.1, 0.2))))
-
-
-def test_point_to_set_dist_picks_nearest():
-    s = PointSet((TorusPoint((0.0, 0.0)), TorusPoint((0.5, 0.5))))
-    p = TorusPoint((0.9, 0.95))
-    direct = min(brute_force_dist((0.9, 0.95), (0.0, 0.0)),
-                 brute_force_dist((0.9, 0.95), (0.5, 0.5)))
-    assert point_to_set_dist(p, s) == pytest.approx(direct, abs=1e-12)
-
-
-def test_one_sided_within_is_closed_at_the_boundary():
-    """Inclusion uses closed balls, so distance exactly eps still counts."""
-    s1 = PointSet((TorusPoint((0.25,)),))
-    s2 = PointSet((TorusPoint((0.0,)),))
-    assert one_sided_within(s1, s2, 0.25)
-    assert not one_sided_within(s1, s2, 0.249)
-    assert one_sided_within(s2, s2, 0.0)
-
-
-def test_one_sided_within_is_not_symmetric():
-    s1 = PointSet((TorusPoint((0.0,)),))
-    s2 = PointSet((TorusPoint((0.0,)), TorusPoint((0.5,))))
-    assert one_sided_within(s1, s2, 0.1)
-    assert not one_sided_within(s2, s1, 0.1)
-
-
-def test_one_sided_within_rejects_negative_eps():
-    s = PointSet((TorusPoint((0.0,)),))
-    with pytest.raises(ValueError):
-        one_sided_within(s, s, -0.1)
 
 
 # ---------------------------------------------------------------------------
@@ -188,10 +149,20 @@ def test_dist_array_broadcasts_full_matrix():
             assert mat[i, j] == pytest.approx(brute_force_dist(pts[i], targets[j]), abs=1e-12)
 
 
-def test_dist_to_set_array_matches_loop():
+def test_sq_dist_array_is_the_unrooted_distance():
     rng = np.random.default_rng(11)
     pts = rng.random((40, 2))
     targets = rng.random((7, 2))
-    got = dist_to_set_array(pts, targets)
-    want = [min(brute_force_dist(p, t) for t in targets) for p in pts]
-    assert np.allclose(got, want, atol=1e-12)
+    sq = sq_dist_array(pts[:, None, :], targets)
+    assert np.array_equal(np.sqrt(sq), dist_array(pts[:, None, :], targets))
+    want = [[brute_force_dist(p, t) ** 2 for t in targets] for p in pts]
+    assert np.allclose(sq, want, atol=1e-12)
+
+
+@pytest.mark.parametrize("G, offset", [(8, 0.0), (17, 0.37), (64, 0.5)])
+def test_lattice_points_match_the_meshgrid_in_ij_order(G, offset):
+    ax = (np.arange(G) + offset) / G
+    g0, g1 = np.meshgrid(ax, ax, indexing="ij")
+    assert np.array_equal(lattice_points(G, 2, offset), np.stack([g0.ravel(), g1.ravel()], axis=1))
+    assert np.array_equal(lattice_points(G, 1, offset), ax[:, None])
+    assert np.array_equal(lattice_points(G, 2, offset, idx=[3, G + 1]), [[ax[0], ax[3]], [ax[1], ax[1]]])

@@ -5,7 +5,7 @@ unless ``--out`` is given; diagnostics go to the error stream.  Exit codes
 partition the outcomes so scripts can triage without parsing:
 
 * 0 -- tracked / consistent
-* 2 -- usage error or a bad system/method spec
+* 2 -- usage error, a bad system/method spec, or an invalid value
 * 3 -- certified failure
 * 4 -- inconclusive (including failures without a certificate)
 * 5 -- experiment conclusion inconsistent

@@ -285,11 +285,12 @@ def _fold_objective(targets: np.ndarray, steps, n: int, mode: str) -> np.ndarray
     for i, z in steps:
         if mode == "pointwise":
             np.maximum(acc, sq_dist_array(z, targets[i]), out=acc)
-        else:
-            D = sq_dist_array(z[:, None, :], uniq[None, :, :])
-            np.maximum(acc, D.min(axis=1), out=acc)
-            if rmin is not None:
-                np.minimum(rmin, D, out=rmin)
+            continue
+        D = sq_dist_array(z[:, None, :], uniq[None, :, :])
+        np.maximum(acc, D.min(axis=1), out=acc)
+        if rmin is not None:
+            np.minimum(rmin, D, out=rmin)
+        del D  # free the (n, len(uniq)) matrix before the next step builds its own
     if rmin is not None:
         np.maximum(acc, rmin.max(axis=1), out=acc)
     return acc

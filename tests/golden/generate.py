@@ -12,7 +12,9 @@ change of a report or record, and say why in the same change.
 The experiments run at their defaults.  The checks run with ``--timings`` and
 together cover all four properties, all three outcomes, witnesses from the
 anchor, the affine solver, Newton, the grid and refinement, a raw ``random:``
-method, and both the circle and the torus.
+method, both the circle and the torus, and every derived map constructor:
+translation drifts, the block drift, and shear-sin and translation
+perturbations.
 """
 
 from __future__ import annotations
@@ -64,6 +66,17 @@ CASES = {
     "check-direct-circle-certified": ["check", "direct", "--system", "identity1",
                                       "--method", "rotation:0.02", "--x", "0.3",
                                       "--eps", "0.1", "--N", "10", "--grid", "64"],
+    "check-inverse-cat-perturbed-affine": ["check", "inverse", "--system", "cat",
+                                           "--method", "perturb:translation:0.001",
+                                           "--x", "0.2,0.3", "--eps", "0.05", "--N", "20"],
+    "check-inverse-golden-perturbed-certified": ["check", "inverse", "--system", "golden",
+                                                 "--method", "perturb:translation:0.01",
+                                                 "--x", "0.0", "--eps", "0.1", "--N", "25",
+                                                 "--grid", "1024"],
+    "check-weak-block-certified": ["check", "weak", "--system",
+                                   '{"kind":"linear","matrix":[[1,0],[0,-1]]}',
+                                   "--method", '{"kind":"translate-block","delta":0.01,"block":-1}',
+                                   "--x", "0,0", "--eps", "0.1", "--N", "25", "--grid", "64"],
 }
 
 

@@ -217,6 +217,43 @@ def test_descriptor_roundtrip(idx):
     assert c1_distance(f, rebuilt, samples=64) == 0.0
 
 
+_CAT, _SHEAR = [[2, 1], [1, 1]], [[1, 0], [1, 1]]
+_I2, _I1 = [[1, 0], [0, 1]], [[1]]
+_L_CAT, _L_SHEAR, _L_SIN = 2.618033988749895, 1.618033988749895, 2.6262717045438113
+
+# (linear_part, reference_matrix, lip_forward, lip_backward) per library map, then the block map
+_PINNED = [
+    (_CAT, _CAT, _L_CAT, _L_CAT),
+    (_SHEAR, _SHEAR, _L_SHEAR, _L_SHEAR),
+    (_I2, _I2, 1.0, 1.0),
+    (_I1, _I1, 1.0, 1.0),
+    (_I1, _I1, 1.0, 1.0),
+    ([[1, 1], [1, 0]], [[1, 1], [1, 0]], _L_SHEAR, _L_SHEAR),
+    (_SHEAR, _SHEAR, _L_SHEAR, _L_SHEAR),
+    (_I2, _I2, 1.0, 1.0),
+    (_CAT, _CAT, _L_CAT, _L_CAT),
+    (_I1, _I1, 1.0, 1.0),
+    (None, _CAT, _L_SIN, _L_SIN),
+    (None, _CAT, _L_SIN, _L_SIN),
+    (_CAT, _CAT, _L_CAT, _L_CAT),
+    (_I1, _I1, 1.0, 1.0),
+    ([[1, 0], [0, -1]], [[1, 0], [0, -1]], 1.0, 1.0),
+]
+
+
+@pytest.mark.parametrize("idx", range(15))
+def test_linear_data_and_lipschitz_bounds_are_pinned(idx):
+    maps = library_maps() + [make_translation_method_map(torus_identity(), 0.01, block=-1)]
+    f = maps[idx]
+    linear, reference, lip_f, lip_b = _PINNED[idx]
+    for got, want in ((f.linear_part, linear), (f.reference_matrix, reference)):
+        if want is None:
+            assert got is None
+        else:
+            assert got.dtype == np.int64 and got.tolist() == want
+    assert f.lip_forward == lip_f and f.lip_backward == lip_b
+
+
 def test_descriptor_is_json_ready():
     import json
     for f in library_maps():

@@ -221,6 +221,8 @@ def random_method(f: SystemMap, delta: float, seed: int) -> MethodSpec:
     half-width 0.9*delta/sqrt(dim), so every gap is below delta with slack for
     the inverse-roundtrip roundoff on the backward side.
     """
+    if not math.isfinite(delta):
+        raise ConstructionError(f"delta must be finite, got {delta}")
     if delta < 1e-8:
         raise ConstructionError("delta below 1e-8 would drown in roundtrip roundoff")
     if seed < 0:

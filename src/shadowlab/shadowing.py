@@ -116,7 +116,7 @@ class ShadowVerdict:
             raise ValueError("tracked verdicts require achieved < epsilon")
         if self.outcome == "failed" and self.certified:
             slack = self.lipschitz_bound * self.grid_step / 2.0
-            if not (self.min_over_grid - slack > self.epsilon):
+            if not (math.isfinite(self.min_over_grid) and self.min_over_grid - slack > self.epsilon):
                 raise ValueError("certificate inequality does not hold")
 
     def to_record(self) -> dict:

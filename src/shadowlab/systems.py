@@ -6,6 +6,14 @@ and a JSON-serializable descriptor.  Constructors run a self-check (inverse
 roundtrip and volume defect on a probe grid) so that an object that exists is
 also a valid conservative system.
 
+Three primitives write out their own actions: toral automorphisms, the
+translation x -> x + v (a circle rotation is one), and a sine shear.  Every
+other map is built by ``_compose``, the one place that knows how maps compose:
+forward is outer after inner, backward runs the inverses in reverse order, the
+differential follows the chain rule, and the Lipschitz bounds, linear parts and
+reference matrices multiply.  A drift is ``translate(delta) o f`` and a
+perturbation is ``f o tau``.
+
 Volume preservation is measured as ``| |det Df| - 1 |`` so that
 orientation-reversing automorphisms (det = -1) count as measure-preserving.
 """
@@ -14,7 +22,8 @@ from __future__ import annotations
 
 import copy
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -57,15 +66,9 @@ class ConstructionError(ValueError):
 def spectral_norm(M) -> float:
     """Spectral norm of a 1x1 or 2x2 matrix, closed form from the singular values."""
     M = np.asarray(M, dtype=float)
-    if M.shape == (1, 1):
-        return abs(float(M[0, 0]))
-    if M.shape != (2, 2):
+    if M.shape not in ((1, 1), (2, 2)):
         raise ValueError(f"expected a 1x1 or 2x2 matrix, got shape {M.shape}")
-    a, b, c, d = M.ravel()
-    s = a * a + b * b + c * c + d * d
-    det = a * d - b * c
-    disc = max(s * s - 4.0 * det * det, 0.0)
-    return math.sqrt(0.5 * (s + math.sqrt(disc)))
+    return float(spectral_norm_batch(M))
 
 
 def spectral_norm_batch(M) -> np.ndarray:
@@ -125,11 +128,9 @@ class LinearAutomorphism:
             raise ConstructionError(f"expected a 2x2 matrix, got shape {arr.shape}")
         if not np.all(arr == np.round(arr)):
             raise ConstructionError("matrix entries must be integers")
-        ints = np.array(np.round(arr), dtype=np.int64)
-        det = int(ints[0, 0]) * int(ints[1, 1]) - int(ints[0, 1]) * int(ints[1, 0])
-        if abs(det) != 1:
-            raise ConstructionError(f"|det| must be 1 for an invertible torus map, got det = {det}")
-        object.__setattr__(self, "matrix", ints)
+        object.__setattr__(self, "matrix", np.array(np.round(arr), dtype=np.int64))
+        if abs(self.det) != 1:
+            raise ConstructionError(f"|det| must be 1 for an invertible torus map, got det = {self.det}")
 
     @property
     def det(self) -> int:
@@ -148,9 +149,6 @@ class LinearAutomorphism:
     def is_hyperbolic(self, tol: float = 1e-9) -> bool:
         """No eigenvalue modulus inside the band [1 - tol, 1 + tol]."""
         return bool(np.all(np.abs(np.abs(self.eigenvalues()) - 1.0) > tol))
-
-    def as_map(self) -> "SystemMap":
-        return make_linear(self)
 
 
 @dataclass(frozen=True, eq=False)
@@ -180,41 +178,27 @@ class SystemMap:
     def apply(self, p: TorusPoint) -> TorusPoint:
         return TorusPoint.from_array(self.forward(p.as_array()))
 
-    def apply_inverse(self, p: TorusPoint) -> TorusPoint:
-        return TorusPoint.from_array(self.backward(p.as_array()))
-
-    def jacobian(self, p: TorusPoint) -> np.ndarray:
-        return np.asarray(self.differential(p.as_array()), dtype=float)
-
     def __repr__(self):
         return f"SystemMap({self.label!r}, dim={self.dim})"
 
 
 def _construction_check(m: SystemMap, roundtrip_tol: float = 1e-9, volume_tol: float = 1e-9):
-    # offset lattice so probes avoid the special orbits sitting on rationals
+    # offset lattice so probes avoid the special orbits sitting on rationals;
+    # every test is "not <= tol" so that a NaN defect fails it
     pts = lattice_points(17, m.dim, offset=0.37)
-    back = m.backward(m.forward(pts))
-    rt = dist_array(back, pts).max()
-    if rt > roundtrip_tol:
-        raise ConstructionError(f"{m.label}: inverse roundtrip defect {rt:.3e} exceeds {roundtrip_tol:.0e}")
-    fwd_then_back = m.forward(m.backward(pts))
-    rt2 = dist_array(fwd_then_back, pts).max()
-    if rt2 > roundtrip_tol:
-        raise ConstructionError(f"{m.label}: forward roundtrip defect {rt2:.3e} exceeds {roundtrip_tol:.0e}")
+    for name, first, second in (("inverse", m.forward, m.backward), ("forward", m.backward, m.forward)):
+        rt = dist_array(second(first(pts)), pts).max()
+        if not rt <= roundtrip_tol:
+            raise ConstructionError(f"{m.label}: {name} roundtrip defect {rt:.3e} exceeds {roundtrip_tol:.0e}")
     defect = np.max(np.abs(np.abs(det_batch(m.differential(pts))) - 1.0))
-    if defect > volume_tol:
+    if not defect <= volume_tol:
         raise ConstructionError(f"{m.label}: volume defect {defect:.3e} exceeds {volume_tol:.0e}")
     return m
 
 
-def _constant_differential(M: np.ndarray):
-    M = np.asarray(M, dtype=float)
-
-    def diff(x):
-        x = np.asarray(x, dtype=float)
-        return np.broadcast_to(M, x.shape[:-1] + M.shape)
-
-    return diff
+def _constant_differential(x, M: np.ndarray):
+    """The Jacobian stack of an affine map with linear part ``M`` at the points ``x``."""
+    return np.broadcast_to(M, np.shape(x)[:-1] + M.shape)
 
 
 def make_linear(A, label: str | None = None) -> SystemMap:
@@ -223,11 +207,8 @@ def make_linear(A, label: str | None = None) -> SystemMap:
     Af = aut.matrix.astype(float)
     Ainv = aut.inverse_matrix().astype(float)
 
-    def fwd(x):
-        return reduce_to_unit(np.asarray(x, dtype=float) @ Af.T)
-
-    def bwd(x):
-        return reduce_to_unit(np.asarray(x, dtype=float) @ Ainv.T)
+    def act(x, M):
+        return reduce_to_unit(np.asarray(x, dtype=float) @ M.T)
 
     if label is None:
         r = aut.matrix
@@ -235,9 +216,9 @@ def make_linear(A, label: str | None = None) -> SystemMap:
     m = SystemMap(
         label=label,
         dim=2,
-        forward=fwd,
-        backward=bwd,
-        differential=_constant_differential(Af),
+        forward=partial(act, M=Af),
+        backward=partial(act, M=Ainv),
+        differential=partial(_constant_differential, M=Af),
         lip_forward=spectral_norm(Af),
         lip_backward=spectral_norm(Ainv),
         descriptor={"kind": "linear", "matrix": [[int(v) for v in row] for row in aut.matrix]},
@@ -247,28 +228,101 @@ def make_linear(A, label: str | None = None) -> SystemMap:
     return _construction_check(m)
 
 
+def _translation(v) -> SystemMap:
+    """The translation x -> x + v (mod 1): linear part I and a unit differential."""
+    v = np.asarray(v, dtype=float)
+    eye = np.eye(v.size, dtype=np.int64)
+
+    def shift(x, sign):
+        return reduce_to_unit(np.asarray(x, dtype=float) + sign * v)
+
+    return SystemMap(
+        label="translation",
+        dim=v.size,
+        forward=partial(shift, sign=1.0),
+        backward=partial(shift, sign=-1.0),
+        differential=partial(_constant_differential, M=np.eye(v.size)),
+        linear_part=eye,
+        reference_matrix=eye,
+    )
+
+
+def _sine_shear(delta: float, axis: int, phase: float) -> SystemMap:
+    """Shift coordinate ``axis`` by delta*sin(2*pi*(other + phase)); unit determinant.
+
+    Not affine, so it has no linear part; its reference matrix is I, so a
+    composition keeps the reference matrix of the other part.
+    """
+    other = 1 - axis
+    c = 2.0 * math.pi * delta
+
+    def shift(x, sign):
+        out = np.array(x, dtype=float)
+        out[..., axis] += sign * delta * np.sin(2.0 * math.pi * (out[..., other] + phase))
+        return reduce_to_unit(out)
+
+    def diff(x):
+        x = np.asarray(x, dtype=float)
+        out = np.zeros(x.shape[:-1] + (2, 2))
+        out[..., 0, 0] = 1.0
+        out[..., 1, 1] = 1.0
+        out[..., axis, other] = c * np.cos(2.0 * math.pi * (x[..., other] + phase))
+        return out
+
+    factor = (c + math.sqrt(c * c + 4.0)) / 2.0  # spectral norm of [[1, c], [0, 1]], c >= 0
+    return SystemMap(
+        label="shear-sin",
+        dim=2,
+        forward=partial(shift, sign=1.0),
+        backward=partial(shift, sign=-1.0),
+        differential=diff,
+        lip_forward=factor,
+        lip_backward=factor,
+        reference_matrix=np.eye(2, dtype=np.int64),
+    )
+
+
+def _compose(outer: SystemMap, inner: SystemMap, label: str, descriptor: dict) -> SystemMap:
+    """The checked composition ``outer o inner``: the only place that composes maps.
+
+    The parts' actions are looked up at call time, so a wrapper installed on
+    a part's ``forward`` or ``backward`` after construction is still used.
+    """
+
+    def fwd(x):
+        return outer.forward(inner.forward(x))
+
+    def bwd(x):
+        return inner.backward(outer.backward(x))
+
+    def diff(x):
+        return outer.differential(inner.forward(x)) @ inner.differential(x)
+
+    def product(a, b):
+        return None if a is None or b is None else a @ b
+
+    m = SystemMap(
+        label=label,
+        dim=inner.dim,
+        forward=fwd,
+        backward=bwd,
+        differential=diff,
+        lip_forward=outer.lip_forward * inner.lip_forward,
+        lip_backward=outer.lip_backward * inner.lip_backward,
+        descriptor=descriptor,
+        linear_part=product(outer.linear_part, inner.linear_part),
+        reference_matrix=product(outer.reference_matrix, inner.reference_matrix),
+    )
+    return _construction_check(m)
+
+
 def make_rotation(theta: float, label: str | None = None) -> SystemMap:
     """Circle rotation x -> x + theta (mod 1); an isometry with unit differential."""
     th = float(theta)
-
-    def fwd(x):
-        return reduce_to_unit(np.asarray(x, dtype=float) + th)
-
-    def bwd(x):
-        return reduce_to_unit(np.asarray(x, dtype=float) - th)
-
-    one = np.eye(1, dtype=np.int64)
-    m = SystemMap(
+    m = replace(
+        _translation([th]),
         label=label if label is not None else f"rotation({th:.12g})",
-        dim=1,
-        forward=fwd,
-        backward=bwd,
-        differential=_constant_differential(np.eye(1)),
-        lip_forward=1.0,
-        lip_backward=1.0,
         descriptor={"kind": "rotation", "theta": th},
-        linear_part=one,
-        reference_matrix=one,
     )
     return _construction_check(m)
 
@@ -301,70 +355,19 @@ def make_translation_method_map(base: SystemMap, delta: float, block=None) -> Sy
     delta = float(delta)
     if not (0.0 < delta < 0.5):
         raise ConstructionError(f"delta must lie in (0, 1/2), got {delta}")
-
+    off = np.zeros(base.dim)
+    off[0] = delta
     if block is None:
-        off = np.zeros(base.dim)
-        off[0] = delta
-
-        def fwd(x):
-            return reduce_to_unit(base.forward(x) + off)
-
-        def bwd(x):
-            return base.backward(reduce_to_unit(np.asarray(x, dtype=float) - off))
-
-        m = SystemMap(
-            label=f"translate({delta:.12g})*{base.label}",
-            dim=base.dim,
-            forward=fwd,
-            backward=bwd,
-            differential=base.differential,
-            lip_forward=base.lip_forward,
-            lip_backward=base.lip_backward,
-            descriptor={"kind": "translate", "delta": delta, "base": copy.deepcopy(base.descriptor)},
-            linear_part=None if base.linear_part is None else base.linear_part.copy(),
-            reference_matrix=None if base.reference_matrix is None else base.reference_matrix.copy(),
-        )
-        return _construction_check(m)
+        descriptor = {"kind": "translate", "delta": delta, "base": copy.deepcopy(base.descriptor)}
+        return _compose(_translation(off), base, f"translate({delta:.12g})*{base.label}", descriptor)
 
     if base.dim != 2:
         raise ConstructionError("block form is defined on the 2-torus only")
     b = int(np.asarray(block).reshape(-1)[0])
     if abs(b) != 1:
         raise ConstructionError(f"block must have |det| = 1, got {b}")
-    B = np.array([[1, 0], [0, b]], dtype=np.int64)
-
-    def fwd(x):
-        x = np.asarray(x, dtype=float)
-        out = np.empty_like(x)
-        out[..., 0] = x[..., 0] + delta
-        out[..., 1] = b * x[..., 1]
-        return reduce_to_unit(out)
-
-    def bwd(x):
-        x = np.asarray(x, dtype=float)
-        out = np.empty_like(x)
-        out[..., 0] = x[..., 0] - delta
-        out[..., 1] = b * x[..., 1]
-        return reduce_to_unit(out)
-
-    m = SystemMap(
-        label=f"translate-block({delta:.12g},{b})",
-        dim=2,
-        forward=fwd,
-        backward=bwd,
-        differential=_constant_differential(B.astype(float)),
-        lip_forward=1.0,
-        lip_backward=1.0,
-        descriptor={"kind": "translate-block", "delta": delta, "block": b},
-        linear_part=B,
-        reference_matrix=B,
-    )
-    return _construction_check(m)
-
-
-def _shear_factor_norm(c: float) -> float:
-    # spectral norm of [[1, c], [0, 1]]
-    return (abs(c) + math.sqrt(c * c + 4.0)) / 2.0
+    descriptor = {"kind": "translate-block", "delta": delta, "block": b}
+    return _compose(_translation(off), make_linear([[1, 0], [0, b]]), f"translate-block({delta:.12g},{b})", descriptor)
 
 
 def make_conservative_perturbation(base: SystemMap, delta: float, mode: str, seed: int | None = None) -> SystemMap:
@@ -377,10 +380,10 @@ def make_conservative_perturbation(base: SystemMap, delta: float, mode: str, see
     direction) so that families of distinct perturbations are reproducible.
     """
     delta = float(delta)
-    if delta < 0:
-        raise ConstructionError("delta must be nonnegative")
+    if not (math.isfinite(delta) and delta >= 0):
+        raise ConstructionError(f"delta must be finite and nonnegative, got {delta}")
     rng = np.random.default_rng(seed) if seed is not None else None
-
+    descriptor = {"kind": "perturbation", "mode": mode, "delta": delta, "seed": seed}
     if mode == "shear-sin":
         if base.dim != 2:
             raise ConstructionError("shear-sin perturbation is defined on the 2-torus only")
@@ -388,99 +391,21 @@ def make_conservative_perturbation(base: SystemMap, delta: float, mode: str, see
             raise ConstructionError(f"|2*pi*delta| must stay below 1, got delta = {delta}")
         phase = float(rng.random()) if rng is not None else 0.0
         axis = int(rng.integers(2)) if rng is not None else 0
-        other = 1 - axis
-
-        def tau(x):
-            x = np.asarray(x, dtype=float)
-            out = x.copy()
-            out[..., axis] = out[..., axis] + delta * np.sin(2.0 * math.pi * (x[..., other] + phase))
-            return reduce_to_unit(out)
-
-        def tau_inv(x):
-            x = np.asarray(x, dtype=float)
-            out = x.copy()
-            out[..., axis] = out[..., axis] - delta * np.sin(2.0 * math.pi * (x[..., other] + phase))
-            return reduce_to_unit(out)
-
-        def dtau(x):
-            x = np.asarray(x, dtype=float)
-            out = np.zeros(x.shape[:-1] + (2, 2))
-            out[..., 0, 0] = 1.0
-            out[..., 1, 1] = 1.0
-            out[..., axis, other] = 2.0 * math.pi * delta * np.cos(2.0 * math.pi * (x[..., other] + phase))
-            return out
-
-        def fwd(x):
-            return base.forward(tau(x))
-
-        def bwd(x):
-            return tau_inv(base.backward(x))
-
-        def diff(x):
-            return base.differential(tau(x)) @ dtau(x)
-
-        factor = _shear_factor_norm(2.0 * math.pi * delta)
-        m = SystemMap(
-            label=f"{base.label}*shear-sin({delta:.12g})",
-            dim=2,
-            forward=fwd,
-            backward=bwd,
-            differential=diff,
-            lip_forward=base.lip_forward * factor,
-            lip_backward=base.lip_backward * factor,
-            descriptor={
-                "kind": "perturbation",
-                "mode": "shear-sin",
-                "delta": delta,
-                "seed": seed,
-                "phase": phase,
-                "axis": axis,
-                "base": copy.deepcopy(base.descriptor),
-            },
-            linear_part=None,
-            reference_matrix=None if base.reference_matrix is None else base.reference_matrix.copy(),
-        )
-        return _construction_check(m)
-
-    if mode == "translation":
+        tau = _sine_shear(delta, axis, phase)
+        descriptor.update(phase=phase, axis=axis)
+    elif mode == "translation":
         if base.dim == 2:
             angle = float(rng.random()) * 2.0 * math.pi if rng is not None else 0.0
             v = delta * np.array([math.cos(angle), math.sin(angle)])
         else:
             angle = None
             v = np.array([delta])
-
-        def fwd(x):
-            return base.forward(reduce_to_unit(np.asarray(x, dtype=float) + v))
-
-        def bwd(x):
-            return reduce_to_unit(base.backward(x) - v)
-
-        def diff(x):
-            return base.differential(reduce_to_unit(np.asarray(x, dtype=float) + v))
-
-        m = SystemMap(
-            label=f"{base.label}*translation({delta:.12g})",
-            dim=base.dim,
-            forward=fwd,
-            backward=bwd,
-            differential=diff,
-            lip_forward=base.lip_forward,
-            lip_backward=base.lip_backward,
-            descriptor={
-                "kind": "perturbation",
-                "mode": "translation",
-                "delta": delta,
-                "seed": seed,
-                "angle": angle,
-                "base": copy.deepcopy(base.descriptor),
-            },
-            linear_part=None if base.linear_part is None else base.linear_part.copy(),
-            reference_matrix=None if base.reference_matrix is None else base.reference_matrix.copy(),
-        )
-        return _construction_check(m)
-
-    raise ConstructionError(f"unknown perturbation mode {mode!r}")
+        tau = _translation(v)
+        descriptor["angle"] = angle
+    else:
+        raise ConstructionError(f"unknown perturbation mode {mode!r}")
+    descriptor["base"] = copy.deepcopy(base.descriptor)
+    return _compose(base, tau, f"{base.label}*{mode}({delta:.12g})", descriptor)
 
 
 def _dyadic(samples: int) -> int:
@@ -525,8 +450,12 @@ def map_to_descriptor(m: SystemMap) -> dict:
 def map_from_descriptor(d: dict) -> SystemMap:
     """Rebuild a map from its descriptor.  Inverse of :func:`map_to_descriptor`.
 
-    A descriptor that lacks a key its kind needs raises ValueError.
+    A descriptor that lacks a key its kind needs, or holds a value of the
+    wrong type, raises ValueError naming the kind; a descriptor that is not a
+    dict raises TypeError.
     """
+    if not isinstance(d, dict):
+        raise TypeError(f"a map descriptor is a JSON object, got {d!r}")
     kind = d.get("kind")
     try:
         if kind == "linear":
@@ -536,15 +465,14 @@ def map_from_descriptor(d: dict) -> SystemMap:
         if kind == "translate":
             return make_translation_method_map(map_from_descriptor(d["base"]), float(d["delta"]))
         if kind == "translate-block":
-            base = torus_identity()
-            return make_translation_method_map(base, float(d["delta"]), block=d["block"])
+            return make_translation_method_map(torus_identity(), float(d["delta"]), block=d["block"])
         if kind == "perturbation":
             base = map_from_descriptor(d["base"])
-            mode = d["mode"]
-            rebuilt = make_conservative_perturbation(base, float(d["delta"]), mode, seed=d.get("seed"))
-            return rebuilt
+            return make_conservative_perturbation(base, float(d["delta"]), d["mode"], seed=d.get("seed"))
     except KeyError as exc:
         raise ValueError(f"{kind} descriptor lacks the key {exc}") from None
+    except TypeError as exc:
+        raise ValueError(f"{kind} descriptor holds a value of the wrong type: {exc}") from None
     raise ValueError(f"unknown map kind {kind!r}")
 
 

@@ -350,6 +350,22 @@ def test_usage_errors_exit_two(argv, capsys):
          "--x", "0,0", "--eps", "nan", "--N", "5"],
         ["check", "inverse", "--system", "cat", "--method", "same",
          "--x", "0,0", "--eps", "inf", "--N", "5"],
+        ["check", "inverse", "--system", "golden", "--method", "perturb:translation:inf",
+         "--x", "0", "--eps", "0.1", "--N", "5"],
+        ["check", "inverse", "--system", "cat", "--method", "perturb:shear-sin:nan",
+         "--x", "0.2,0.3", "--eps", "0.1", "--N", "5"],
+        ["check", "inverse", "--system", "cat", "--method", "random:nan",
+         "--x", "0.2,0.3", "--eps", "0.1", "--N", "5"],
+        ["check", "inverse", "--system", "golden", "--method", "rotation:+inf",
+         "--x", "0", "--eps", "0.1", "--N", "5"],
+        ["check", "inverse", "--system", '{"kind":"rotation","theta":null}', "--method", "same",
+         "--x", "0", "--eps", "0.1", "--N", "5"],
+        ["check", "inverse", "--system", "cat", "--method", '{"kind":"translate","delta":0.01,"base":5}',
+         "--x", "0,0", "--eps", "0.1", "--N", "5"],
+        ["check", "inverse", "--system", "cat", "--method",
+         '{"kind":"perturbation","mode":"shear-sin","delta":0.001,"seed":"x",'
+         '"base":{"kind":"linear","matrix":[[2,1],[1,1]]}}',
+         "--x", "0,0", "--eps", "0.1", "--N", "5"],
     ],
 )
 def test_spec_errors_exit_two_with_message(argv, capsys):

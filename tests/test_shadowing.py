@@ -575,6 +575,14 @@ def test_certified_verdict_requires_the_inequality():
                  min_over_grid=0.11, grid_step=0.01, lipschitz_bound=25.0)
 
 
+def test_certified_verdict_requires_a_finite_minimum():
+    certified = dict(outcome="failed", witness=None, achieved=None, certified=True,
+                     grid_step=0.01, lipschitz_bound=1.0)
+    assert _verdict(min_over_grid=0.25, **certified).certified
+    with pytest.raises(ValueError):
+        _verdict(min_over_grid=math.inf, **certified)
+
+
 def test_record_wire_keys():
     sh = shear_map()
     tracked = check_inverse_shadowing(sh, drift_method(sh, 0.01, 5), (0.0, 0.0), 0.2, 5)

@@ -154,6 +154,22 @@ def test_perturbation_gates():
         make_conservative_perturbation(cat_map(), -0.01, "translation")
 
 
+def test_non_finite_sizes_are_rejected():
+    for bad in (math.inf, math.nan):
+        for mode in ("shear-sin", "translation"):
+            with pytest.raises(ConstructionError):
+                make_conservative_perturbation(cat_map(), bad, mode)
+        with pytest.raises(ConstructionError), np.errstate(invalid="ignore"):
+            make_rotation(bad)  # a NaN roundtrip defect fails the construction check
+
+
+def test_descriptor_type_errors_name_the_kind():
+    with pytest.raises(ValueError, match="^rotation descriptor"):
+        map_from_descriptor({"kind": "rotation", "theta": None})
+    with pytest.raises(ValueError, match="^translate descriptor"):
+        map_from_descriptor({"kind": "translate", "delta": 0.01, "base": 5})
+
+
 def test_perturbation_stays_volume_preserving():
     g = make_conservative_perturbation(cat_map(), 1e-3, "shear-sin", seed=2)
     assert volume_defect(g) <= 1e-12

@@ -218,14 +218,66 @@ class NewtonShadowResult:
         return TorusPoint.from_array(self.points[horizon + k])
 
 
+def _spd_block_tridiagonal_solve(D: np.ndarray, L: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Solve a symmetric positive definite block-tridiagonal system by cyclic reduction.
+
+    D (n, d, d) holds the diagonal blocks and L[i] the block at (i, i-1), so
+    the block at (i, i+1) is L[i+1]^T (L[0] is ignored); b is (n, d, k).  Each
+    level eliminates the odd block rows with one batched inverse and recurses
+    on the even ones: about log2(n) vectorised levels and no loop over blocks.
+    Odd-even elimination is Gaussian elimination on a symmetric permutation,
+    which needs no pivoting on a positive definite matrix.
+    """
+    n, d = len(b), b.shape[1]
+    if n == 1:
+        return np.linalg.inv(D) @ b
+    U = np.zeros_like(D)
+    U[:-1] = L[1:].transpose(0, 2, 1)
+    ne, no = (n + 1) // 2, n // 2
+    # odd row 2k+1 couples to even row 2k through L and to even row 2k+2 through U
+    X = np.linalg.inv(D[1::2]) @ np.concatenate([L[1::2], U[1::2], b[1::2]], axis=2)
+    DiL, DiU, Dib = X[:, :, :d], X[:, :, d:2 * d], X[:, :, 2 * d:]
+    Le, Ue = L[2::2], U[0:2 * no:2]
+    D2, b2 = D[0::2].copy(), b[0::2].copy()
+    D2[:no] -= Ue @ DiL
+    D2[1:] -= Le @ DiU[:ne - 1]
+    b2[:no] -= Ue @ Dib
+    b2[1:] -= Le @ Dib[:ne - 1]
+    L2 = np.zeros_like(D2)
+    L2[1:] = -(Le @ DiL[:ne - 1])
+    xe = np.zeros((ne + 1,) + b.shape[1:])
+    xe[:ne] = _spd_block_tridiagonal_solve(D2, L2, b2)
+    x = np.empty_like(b)
+    x[0::2] = xe[:ne]
+    x[1::2] = Dib - DiL @ xe[:no] - DiU @ xe[1:no + 1]
+    return x
+
+
+def _min_norm_newton_step(A: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """Minimum-norm delta with delta_{i+1} - A_i delta_i = -r_i for every i.
+
+    J has block rows [-A_i, I], so J J^T is block-tridiagonal with diagonal
+    A_i A_i^T + I and sub-diagonal -A_i; the step is delta = J^T lambda with
+    (J J^T) lambda = -r, i.e. delta_j = -A_j^T lambda_j + lambda_{j-1}.
+    """
+    At = A.transpose(0, 2, 1)
+    lam = _spd_block_tridiagonal_solve(A @ At + np.eye(A.shape[1]), -A, -r[:, :, None])
+    delta = np.zeros((len(r) + 1, r.shape[1], 1))
+    delta[:-1] -= At @ lam
+    delta[1:] += lam
+    return delta[:, :, 0]
+
+
 def shadow_solve_newton(f: SystemMap, po: PseudoOrbit, tol: float = 1e-10, max_iter: int = 20) -> NewtonShadowResult:
     """Newton iteration on the orbit-sequence space.
 
     Variables are lifts of the whole sequence; the residual r_i = z_{i+1} - f(z_i)
-    is computed through the torus wrap, and the block-banded linearization
-    (rows [-Df(z_i), I]) is solved dense in minimum-norm least squares, which
-    for an underdetermined system picks the bounded correction.  Failure to
-    converge is reported, not raised: the caller treats it as inconclusive.
+    is computed through the torus wrap, and the linearization (block rows
+    [-Df(z_i), I]) gets its minimum-norm solution, which for an underdetermined
+    system picks the bounded correction.  That step is J^T (J J^T)^{-1} applied
+    to the residual, with the block-tridiagonal J J^T solved in O(N) by cyclic
+    reduction.  Failure to converge is reported, not raised: the caller treats
+    it as inconclusive.
     """
     pts = po.as_array()
     m, d = pts.shape
@@ -242,13 +294,8 @@ def shadow_solve_newton(f: SystemMap, po: PseudoOrbit, tol: float = 1e-10, max_i
         residual = float(np.sqrt((r * r).sum(axis=1)).max())
         if residual <= tol:
             break
-        jac = np.asarray(f.differential(z[:-1]), dtype=float)
-        J = np.zeros(((m - 1) * d, m * d))
-        for i in range(m - 1):
-            J[i * d:(i + 1) * d, i * d:(i + 1) * d] = -jac[i]
-            J[i * d:(i + 1) * d, (i + 1) * d:(i + 2) * d] = np.eye(d)
-        delta, *_ = np.linalg.lstsq(J, -r.ravel(), rcond=None)
-        zhat = zhat + delta.reshape(m, d)
+        A = np.asarray(f.differential(z[:-1]), dtype=float).reshape(m - 1, d, d)
+        zhat = zhat + _min_norm_newton_step(A, r)
         iterations += 1
     else:
         z = reduce_to_unit(zhat)

@@ -45,6 +45,7 @@ from shadowlab import (
     weak_objective,
 )
 from shadowlab.orbits import MethodSpec
+from shadowlab.shadowing import _min_norm_newton_step
 
 K_CAT = 1.618033988749895  # cond(V) * 1/(1 - lambda_s) for [[2,1],[1,1]]
 
@@ -194,6 +195,68 @@ def test_newton_zero_budget_reports_nonconvergence():
     assert not res.converged
     assert res.iterations == 0
     assert res.residual > 1e-10
+
+
+def _dense_min_norm_step(A, r):
+    """Reference step: the dense (n*d) x ((n+1)*d) Jacobian with rows [-A_i, I], by lstsq."""
+    n, d, _ = A.shape
+    J = np.zeros((n * d, (n + 1) * d))
+    for i in range(n):
+        J[i * d:(i + 1) * d, i * d:(i + 1) * d] = -A[i]
+        J[i * d:(i + 1) * d, (i + 1) * d:(i + 2) * d] = np.eye(d)
+    delta, *_ = np.linalg.lstsq(J, -r.ravel(), rcond=None)
+    return delta.reshape(n + 1, d)
+
+
+@pytest.mark.parametrize(
+    "g",
+    [
+        cat_map(),
+        shear_map(),
+        make_conservative_perturbation(cat_map(), 1e-3, "shear-sin", seed=3),
+        make_rotation(GOLDEN_ROTATION),
+    ],
+    ids=["cat", "shear", "cat-shear-sin", "circle"],
+)
+def test_newton_step_matches_dense_least_squares(g):
+    rng = np.random.default_rng(11)
+    for n in range(1, 41):
+        z = rng.random((n, g.dim))
+        A = np.asarray(g.differential(z), dtype=float).reshape(n, g.dim, g.dim)
+        r = rng.normal(scale=1e-3, size=(n, g.dim))
+        ref = _dense_min_norm_step(A, r)
+        step = _min_norm_newton_step(A, r)
+        assert step.shape == (n + 1, g.dim)
+        # J J^T squares the conditioning of J; 1e-10 relative covers the shear at n = 40
+        assert np.abs(step - ref).max() <= 1e-10 * np.abs(ref).max(), n
+        assert np.abs(step[1:] - (A @ step[:-1, :, None])[:, :, 0] + r).max() <= 1e-15 + 1e-12 * np.abs(r).max()
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_newton_step_matches_dense_least_squares_on_random_blocks(d):
+    rng = np.random.default_rng(d)
+    for n in range(1, 41):
+        A = rng.normal(size=(n, d, d))
+        r = rng.normal(size=(n, d))
+        ref = _dense_min_norm_step(A, r)
+        assert np.abs(_min_norm_newton_step(A, r) - ref).max() <= 1e-10 * np.abs(ref).max(), n
+
+
+def test_newton_long_horizon_converges_in_two_iterations():
+    # shear with perturb:shear-sin:0.001:0 at N = 300; the anchor puts |sin| = 1
+    f = shear_map()
+    g = make_conservative_perturbation(f, 0.001, "shear-sin", seed=0)
+    assert g.descriptor["axis"] == 1
+    x = np.array([(0.25 - g.descriptor["phase"]) % 1.0, 0.3])
+    N = 300
+    m = method_from_map(f, g, N)
+    po = PseudoOrbit.checked(g, orbit_segment(f, x, N).as_array(), m.delta * 1.01 + 1e-12)
+    res = shadow_solve_newton(g, po, tol=1e-9, max_iter=30)
+    assert res.converged
+    assert res.iterations == 2
+    assert res.achieved < 0.1
+    gaps = dist_array(g.forward(res.points[:-1]), res.points[1:])
+    assert float(gaps.max()) <= 1e-9
 
 
 def test_newton_point_accessor():

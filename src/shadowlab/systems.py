@@ -319,6 +319,8 @@ def _compose(outer: SystemMap, inner: SystemMap, label: str, descriptor: dict) -
 def make_rotation(theta: float, label: str | None = None) -> SystemMap:
     """Circle rotation x -> x + theta (mod 1); an isometry with unit differential."""
     th = float(theta)
+    if not math.isfinite(th):
+        raise ConstructionError(f"theta must be finite, got {th}")
     m = replace(
         _translation([th]),
         label=label if label is not None else f"rotation({th:.12g})",
@@ -465,7 +467,10 @@ def map_from_descriptor(d: dict) -> SystemMap:
         if kind == "translate":
             return make_translation_method_map(map_from_descriptor(d["base"]), float(d["delta"]))
         if kind == "translate-block":
-            return make_translation_method_map(torus_identity(), float(d["delta"]), block=d["block"])
+            block = d["block"]
+            if not isinstance(block, int) or isinstance(block, bool):
+                raise ValueError(f"translate-block descriptor needs an integer block, got {block!r}")
+            return make_translation_method_map(torus_identity(), float(d["delta"]), block=block)
         if kind == "perturbation":
             base = map_from_descriptor(d["base"])
             return make_conservative_perturbation(base, float(d["delta"]), d["mode"], seed=d.get("seed"))

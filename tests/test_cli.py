@@ -1,10 +1,15 @@
 """End-to-end tests for the command line interface.
 
 Everything runs in-process through ``cli.main(argv)`` so exit codes and
-emitted JSON/CSV can be asserted without spawning subprocesses.
+emitted JSON/CSV can be asserted without spawning subprocesses; the one
+exception checks stderr as a fresh interpreter prints it, warnings included.
 """
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,6 +23,8 @@ from shadowlab import (
     shear_map,
 )
 from shadowlab import cli
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def run_cli(argv, capsys):
@@ -366,12 +373,34 @@ def test_usage_errors_exit_two(argv, capsys):
          '{"kind":"perturbation","mode":"shear-sin","delta":0.001,"seed":"x",'
          '"base":{"kind":"linear","matrix":[[2,1],[1,1]]}}',
          "--x", "0,0", "--eps", "0.1", "--N", "5"],
+        ["check", "inverse", "--system", "identity2", "--method",
+         '{"kind":"translate-block","delta":0.01,"block":null}',
+         "--x", "0,0", "--eps", "0.1", "--N", "5"],
     ],
 )
 def test_spec_errors_exit_two_with_message(argv, capsys):
     rc, _, err = run_cli(argv, capsys)
     assert rc == 2
     assert err.startswith("shadowlab: error:")
+
+
+@pytest.mark.parametrize(
+    "maps",
+    [["--system", "rotation:inf", "--method", "same"],
+     ["--system", "rotation:0.3", "--method", "rotation:+inf"]],
+    ids=["system", "method"],
+)
+def test_non_finite_rotation_prints_only_the_error_line(maps, tmp_path):
+    # a fresh interpreter, so that numpy warnings reach stderr as a user sees them
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-m", "shadowlab.cli", "check", "inverse", *maps,
+         "--x", "0", "--eps", "0.1", "--N", "5"],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 2
+    assert proc.stderr == "shadowlab: error: theta must be finite, got inf\n"
 
 
 @pytest.mark.parametrize("flag", ["--theta", "--n-methods"])

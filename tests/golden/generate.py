@@ -9,12 +9,15 @@ the exact bytes the command writes with ``--out``.  ``tests/test_golden.py``
 reruns every case and compares the bytes.  Regenerate only for an intended
 change of a report or record, and say why in the same change.
 
-The experiments run at their defaults.  The checks run with ``--timings`` and
-together cover all four properties, all three outcomes, witnesses from the
-anchor, the affine solver, Newton, the grid and refinement, a raw ``random:``
-method, both the circle and the torus, and every derived map constructor:
-translation drifts, the block drift, and shear-sin and translation
-perturbations.
+The experiments run at their defaults, plus four variants: the gallery's cat
+row with two methods (each inverse witness seeds the set checks), a zero drift
+on the rotation in the dichotomy and in the gallery, and a drift-inverse run
+whose 2*eps is too wide for an anchor separation.  The checks run with
+``--timings`` and together cover all four properties, all three outcomes,
+witnesses from the anchor, the affine solver, Newton, the grid and refinement,
+a raw ``random:`` method, both the circle and the torus, and every derived map
+constructor: translation drifts, the block drift, and shear-sin and
+translation perturbations.
 """
 
 from __future__ import annotations
@@ -36,6 +39,15 @@ CASES = {
     "experiment-drift-orbital-cat": ["experiment", "drift-orbital", "--base", "cat"],
     "experiment-rotation-dichotomy": ["experiment", "rotation-dichotomy"],
     "experiment-property-gallery": ["experiment", "property-gallery"],
+    "experiment-property-gallery-cat-2": ["experiment", "property-gallery",
+                                          "--include", "cat", "--n-methods", "2"],
+    "experiment-rotation-dichotomy-zero-drift": ["experiment", "rotation-dichotomy",
+                                                 "--delta", "0"],
+    "experiment-property-gallery-rotation-zero-drift": ["experiment", "property-gallery",
+                                                        "--include", "rotation",
+                                                        "--drift-delta", "0"],
+    "experiment-drift-inverse-wide-eps": ["experiment", "drift-inverse",
+                                          "--eps", "0.3", "--N", "5"],
     "check-inverse-cat-anchor": ["check", "inverse", "--system", "cat", "--method", "same",
                                  "--x", "0.2,0.3", "--eps", "0.1", "--N", "10"],
     "check-direct-cat-affine": ["check", "direct", "--system", "cat", "--method", "translate:0.001",

@@ -27,8 +27,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
-from functools import lru_cache
+from dataclasses import asdict, dataclass, field
+from functools import lru_cache, partial
 from importlib import resources
 
 import numpy as np
@@ -160,30 +160,18 @@ class ExperimentReport:
     timings: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "parameters": self.parameters,
-            "systems": self.systems,
-            "verdicts": self.verdicts,
-            "derived": self.derived,
-            "conclusion": self.conclusion,
-            "timings": self.timings,
-        }
+        return asdict(self)
 
     def to_json(self) -> str:
         """Canonical JSON: sorted keys, two-space indent, trailing newline."""
         return json.dumps(self.to_dict(), sort_keys=True, indent=2) + "\n"
 
 
-def _method_descriptor(m: MethodSpec) -> dict:
-    d: dict = {"kind": m.kind, "delta": m.delta, "label": m.label}
-    if m.source is not None:
-        d["source"] = map_to_descriptor(m.source)
-    return d
-
-
 def _row(rowname: str, f: SystemMap, m: MethodSpec) -> dict:
-    return {"row": rowname, "system": map_to_descriptor(f), "method": _method_descriptor(m)}
+    # every experiment method is induced by a map, its source
+    method = {"kind": m.kind, "delta": m.delta, "label": m.label,
+              "source": map_to_descriptor(m.source)}
+    return {"row": rowname, "system": map_to_descriptor(f), "method": method}
 
 
 def _entry(experiment: str, check: str, params: dict, verdict, derived: dict | None = None) -> dict:
@@ -228,15 +216,52 @@ def _check_drift_args(delta: float, eps: float, N: int, grid: int) -> None:
 
 
 def _drift_method(base: SystemMap, delta: float, N: int) -> MethodSpec:
-    """Induced method stepping by base-then-translate; base itself when delta = 0."""
+    """Induced method stepping by base-then-translate; base itself when delta = 0.
+
+    On a rotation by theta the step is built as the rotation by theta + delta.
+    """
     if delta == 0.0:
-        return method_from_map(base, base, N)
-    return method_from_map(base, make_translation_method_map(base, delta), N)
+        g = base
+    elif base.descriptor.get("kind") == "rotation":
+        g = make_rotation(base.descriptor["theta"] + delta)
+    else:
+        g = make_translation_method_map(base, delta)
+    return method_from_map(base, g, N)
+
+
+def _scored_check(entries: list, experiment: str, f: SystemMap, m: MethodSpec, x, eps: float,
+                  N: int, grid: int, params: dict, threads, counters: dict,
+                  key: str, checker, seeds=(), anchor: bool = False):
+    """Run ``checker`` on one row, append its scored entry ``key``; return the verdict.
+
+    With ``anchor`` the entry also records the set objective at x itself.
+    """
+    derived = None
+    if anchor:
+        objective = {check_weak_inverse: weak_objective, check_orbital_inverse: orbital_objective}[checker]
+        targets = orbit_segment(f, x, N).as_array()
+        derived = {"anchor_objective": objective(m.source, targets, x, N)}
+    v = checker(f, m, x, eps, N, grid_step=1.0 / grid, seeds=seeds,
+                threads=threads, counters=counters)
+    entries.append(_entry(experiment, key, params, v, derived))
+    return v
 
 
 # ---------------------------------------------------------------------------
 # Drift experiments
 # ---------------------------------------------------------------------------
+
+def _run_drift(name: str, key: str, checker, f: SystemMap, x, delta: float, eps: float,
+               N: int, grid: int, threads, parameters: dict, derived: dict) -> ExperimentReport:
+    """One drift check of ``f`` at the anchor x; the row is named after f."""
+    m = _drift_method(f, delta, N)
+    params = {"delta": delta, "eps": eps, "N": N}
+    counters: dict = {}
+    entries: list = []
+    _scored_check(entries, name, f, m, x, eps, N, grid, params, threads, counters, key, checker)
+    return _report(name, {**params, "grid": grid, **parameters}, [_row(f.label, f, m)],
+                   entries, derived, counters)
+
 
 def run_drift_inverse(delta: float = 0.01, eps: float = 0.1, N: int = 25,
                       grid: int = 512, threads: int | None = None,
@@ -250,13 +275,6 @@ def run_drift_inverse(delta: float = 0.01, eps: float = 0.1, N: int = 25,
     delta (ratio at or below one half) and the check flips to tracked.
     """
     _check_drift_args(delta, eps, N, grid)
-    f = shear_map()
-    m = _drift_method(f, delta, N)
-    x = (0.0, 0.0)
-    counters: dict = {}
-    v = check_inverse_shadowing(f, m, x, eps, N, grid_step=1.0 / grid,
-                                threads=threads, counters=counters)
-    params = {"delta": delta, "eps": eps, "N": N}
     derived: dict = {"drift_bound": N * delta}
     if 2.0 * eps <= 0.5:
         # Two anchors 2*eps apart cannot share a single eps-tracking point, the
@@ -266,9 +284,8 @@ def run_drift_inverse(delta: float = 0.01, eps: float = 0.1, N: int = 25,
             "point": [float(c) for c in mate.coords],
             "distance": torus_dist(TorusPoint((0.0, 0.0)), mate),
         }
-    entries = [_entry("drift-inverse", "inverse", params, v)]
-    return _report("drift-inverse", {**params, "grid": grid, "seed": seed},
-                   [_row("shear", f, m)], entries, derived, counters)
+    return _run_drift("drift-inverse", "inverse", check_inverse_shadowing, shear_map(), (0.0, 0.0),
+                      delta, eps, N, grid, threads, {"seed": seed}, derived)
 
 
 def run_drift_weak(delta: float = 0.01, eps: float = 0.1, N: int = 25,
@@ -283,16 +300,8 @@ def run_drift_weak(delta: float = 0.01, eps: float = 0.1, N: int = 25,
     tracks once it is below.
     """
     _check_drift_args(delta, eps, N, grid)
-    f = torus_identity()
-    m = _drift_method(f, delta, N)
-    counters: dict = {}
-    v = check_weak_inverse(f, m, (0.0, 0.0), eps, N, grid_step=1.0 / grid,
-                           threads=threads, counters=counters)
-    params = {"delta": delta, "eps": eps, "N": N}
-    entries = [_entry("drift-weak", "weak", params, v)]
-    return _report("drift-weak", {**params, "grid": grid, "seed": seed},
-                   [_row("identity2", f, m)], entries,
-                   {"drift_bound": N * delta}, counters)
+    return _run_drift("drift-weak", "weak", check_weak_inverse, torus_identity(), (0.0, 0.0),
+                      delta, eps, N, grid, threads, {"seed": seed}, {"drift_bound": N * delta})
 
 
 def run_drift_orbital(delta: float = 0.01, eps: float = 0.1, N: int = 25,
@@ -308,23 +317,13 @@ def run_drift_orbital(delta: float = 0.01, eps: float = 0.1, N: int = 25,
     """
     _check_drift_args(delta, eps, N, grid)
     if base == "neutral":
-        f = torus_identity()
-        check_key, rowname, x = "orbital", "identity2", (0.0, 0.0)
-        derived: dict = {"drift_bound": N * delta}
+        f, check_key, x, derived = torus_identity(), "orbital", (0.0, 0.0), {"drift_bound": N * delta}
     elif base == "cat":
-        f = cat_map()
-        check_key, rowname, x = "orbital@cat", "cat", (0.2, 0.3)
-        derived = {}
+        f, check_key, x, derived = cat_map(), "orbital@cat", (0.2, 0.3), {}
     else:
         raise ValueError(f"base must be 'neutral' or 'cat', got {base!r}")
-    m = _drift_method(f, delta, N)
-    counters: dict = {}
-    v = check_orbital_inverse(f, m, x, eps, N, grid_step=1.0 / grid,
-                              threads=threads, counters=counters)
-    params = {"delta": delta, "eps": eps, "N": N}
-    entries = [_entry("drift-orbital", check_key, params, v)]
-    return _report("drift-orbital", {**params, "grid": grid, "seed": seed, "base": base},
-                   [_row(rowname, f, m)], entries, derived, counters)
+    return _run_drift("drift-orbital", check_key, check_orbital_inverse, f, x, delta, eps, N, grid,
+                      threads, {"seed": seed, "base": base}, derived)
 
 
 # ---------------------------------------------------------------------------
@@ -352,22 +351,15 @@ def run_rotation_dichotomy(theta: float = GOLDEN_ROTATION, delta: float = 0.01,
         if abs(math.remainder(q * theta, 1.0)) <= 1e-9:
             raise ValueError(f"rotation angle has period {q} inside the horizon")
     f = make_rotation(theta, label="rotation")
-    m = method_from_map(f, f, N) if delta == 0.0 else method_from_map(f, make_rotation(theta + delta), N)
-    x = (0.0,)
+    m = _drift_method(f, delta, N)
     counters: dict = {}
-    v_inv = check_inverse_shadowing(f, m, x, eps, N, grid_step=1.0 / grid,
-                                    threads=threads, counters=counters)
-    targets = orbit_segment(f, x, N).as_array()
-    anchor_objective = float(orbital_objective(m.source, targets, np.zeros(1), N))
-    v_orb = check_orbital_inverse(f, m, x, eps, N, grid_step=1.0 / grid,
-                                  threads=threads, counters=counters)
+    entries: list = []
     params = {"delta": delta, "eps": eps, "N": N, "theta": theta}
-    entries = [
-        _entry("rotation-dichotomy", "inverse", params, v_inv),
-        _entry("rotation-dichotomy", "orbital", params, v_orb,
-               derived={"anchor_objective": anchor_objective}),
-    ]
-    derived = {"drift_bound": N * delta, "anchor_objective": anchor_objective}
+    check = partial(_scored_check, entries, "rotation-dichotomy", f, m, (0.0,), eps, N, grid,
+                    params, threads, counters)
+    check("inverse", check_inverse_shadowing)
+    check("orbital", check_orbital_inverse, anchor=True)
+    derived = {"drift_bound": N * delta, **entries[-1]["derived"]}
     return _report("rotation-dichotomy", {**params, "grid": grid, "seed": seed},
                    [_row("rotation", f, m)], entries, derived, counters)
 
@@ -405,62 +397,36 @@ def run_property_gallery(eps: float = 0.1, N: int = 30, delta: float = 1e-3,
     counters: dict = {}
     entries: list = []
     systems: list = []
+    drift_params = {"delta": drift_delta, "eps": drift_eps, "N": drift_N}
 
     if "cat" in include:
         f = cat_map()
-        x = (0.2, 0.3)
         for i in range(n_cat_methods):
             method_seed = seed + 100 + i
             g = make_conservative_perturbation(f, delta, "shear-sin", seed=method_seed)
             m = method_from_map(f, g, N)
             systems.append(_row(f"cat[{i}]", f, m))
             params = {"delta": delta, "eps": eps, "N": N, "method_seed": method_seed}
-            v_inv = check_inverse_shadowing(f, m, x, eps, N, grid_step=1.0 / grid,
-                                            threads=threads, counters=counters)
+            check = partial(_scored_check, entries, name, f, m, (0.2, 0.3), eps, N, grid,
+                            params, threads, counters)
+            v_inv = check("cat:inverse", check_inverse_shadowing)
             seeds = [v_inv.witness] if v_inv.witness is not None else []
-            v_weak = check_weak_inverse(f, m, x, eps, N, grid_step=1.0 / grid,
-                                        seeds=seeds, threads=threads, counters=counters)
-            v_orb = check_orbital_inverse(f, m, x, eps, N, grid_step=1.0 / grid,
-                                          seeds=seeds, threads=threads, counters=counters)
-            entries.append(_entry(name, "cat:inverse", params, v_inv))
-            entries.append(_entry(name, "cat:weak", params, v_weak))
-            entries.append(_entry(name, "cat:orbital", params, v_orb))
+            check("cat:weak", check_weak_inverse, seeds=seeds)
+            check("cat:orbital", check_orbital_inverse, seeds=seeds)
+
+    def drift_row(f: SystemMap, row_grid: int, anchor: bool) -> None:
+        m = _drift_method(f, drift_delta, drift_N)
+        systems.append(_row(f.label, f, m))
+        check = partial(_scored_check, entries, name, f, m, (0.0,) * f.dim, drift_eps, drift_N,
+                        row_grid, drift_params, threads, counters)
+        check(f"{f.label}:inverse", check_inverse_shadowing)
+        check(f"{f.label}:weak", check_weak_inverse, anchor=anchor)
+        check(f"{f.label}:orbital", check_orbital_inverse, anchor=anchor)
 
     if "shear" in include:
-        f = shear_map()
-        m = _drift_method(f, drift_delta, drift_N)
-        systems.append(_row("shear", f, m))
-        params = {"delta": drift_delta, "eps": drift_eps, "N": drift_N}
-        for key, checker in (("shear:inverse", check_inverse_shadowing),
-                             ("shear:weak", check_weak_inverse),
-                             ("shear:orbital", check_orbital_inverse)):
-            v = checker(f, m, (0.0, 0.0), drift_eps, drift_N, grid_step=1.0 / grid,
-                        threads=threads, counters=counters)
-            entries.append(_entry(name, key, params, v))
-
+        drift_row(shear_map(), grid, anchor=False)
     if "rotation" in include:
-        f = make_rotation(GOLDEN_ROTATION, label="rotation")
-        m = _drift_method_rotation(f, GOLDEN_ROTATION, drift_delta, drift_N)
-        systems.append(_row("rotation", f, m))
-        x = (0.0,)
-        targets = orbit_segment(f, x, drift_N).as_array()
-        weak_anchor = float(weak_objective(m.source, targets, np.zeros(1), drift_N))
-        orb_anchor = float(orbital_objective(m.source, targets, np.zeros(1), drift_N))
-        params = {"delta": drift_delta, "eps": drift_eps, "N": drift_N}
-        v_inv = check_inverse_shadowing(f, m, x, drift_eps, drift_N,
-                                        grid_step=1.0 / rotation_grid,
-                                        threads=threads, counters=counters)
-        v_weak = check_weak_inverse(f, m, x, drift_eps, drift_N,
-                                    grid_step=1.0 / rotation_grid,
-                                    threads=threads, counters=counters)
-        v_orb = check_orbital_inverse(f, m, x, drift_eps, drift_N,
-                                      grid_step=1.0 / rotation_grid,
-                                      threads=threads, counters=counters)
-        entries.append(_entry(name, "rotation:inverse", params, v_inv))
-        entries.append(_entry(name, "rotation:weak", params, v_weak,
-                              derived={"anchor_objective": weak_anchor}))
-        entries.append(_entry(name, "rotation:orbital", params, v_orb,
-                              derived={"anchor_objective": orb_anchor}))
+        drift_row(make_rotation(GOLDEN_ROTATION, label="rotation"), rotation_grid, anchor=True)
 
     parameters = {
         "eps": eps, "N": N, "delta": delta,
@@ -469,12 +435,6 @@ def run_property_gallery(eps: float = 0.1, N: int = 30, delta: float = 1e-3,
         "n_cat_methods": n_cat_methods, "include": list(include), "seed": seed,
     }
     return _report(name, parameters, systems, entries, {}, counters)
-
-
-def _drift_method_rotation(f: SystemMap, theta: float, delta: float, N: int) -> MethodSpec:
-    if delta == 0.0:
-        return method_from_map(f, f, N)
-    return method_from_map(f, make_rotation(theta + delta), N)
 
 
 # ---------------------------------------------------------------------------

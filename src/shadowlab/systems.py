@@ -58,6 +58,10 @@ GOLDEN_ROTATION = (math.sqrt(5.0) - 1.0) / 2.0
 CAT_MATRIX = ((2, 1), (1, 1))
 SHEAR_MATRIX = ((1, 0), (1, 1))
 
+# Largest inverse-roundtrip and volume defects a constructed map may show on the probe grid.
+_ROUNDTRIP_TOL = 1e-9
+_VOLUME_TOL = 1e-9
+
 
 class ConstructionError(ValueError):
     """A map constructor received parameters outside its validity gate."""
@@ -182,17 +186,17 @@ class SystemMap:
         return f"SystemMap({self.label!r}, dim={self.dim})"
 
 
-def _construction_check(m: SystemMap, roundtrip_tol: float = 1e-9, volume_tol: float = 1e-9):
+def _construction_check(m: SystemMap):
     # offset lattice so probes avoid the special orbits sitting on rationals;
     # every test is "not <= tol" so that a NaN defect fails it
     pts = lattice_points(17, m.dim, offset=0.37)
     for name, first, second in (("inverse", m.forward, m.backward), ("forward", m.backward, m.forward)):
         rt = dist_array(second(first(pts)), pts).max()
-        if not rt <= roundtrip_tol:
-            raise ConstructionError(f"{m.label}: {name} roundtrip defect {rt:.3e} exceeds {roundtrip_tol:.0e}")
+        if not rt <= _ROUNDTRIP_TOL:
+            raise ConstructionError(f"{m.label}: {name} roundtrip defect {rt:.3e} exceeds {_ROUNDTRIP_TOL:.0e}")
     defect = np.max(np.abs(np.abs(det_batch(m.differential(pts))) - 1.0))
-    if not defect <= volume_tol:
-        raise ConstructionError(f"{m.label}: volume defect {defect:.3e} exceeds {volume_tol:.0e}")
+    if not defect <= _VOLUME_TOL:
+        raise ConstructionError(f"{m.label}: volume defect {defect:.3e} exceeds {_VOLUME_TOL:.0e}")
     return m
 
 
@@ -365,11 +369,11 @@ def make_translation_method_map(base: SystemMap, delta: float, block=None) -> Sy
 
     if base.dim != 2:
         raise ConstructionError("block form is defined on the 2-torus only")
-    b = int(np.asarray(block).reshape(-1)[0])
-    if abs(b) != 1:
-        raise ConstructionError(f"block must have |det| = 1, got {b}")
-    descriptor = {"kind": "translate-block", "delta": delta, "block": b}
-    return _compose(_translation(off), make_linear([[1, 0], [0, b]]), f"translate-block({delta:.12g},{b})", descriptor)
+    if not isinstance(block, int) or isinstance(block, bool) or abs(block) != 1:
+        raise ConstructionError(f"block must be an integer with |block| = 1, got {block!r}")
+    descriptor = {"kind": "translate-block", "delta": delta, "block": block}
+    return _compose(_translation(off), make_linear([[1, 0], [0, block]]),
+                    f"translate-block({delta:.12g},{block})", descriptor)
 
 
 def make_conservative_perturbation(base: SystemMap, delta: float, mode: str, seed: int | None = None) -> SystemMap:

@@ -143,6 +143,12 @@ def test_block_translation_values_and_gates():
         make_translation_method_map(circle_identity(), 0.1, block=1)
 
 
+@pytest.mark.parametrize("block", [-1.7, True, 1.0, "1", [1, 1]])
+def test_block_translation_rejects_a_block_that_is_not_a_unit_integer(block):
+    with pytest.raises(ConstructionError, match="block must be an integer"):
+        make_translation_method_map(torus_identity(), 0.01, block=block)
+
+
 def test_perturbation_gates():
     with pytest.raises(ConstructionError):
         make_conservative_perturbation(cat_map(), 0.2, "shear-sin")  # 2*pi*delta >= 1

@@ -22,6 +22,7 @@ translation perturbations.
 
 from __future__ import annotations
 
+import argparse
 import contextlib
 import io
 import sys
@@ -103,7 +104,11 @@ def run(name: str, out: Path) -> int:
         return cli.main(argv)
 
 
-def main() -> int:
+def main(argv=None) -> int:
+    # No options: --help prints this module's docstring, anything else exits 2
+    # before a golden file is written.
+    argparse.ArgumentParser(description=__doc__,
+                            formatter_class=argparse.RawDescriptionHelpFormatter).parse_args(argv)
     for name in CASES:
         code = run(name, HERE / f"{name}.json")
         print(f"{name}: exit {code}")

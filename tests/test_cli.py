@@ -5,6 +5,7 @@ emitted JSON/CSV can be asserted without spawning subprocesses; the one
 exception checks stderr as a fresh interpreter prints it, warnings included.
 """
 
+import inspect
 import json
 import os
 import subprocess
@@ -446,6 +447,17 @@ def test_experiment_overrides_are_forwarded(capsys):
     assert payload["parameters"]["N"] == 5
     assert payload["parameters"]["grid"] == 64
     assert payload["conclusion"] == "consistent"
+
+
+@pytest.mark.parametrize("name", sorted(cli.EXPERIMENTS))
+def test_every_runner_keyword_has_an_override_flag(name):
+    # cmd_experiment validates overrides against the runner's signature, so a
+    # keyword without a flag, or a runner taking *args or **kwargs, escapes it.
+    flags = cli.build_parser().parse_args(["experiment", name]).override_flags
+    params = inspect.signature(cli.EXPERIMENTS[name]).parameters.values()
+    assert not {p.kind for p in params} & {inspect.Parameter.VAR_POSITIONAL,
+                                           inspect.Parameter.VAR_KEYWORD}
+    assert {p.name for p in params} - {"threads", "seed"} <= set(flags)
 
 
 def test_experiment_inconclusive_exits_four(capsys):

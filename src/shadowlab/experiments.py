@@ -31,8 +31,6 @@ from dataclasses import asdict, dataclass, field
 from functools import lru_cache, partial
 from importlib import resources
 
-import numpy as np
-
 from .geometry import TorusPoint, torus_dist
 from .orbits import MethodSpec, method_from_map, orbit_segment
 from .shadowing import (

@@ -15,9 +15,9 @@ on the rotation in the dichotomy and in the gallery, and a drift-inverse run
 whose 2*eps is too wide for an anchor separation.  The checks run with
 ``--timings`` and together cover all four properties, all three outcomes,
 witnesses from the anchor, the affine solver, Newton, the grid and refinement,
-a raw ``random:`` method, both the circle and the torus, and every derived map
-constructor: translation drifts, the block drift, and shear-sin and
-translation perturbations.
+a raw ``random:`` method (also as the pseudo-orbit of a direct check), both
+the circle and the torus, and every derived map constructor: translation
+drifts, the block drift, and shear-sin and translation perturbations.
 """
 
 from __future__ import annotations
@@ -53,6 +53,8 @@ CASES = {
                                  "--x", "0.2,0.3", "--eps", "0.1", "--N", "10"],
     "check-direct-cat-affine": ["check", "direct", "--system", "cat", "--method", "translate:0.001",
                                 "--x", "0.2,0.3", "--eps", "0.05", "--N", "10"],
+    "check-direct-cat-random": ["check", "direct", *_RANDOM, "--method", "random:0.01",
+                                "--eps", "0.05", "--grid", "8"],
     "check-inverse-cat-perturbed-newton": ["check", "inverse", "--system", "cat",
                                            "--method", "perturb:shear-sin:0.001",
                                            "--x", "0.2,0.3", "--eps", "0.05", "--N", "20"],

@@ -698,6 +698,47 @@ def test_verdicts_identical_across_thread_counts():
     assert records[0] == records[1]
 
 
+_GRID_NOTE = "witness from grid (lexicographically first qualifying point)"
+_REFINE_NOTE = "witness from refinement around the grid minimum"
+_CHUNK_CASES = {
+    "grid": (check_weak_inverse, "cat", (0.2, 0.3), 0.1, 3, 16, _GRID_NOTE),
+    "refinement": (check_inverse_shadowing, "cat", (0.2, 0.3), 0.05, 3, 4, _REFINE_NOTE),
+    "uncertified": (check_orbital_inverse, "cat", (0.2, 0.3), 0.02, 3, 8,
+                    "no usable Lipschitz bound at this horizon"),
+    "certified-inverse": (check_inverse_shadowing, "shear", (0.0, 0.0), 0.1, 25, 64,
+                          "covering certificate holds"),
+    "certified-weak": (check_weak_inverse, "shear", (0.0, 0.0), 0.1, 25, 64,
+                       "covering certificate holds"),
+}
+
+
+@pytest.mark.parametrize("case", list(_CHUNK_CASES))
+def test_verdicts_identical_across_chunk_sizes_and_threads(case, monkeypatch):
+    """Small chunks make the pool and the cross-chunk merge run on every ending.
+
+    The cat cases use the raw random:0.01 method, the shear cases the
+    translate:0.01 drift.
+    """
+    from shadowlab import shadowing
+
+    check, system, x, eps, N, G, note = _CHUNK_CASES[case]
+    f = cat_map() if system == "cat" else shear_map()
+    m = random_method(f, 0.01, 0) if system == "cat" else drift_method(f, 0.01, N)
+
+    def run(threads):
+        counters = {}
+        v = check(f, m, x, eps, N, grid_step=1 / G, threads=threads, counters=counters)
+        return json.dumps(v.to_record(), sort_keys=True), counters
+
+    expected = run(1)
+    assert json.loads(expected[0])["note"] == note
+    assert expected[1]["grid_points"] == G * G
+    for chunk in (64, 7):
+        monkeypatch.setattr(shadowing, "GRID_CHUNK", chunk)
+        for threads in (1, 4):
+            assert run(threads) == expected, (chunk, threads)
+
+
 def test_resolve_threads_precedence(monkeypatch):
     assert resolve_threads(4) == 4
     assert resolve_threads(0) == 1

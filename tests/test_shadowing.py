@@ -44,6 +44,7 @@ from shadowlab import (
     tracking_objective,
     weak_objective,
 )
+from shadowlab import shadowing
 from shadowlab.orbits import MethodSpec
 from shadowlab.shadowing import _min_norm_newton_step
 
@@ -699,15 +700,18 @@ def test_verdicts_identical_across_thread_counts():
 
 
 _GRID_NOTE = "witness from grid (lexicographically first qualifying point)"
-_REFINE_NOTE = "witness from refinement around the grid minimum"
 _CHUNK_CASES = {
-    "grid": (check_weak_inverse, "cat", (0.2, 0.3), 0.1, 3, 16, _GRID_NOTE),
-    "refinement": (check_inverse_shadowing, "cat", (0.2, 0.3), 0.05, 3, 4, _REFINE_NOTE),
-    "uncertified": (check_orbital_inverse, "cat", (0.2, 0.3), 0.02, 3, 8,
+    "grid": (check_weak_inverse, "random", (0.2, 0.3), 0.1, 3, 16, _GRID_NOTE),
+    # 15 lattice points qualify, spread over six chunks of 7
+    "grid-several-chunks": (check_inverse_shadowing, "piecewise", (0.45, 0.5), 0.2, 2, 16,
+                            _GRID_NOTE),
+    "refinement": (check_inverse_shadowing, "random", (0.2, 0.3), 0.05, 3, 4,
+                   "witness from refinement around the grid minimum"),
+    "uncertified": (check_orbital_inverse, "random", (0.2, 0.3), 0.02, 3, 8,
                     "no usable Lipschitz bound at this horizon"),
-    "certified-inverse": (check_inverse_shadowing, "shear", (0.0, 0.0), 0.1, 25, 64,
+    "certified-inverse": (check_inverse_shadowing, "drift", (0.0, 0.0), 0.1, 25, 64,
                           "covering certificate holds"),
-    "certified-weak": (check_weak_inverse, "shear", (0.0, 0.0), 0.1, 25, 64,
+    "certified-weak": (check_weak_inverse, "drift", (0.0, 0.0), 0.1, 25, 64,
                        "covering certificate holds"),
 }
 
@@ -716,14 +720,18 @@ _CHUNK_CASES = {
 def test_verdicts_identical_across_chunk_sizes_and_threads(case, monkeypatch):
     """Small chunks make the pool and the cross-chunk merge run on every ending.
 
-    The cat cases use the raw random:0.01 method, the shear cases the
-    translate:0.01 drift.
+    "random" is the raw random:0.01 method on the cat map, "drift" the
+    translate:0.01 drift of the shear.
     """
-    from shadowlab import shadowing
-
-    check, system, x, eps, N, G, note = _CHUNK_CASES[case]
-    f = cat_map() if system == "cat" else shear_map()
-    m = random_method(f, 0.01, 0) if system == "cat" else drift_method(f, 0.01, N)
+    check, method, x, eps, N, G, note = _CHUNK_CASES[case]
+    if method == "piecewise":
+        f, m = piecewise_method()
+    elif method == "random":
+        f = cat_map()
+        m = random_method(f, 0.01, 0)
+    else:
+        f = shear_map()
+        m = drift_method(f, 0.01, N)
 
     def run(threads):
         counters = {}

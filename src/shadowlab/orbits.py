@@ -16,8 +16,7 @@ import csv
 import io
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -39,6 +38,29 @@ __all__ = [
 # Gap bound assigned to exact orbit segments: far above float roundtrip noise
 # (constructors gate that at 1e-9), far below any delta used by a method.
 TRUE_ORBIT_DELTA = 1e-8
+
+
+def _as_coords(x, dim: int | None = None) -> np.ndarray:
+    """One point as a 1-D array reduced to the unit cube, of length dim when given."""
+    arr = x.as_array() if isinstance(x, TorusPoint) else reduce_to_unit(np.asarray(x, dtype=float))
+    if arr.ndim == 0:
+        arr = arr[None]
+    if dim is not None and arr.shape != (dim,):
+        raise ValueError(f"anchor has shape {arr.shape}, expected ({dim},)")
+    return arr
+
+
+def _orbit_steps(g: SystemMap, y: np.ndarray, N: int):
+    """(i, g^(i-N)(y)) for every orbit index i, one map step at a time."""
+    yield N, y
+    z = y
+    for k in range(1, N + 1):
+        z = g.forward(z)
+        yield N + k, z
+    z = y
+    for k in range(1, N + 1):
+        z = g.backward(z)
+        yield N - k, z
 
 
 def _as_points_array(seq, dim: int | None = None) -> np.ndarray:
@@ -114,19 +136,9 @@ def orbit_segment(f: SystemMap, x, N: int, delta_bound: float = TRUE_ORBIT_DELTA
     """True orbit f^k(x) for -N <= k <= N, packaged as a (roundoff-level) pseudo-orbit."""
     if N < 1:
         raise ValueError("N must be at least 1")
-    x0 = x.as_array() if isinstance(x, TorusPoint) else reduce_to_unit(np.asarray(x, dtype=float))
-    if x0.ndim == 0:
-        x0 = x0[None]
     arr = np.empty((2 * N + 1, f.dim))
-    arr[N] = x0
-    z = x0
-    for k in range(1, N + 1):
-        z = f.forward(z)
-        arr[N + k] = z
-    z = x0
-    for k in range(1, N + 1):
-        z = f.backward(z)
-        arr[N - k] = z
+    for i, z in _orbit_steps(f, _as_coords(x), N):
+        arr[i] = z
     return PseudoOrbit.checked(f, arr, delta_bound)
 
 
@@ -176,9 +188,7 @@ class MethodSpec:
         n = self.horizon if N is None else int(N)
         if n < 1:
             raise ValueError("N must be at least 1")
-        x0 = x.as_array() if isinstance(x, TorusPoint) else reduce_to_unit(np.asarray(x, dtype=float))
-        if x0.ndim == 0:
-            x0 = x0[None]
+        x0 = _as_coords(x)
         if self.is_induced:
             pts = orbit_segment(self.source, x0, n).as_array()
         else:

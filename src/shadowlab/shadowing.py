@@ -6,11 +6,13 @@ shadowing (the true orbit of x is tracked by some method orbit), weak inverse
 shadowing (some method orbit lies in the eps-neighborhood of the orbit of x),
 and orbital inverse shadowing (both one-sided inclusions).
 
-The existential quantifier "there is y" is realized as: explicit candidates
-(the anchor, caller-provided seeds, a solver output), then a full grid sweep
-with local refinement, and finally a Lipschitz covering certificate when no
-candidate tracks.  A certificate means: the grid minimum of the objective
-minus lipschitz_bound * grid_step / 2 still exceeds eps, so *no* point of the
+The existential quantifier "there is y" is realized in three stages, which
+``_search`` sequences: a candidate pass over explicit points (the anchor,
+caller-provided seeds, a solver output), a covering (a full lattice sweep,
+then local refinement around its minimum), and a certifier that, when
+nothing tracked, issues a Lipschitz covering certificate or says why none
+holds.  A certificate means: the grid minimum of the objective minus
+lipschitz_bound * grid_step / 2 still exceeds eps, so *no* point of the
 continuum tracks at this horizon — failure is a finite proof, not sampling
 evidence.  ``grid_step`` in a verdict is the covering diameter of the search
 lattice (per-axis spacing times sqrt(dim)), which is what makes the covering
@@ -27,11 +29,12 @@ import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from .geometry import TorusPoint, dist_array, lattice_points, reduce_to_unit, sq_dist_array, wrap_to_half
-from .orbits import TRUE_ORBIT_DELTA, MethodSpec, PseudoOrbit, orbit_segment
+from .orbits import TRUE_ORBIT_DELTA, MethodSpec, PseudoOrbit, _as_coords, _orbit_steps, orbit_segment
 from .systems import LinearAutomorphism, SystemMap, _hyperbolic_eigen, spectral_norm
 
 __all__ = [
@@ -132,16 +135,9 @@ class ShadowVerdict:
         }
         if self.witness is not None:
             rec["witness"] = [float(v) for v in self.witness.coords]
-        if self.achieved is not None:
-            rec["achieved"] = self.achieved
-        if self.min_over_grid is not None:
-            rec["min_over_grid"] = self.min_over_grid
-        if self.grid_step is not None:
-            rec["grid_step"] = self.grid_step
-        if self.lipschitz_bound is not None:
-            rec["lipschitz_bound"] = self.lipschitz_bound
-        if self.certified is not None:
-            rec["certified"] = self.certified
+        for key in ("achieved", "min_over_grid", "grid_step", "lipschitz_bound", "certified"):
+            if getattr(self, key) is not None:
+                rec[key] = getattr(self, key)
         if self.note:
             rec["note"] = self.note
         return rec
@@ -286,23 +282,15 @@ def shadow_solve_newton(f: SystemMap, po: PseudoOrbit, tol: float = 1e-10, max_i
     steps = wrap_to_half(pts[1:] - pts[:-1])
     zhat[1:] = pts[0] + np.cumsum(steps, axis=0)
 
-    residual = math.inf
-    iterations = 0
-    for _ in range(max_iter):
+    for iterations in range(max(max_iter, 0) + 1):
         z = reduce_to_unit(zhat)
         r = wrap_to_half(z[1:] - f.forward(z[:-1]))
         residual = float(np.sqrt((r * r).sum(axis=1)).max())
-        if residual <= tol:
+        if residual <= tol or iterations >= max_iter:
             break
         A = np.asarray(f.differential(z[:-1]), dtype=float).reshape(m - 1, d, d)
         zhat = zhat + _min_norm_newton_step(A, r)
-        iterations += 1
-    else:
-        z = reduce_to_unit(zhat)
-        r = wrap_to_half(z[1:] - f.forward(z[:-1]))
-        residual = float(np.sqrt((r * r).sum(axis=1)).max())
 
-    z = reduce_to_unit(zhat)
     achieved = float(dist_array(z, pts).max())
     return NewtonShadowResult(
         points=z,
@@ -343,26 +331,13 @@ def _fold_objective(targets: np.ndarray, steps, n: int, mode: str) -> np.ndarray
     return acc
 
 
-def _map_steps(g: SystemMap, Y: np.ndarray, N: int):
-    """(i, g^(i-N)(Y)) for every orbit index i, one map step at a time."""
-    yield N, Y
-    z = Y
-    for k in range(1, N + 1):
-        z = g.forward(z)
-        yield N + k, z
-    z = Y
-    for k in range(1, N + 1):
-        z = g.backward(z)
-        yield N - k, z
-
-
 def _objective_core(g: SystemMap, targets: np.ndarray, ys: np.ndarray, N: int, mode: str) -> np.ndarray:
     T = np.asarray(targets, dtype=float)
     if len(T) != 2 * N + 1:
         raise ValueError("targets must cover indices -N..N")
     scalar = ys.ndim == 1
     Y = ys[None, :] if scalar else ys
-    out = np.sqrt(_fold_objective(T, _map_steps(g, Y, N), len(Y), mode))
+    out = np.sqrt(_fold_objective(T, _orbit_steps(g, Y, N), len(Y), mode))
     return float(out[0]) if scalar else out
 
 
@@ -423,12 +398,8 @@ def _refine(objective, center: np.ndarray, step: float):
     s = step
     for _ in range(REFINE_LEVELS):
         offs = np.arange(-REFINE_FACTOR, REFINE_FACTOR + 1) * (s / REFINE_FACTOR)
-        if len(c) == 1:
-            local = c[None, :] + offs[:, None]
-        else:
-            g0, g1 = np.meshgrid(offs, offs, indexing="ij")
-            local = c[None, :] + np.stack([g0.ravel(), g1.ravel()], axis=1)
-        local = reduce_to_unit(local)
+        axes = np.meshgrid(*[offs] * len(c), indexing="ij")
+        local = reduce_to_unit(c + np.stack([a.ravel() for a in axes], axis=1))
         vals = objective(local)
         i = int(np.argmin(vals))
         if vals[i] < best_v:
@@ -472,85 +443,70 @@ def _sweep(objective, dim: int, G: int, eps: float, threads: int):
     return first_qual, gmin, gargmin
 
 
-def _search(objective, dim: int, eps: float, grid_step: float, candidates, lip_bound,
-            threads: int, counters: dict, raw: bool = False):
-    """Candidate pass, lattice sweep, refinement, then certificate. Returns verdict fields."""
-    note_parts = []
+def _candidate_pass(objective, candidates, eps: float, counters: dict):
+    """(point, value, note) of the first candidate below eps, in list order, or None."""
     for name, pt in candidates:
         v = float(objective(pt[None, :])[0])
         counters["candidate_evaluations"] = counters.get("candidate_evaluations", 0) + 1
         if v < eps:
-            return {
-                "outcome": "tracked",
-                "witness": TorusPoint.from_array(pt),
-                "achieved": v,
-                "note": f"witness from {name}",
-            }
+            return pt, v, f"witness from {name}"
+    return None
 
-    G = max(1, int(round(1.0 / grid_step)))
-    if raw:
-        cap = int(RAW_GRID_CAP ** (1.0 / dim))
-        if G > cap:
-            G = cap
-            note_parts.append(f"grid coarsened to {G} per axis for a raw method")
-    cover = math.sqrt(dim) / G
 
+def _cover(objective, dim: int, G: int, eps: float, threads: int, counters: dict):
+    """Lattice sweep, then refinement around its minimum: (hit or None, min_over_grid).
+
+    A hit is (point, value, note): the first qualifying lattice point, else
+    the refinement's best point if it qualifies.
+    """
     first_qual, gmin, gargmin = _sweep(objective, dim, G, eps, threads)
     counters["grid_points"] = counters.get("grid_points", 0) + G ** dim
-
     if first_qual is not None:
         pt = lattice_points(G, dim, idx=[first_qual])[0]
         v = float(objective(pt[None, :])[0])
-        return {
-            "outcome": "tracked",
-            "witness": TorusPoint.from_array(pt),
-            "achieved": v,
-            "min_over_grid": gmin,
-            "grid_step": cover,
-            "note": "witness from grid (lexicographically first qualifying point)",
-        }
-
-    center = lattice_points(G, dim, idx=[gargmin])[0]
-    rv, rp = _refine(objective, center, 1.0 / G)
+        return (pt, v, "witness from grid (lexicographically first qualifying point)"), gmin
+    rv, rp = _refine(objective, lattice_points(G, dim, idx=[gargmin])[0], 1.0 / G)
     refined = REFINE_LEVELS * (2 * REFINE_FACTOR + 1) ** dim
     counters["refinement_points"] = counters.get("refinement_points", 0) + refined
     if rv < eps:
-        return {
-            "outcome": "tracked",
-            "witness": TorusPoint.from_array(rp),
-            "achieved": rv,
-            "min_over_grid": gmin,
-            "grid_step": cover,
-            "note": "witness from refinement around the grid minimum",
-        }
+        return (rp, rv, "witness from refinement around the grid minimum"), gmin
+    return None, gmin
 
-    common = {
-        "min_over_grid": gmin,
-        "grid_step": cover,
-        "lipschitz_bound": lip_bound,
-    }
-    if lip_bound is not None and gmin - lip_bound * cover / 2.0 > eps:
-        note_parts.append("covering certificate holds")
-        return {"outcome": "failed", "certified": True, "note": "; ".join(note_parts), **common}
-    if lip_bound is not None:
-        note_parts.append("grid too coarse to certify at this Lipschitz bound")
-        return {"outcome": "inconclusive", "certified": False, "note": "; ".join(note_parts), **common}
-    note_parts.append("no usable Lipschitz bound at this horizon")
-    return {"outcome": "failed", "certified": False, "note": "; ".join(note_parts), **common}
+
+def _certify(gmin: float, cover: float, lip, eps: float):
+    """(outcome, certified, note) when nothing tracked: the covering certificate, or why it fails."""
+    if lip is None:
+        return "failed", False, "no usable Lipschitz bound at this horizon"
+    if gmin - lip * cover / 2.0 > eps:
+        return "failed", True, "covering certificate holds"
+    return "inconclusive", False, "grid too coarse to certify at this Lipschitz bound"
+
+
+def _search(objective, dim: int, eps: float, grid_step: float, candidates, lip_bound,
+            threads: int, counters: dict, raw: bool = False):
+    """Candidate pass, then covering, then certificate. Returns verdict fields."""
+    hit = _candidate_pass(objective, candidates, eps, counters)
+    grid = {}
+    if hit is None:
+        G = max(1, int(round(1.0 / grid_step)))
+        cap = int(RAW_GRID_CAP ** (1.0 / dim)) if raw else G
+        coarsened = f"grid coarsened to {cap} per axis for a raw method; " if G > cap else ""
+        G = min(G, cap)
+        cover = math.sqrt(dim) / G
+        hit, gmin = _cover(objective, dim, G, eps, threads, counters)
+        grid = {"min_over_grid": gmin, "grid_step": cover}
+        if hit is None:
+            outcome, certified, note = _certify(gmin, cover, lip_bound, eps)
+            return {"outcome": outcome, "certified": certified, "note": coarsened + note,
+                    "lipschitz_bound": lip_bound, **grid}
+    pt, v, note = hit
+    return {"outcome": "tracked", "witness": TorusPoint.from_array(pt), "achieved": v,
+            "note": note, **grid}
 
 
 # ---------------------------------------------------------------------------
 # Checkers
 # ---------------------------------------------------------------------------
-
-def _as_coords(x, dim: int) -> np.ndarray:
-    arr = x.as_array() if isinstance(x, TorusPoint) else reduce_to_unit(np.asarray(x, dtype=float))
-    if arr.ndim == 0:
-        arr = arr[None]
-    if arr.shape != (dim,):
-        raise ValueError(f"anchor has shape {arr.shape}, expected ({dim},)")
-    return arr
-
 
 def _solver_candidate(driver: SystemMap, targets: np.ndarray, delta_hint: float, counters: dict):
     """(name, point) tracking the target sequence under driver's dynamics, if a solver applies."""
@@ -571,7 +527,7 @@ def _solver_candidate(driver: SystemMap, targets: np.ndarray, delta_hint: float,
     return None
 
 
-def _run_check(property_name: str, mode: str, f: SystemMap, m: MethodSpec, x, eps: float,
+def _run_check(property_name: str, f: SystemMap, m: MethodSpec, x, eps: float,
                N: int, grid_step: float, seeds, threads, counters):
     if not (math.isfinite(eps) and eps > 0):
         raise ValueError(f"eps must be finite and positive, got {eps}")
@@ -584,32 +540,28 @@ def _run_check(property_name: str, mode: str, f: SystemMap, m: MethodSpec, x, ep
     counters = counters if counters is not None else {}
     workers = resolve_threads(threads)
     x0 = _as_coords(x, f.dim)
+    mode = property_name if property_name in ("weak", "orbital") else "pointwise"
 
-    if mode == "direct":
-        po = m.evaluate(x0, N)
-        targets = po.as_array()
+    if property_name == "direct":
+        targets = m.evaluate(x0, N).as_array()
         driver = f
     else:
         targets = orbit_segment(f, x0, N).as_array()
         driver = m.source if m.is_induced else None
 
-    if driver is not None:
-        def objective(ys):
-            return _objective_core(driver, targets, ys, N, mode if mode != "direct" else "pointwise")
-    else:
+    candidates = [("anchor", x0)] + [("seed", _as_coords(s, f.dim)) for s in seeds]
+    if driver is None:
         def objective(ys):
             orbits = np.stack([m.evaluate(y, N).as_array() for y in ys], axis=1)
             return np.sqrt(_fold_objective(targets, enumerate(orbits), len(ys), mode))
-
-    candidates = [("anchor", x0)]
-    for s in seeds:
-        candidates.append(("seed", _as_coords(s, f.dim)))
-    if driver is not None:
+        lip = None
+    else:
+        objective = partial(_objective_core, driver, targets, N=N, mode=mode)
         cand = _solver_candidate(driver, targets, m.delta, counters)
         if cand is not None:
             candidates.append(cand)
+        lip = horizon_lipschitz_bound(driver, N)
 
-    lip = horizon_lipschitz_bound(driver, N) if driver is not None else None
     fields = _search(objective, f.dim, eps, grid_step, candidates, lip,
                      workers, counters, raw=driver is None)
     return ShadowVerdict(
@@ -627,25 +579,25 @@ def check_direct_shadowing(f: SystemMap, m: MethodSpec, x, eps: float, N: int,
                            grid_step: float = 1.0 / 512, *, seeds=(), threads=None,
                            counters=None) -> ShadowVerdict:
     """Is the method's pseudo-orbit through x eps-tracked by a true orbit of f?"""
-    return _run_check("direct", "direct", f, m, x, eps, N, grid_step, seeds, threads, counters)
+    return _run_check("direct", f, m, x, eps, N, grid_step, seeds, threads, counters)
 
 
 def check_inverse_shadowing(f: SystemMap, m: MethodSpec, x, eps: float, N: int,
                             grid_step: float = 1.0 / 512, *, seeds=(), threads=None,
                             counters=None) -> ShadowVerdict:
     """Does some y's method orbit eps-track the true orbit of x, index by index?"""
-    return _run_check("inverse", "pointwise", f, m, x, eps, N, grid_step, seeds, threads, counters)
+    return _run_check("inverse", f, m, x, eps, N, grid_step, seeds, threads, counters)
 
 
 def check_weak_inverse(f: SystemMap, m: MethodSpec, x, eps: float, N: int,
                        grid_step: float = 1.0 / 512, *, seeds=(), threads=None,
                        counters=None) -> ShadowVerdict:
     """Does some y's method orbit stay inside the eps-neighborhood of the orbit of x?"""
-    return _run_check("weak", "weak", f, m, x, eps, N, grid_step, seeds, threads, counters)
+    return _run_check("weak", f, m, x, eps, N, grid_step, seeds, threads, counters)
 
 
 def check_orbital_inverse(f: SystemMap, m: MethodSpec, x, eps: float, N: int,
                           grid_step: float = 1.0 / 512, *, seeds=(), threads=None,
                           counters=None) -> ShadowVerdict:
     """Do both one-sided eps-inclusions hold between the orbit of x and some method orbit?"""
-    return _run_check("orbital", "orbital", f, m, x, eps, N, grid_step, seeds, threads, counters)
+    return _run_check("orbital", f, m, x, eps, N, grid_step, seeds, threads, counters)

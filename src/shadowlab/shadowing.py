@@ -356,7 +356,7 @@ def orbital_objective(g: SystemMap, targets, ys, N: int):
     return _objective_core(g, targets, np.asarray(ys, dtype=float), N, "orbital")
 
 
-def horizon_lipschitz_bound(g: SystemMap, N: int, cap: float = LIP_CAP) -> float | None:
+def horizon_lipschitz_bound(g: SystemMap, N: int) -> float | None:
     """Lipschitz constant of y -> max_{|k|<=N} d(g^k(y), .) on the torus.
 
     Affine maps (integer linear part) get the exact bound max_k ||B^k||_2 over
@@ -381,7 +381,7 @@ def horizon_lipschitz_bound(g: SystemMap, N: int, cap: float = LIP_CAP) -> float
     lip = max(g.lip_forward, g.lip_backward, 1.0)
     if lip == 1.0:
         return 1.0
-    if N * math.log(lip) > cap:
+    if N * math.log(lip) > LIP_CAP:
         return None
     return lip ** N
 

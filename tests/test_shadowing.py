@@ -416,7 +416,6 @@ def test_generic_bound_grows_and_caps_out():
     n_cap = int(25.0 / math.log(lip))
     assert horizon_lipschitz_bound(p, n_cap) is not None
     assert horizon_lipschitz_bound(p, n_cap + 1) is None
-    assert horizon_lipschitz_bound(p, 3, cap=0.1) is None
 
 
 # ---------------------------------------------------------------------------

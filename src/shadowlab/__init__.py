@@ -75,7 +75,6 @@ from .hyperbolicity import (
     classify_periodic,
     cone_criterion,
     periodic_points_linear,
-    refine_periodic,
 )
 from .experiments import (
     EXPERIMENTS,

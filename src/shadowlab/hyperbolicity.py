@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import TorusPoint, lattice_points, reduce_to_unit, torus_dist, wrap_to_half
+from .geometry import TorusPoint, lattice_points, torus_dist
 from .systems import LinearAutomorphism, SystemMap, _hyperbolic_eigen
 
 __all__ = [
@@ -22,7 +22,6 @@ __all__ = [
     "ConeReport",
     "periodic_points_linear",
     "classify_periodic",
-    "refine_periodic",
     "anosov_certificate_linear",
     "cone_criterion",
 ]
@@ -179,26 +178,6 @@ def classify_periodic(f: SystemMap, p, n: int, tol: float = HYPERBOLICITY_TOL) -
         eigenvalues=eig_pair,
         classification=_classify_moduli(eigs, tol),
     )
-
-
-def refine_periodic(f: SystemMap, seed, n: int, tol: float = 1e-12, max_iter: int = 50) -> TorusPoint:
-    """Newton-polish an approximate n-periodic point (used around linear-model seeds)."""
-    z = seed.as_array() if isinstance(seed, TorusPoint) else np.asarray(seed, dtype=float).copy()
-    for _ in range(max_iter):
-        w = z
-        J = np.eye(f.dim)
-        for _ in range(n):
-            J = np.asarray(f.differential(w), dtype=float) @ J
-            w = f.forward(w)
-        r = wrap_to_half(w - z)
-        if float(np.linalg.norm(r)) <= tol:
-            return TorusPoint.from_array(z)
-        try:
-            step = np.linalg.solve(J - np.eye(f.dim), -r)
-        except np.linalg.LinAlgError as exc:
-            raise ValueError("degenerate linearization: cannot refine a neutral periodic point") from exc
-        z = reduce_to_unit(z + step)
-    raise ValueError(f"no convergence within {max_iter} Newton steps")
 
 
 def anosov_certificate_linear(A) -> AnosovCertificate | None:

@@ -24,7 +24,6 @@ from shadowlab import (
     make_rotation,
     make_translation_method_map,
     periodic_points_linear,
-    refine_periodic,
     shear_map,
     torus_identity,
 )
@@ -173,45 +172,6 @@ def test_classification_band_is_a_parameter():
     # is what gives the standard answer
     assert classify_periodic(cat_map(), (0.0, 0.0), 1, tol=2.0).classification == "nonhyperbolic"
     assert classify_periodic(cat_map(), (0.0, 0.0), 1).classification == "hyperbolic"
-
-
-# ---------------------------------------------------------------------------
-# newton refinement of periodic seeds
-# ---------------------------------------------------------------------------
-
-
-def test_refine_converges_across_the_seam():
-    p = refine_periodic(cat_map(), (0.995, 0.005), 1)
-    assert float(dist_array(p.as_array(), np.zeros(2))) <= 1e-10
-
-
-def test_refine_polishes_a_period_two_seed():
-    p = refine_periodic(cat_map(), (0.21, 0.39), 2)
-    assert p.coords == pytest.approx((0.2, 0.4), abs=1e-9)
-
-
-def test_refine_tracks_the_perturbed_fixed_point():
-    """The hyperbolic fixed point survives a small conservative perturbation
-    and moves only O(delta)."""
-    g = make_conservative_perturbation(cat_map(), 1e-3, "shear-sin", seed=4)
-    p = refine_periodic(g, (0.0, 0.0), 1)
-    assert float(dist_array(g.forward(p.as_array()), p.as_array())) <= 1e-12
-    assert float(dist_array(p.as_array(), np.zeros(2))) <= 0.01
-
-
-def test_refine_counts_the_verification_pass():
-    with pytest.raises(ValueError, match="no convergence within 1"):
-        refine_periodic(cat_map(), (0.4, 0.4), 1, max_iter=1)
-    p = refine_periodic(cat_map(), (0.4, 0.4), 1, max_iter=2)
-    assert float(dist_array(p.as_array(), np.zeros(2))) <= 1e-9
-
-
-def test_refine_refuses_neutral_targets():
-    # the identity fixes the seed outright, so refinement returns it unchanged;
-    # the shear is the map with an actual singular linearization to correct through
-    assert refine_periodic(torus_identity(), (0.3, 0.4), 1).coords == (0.3, 0.4)
-    with pytest.raises(ValueError, match="degenerate linearization"):
-        refine_periodic(shear_map(), (0.3, 0.4), 1)
 
 
 # ---------------------------------------------------------------------------

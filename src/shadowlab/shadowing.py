@@ -8,19 +8,26 @@ and orbital inverse shadowing (both one-sided inclusions).
 
 The existential quantifier "there is y" is realized in three stages, which
 ``_search`` sequences: a candidate pass over explicit points (the anchor,
-caller-provided seeds, a solver output), a covering (a full lattice sweep,
-then local refinement around its minimum), and a certifier that, when
-nothing tracked, issues a Lipschitz covering certificate or says why none
-holds.  A certificate means: the grid minimum of the objective minus
-lipschitz_bound * grid_step / 2 still exceeds eps, so *no* point of the
-continuum tracks at this horizon — failure is a finite proof, not sampling
-evidence.  ``grid_step`` in a verdict is the covering diameter of the search
-lattice (per-axis spacing times sqrt(dim)), which is what makes the covering
-inequality sound on the torus.
+caller-provided seeds, a solver output), a covering, and a certifier that,
+when nothing tracked, issues a Lipschitz covering certificate or says why
+none holds.  The covering walks nested dyadic lattices from coarse to fine
+(branch and bound after Piyavskii and Shubert): a lattice point's cell is
+settled once its value minus lipschitz_bound * (cell diameter) / 2 exceeds
+eps, and every other cell is split, down to the requested lattice; local
+refinement around the least unsettled value follows.  A certificate means
+every cell is settled, so *no* point of the continuum tracks at this horizon
+— failure is a finite proof, not sampling evidence.
 
-Grid sweeps are chunked with a fixed chunk size and combined by index order,
-so verdicts are byte-identical for any worker count.  Tracked witnesses found
-on the grid are the lexicographically smallest qualifying lattice point.
+On failed and inconclusive records, ``min_over_grid`` and ``grid_step`` are
+the value and covering diameter (per-axis spacing times sqrt(dim)) of the
+binding cell, the final cell of least margin, so the record alone restates
+the certificate inequality or shows where it fails.  ``grid_points`` counts lattice points evaluated.
+Without a Lipschitz bound the covering is one sweep of the requested lattice.
+
+Levels are evaluated in chunks of fixed size combined by index order, so
+verdicts are byte-identical for any worker count.  A tracked witness found on
+a lattice is the lexicographically smallest qualifying point of the coarsest
+level that has one.
 """
 
 from __future__ import annotations
@@ -91,9 +98,9 @@ class ShadowVerdict:
     """Outcome of one tracking search at a fixed horizon.
 
     outcome "tracked" carries a witness and its achieved distance (< epsilon,
-    strictly).  outcome "failed" carries the coarse-grid minimum, the covering
-    diameter of the lattice, the Lipschitz bound if one was computed, and
-    whether the covering certificate holds.  "inconclusive" means a bound was
+    strictly).  outcome "failed" carries the binding cell's value and covering
+    diameter, the Lipschitz bound if one was computed, and whether the
+    covering certificate holds.  "inconclusive" means a bound was
     available but the grid was too coarse to certify, and nothing tracked.
     """
 
@@ -410,39 +417,6 @@ def _refine(objective, center: np.ndarray, step: float):
     return best_v, best_p
 
 
-def _sweep(objective, dim: int, G: int, eps: float, threads: int):
-    """Full-lattice sweep; returns (first qualifying flat index or None, min, argmin index).
-
-    Chunks are combined in index order, so the result is independent of the
-    worker count and of completion order.
-    """
-    total = G ** dim
-
-    def eval_chunk(start: int):
-        idx = np.arange(start, min(start + GRID_CHUNK, total))
-        vals = objective(lattice_points(G, dim, idx=idx))
-        qual = np.nonzero(vals < eps)[0]
-        first = int(idx[qual[0]]) if len(qual) else None
-        a = int(np.argmin(vals))
-        return first, float(vals[a]), int(idx[a])
-
-    starts = list(range(0, total, GRID_CHUNK))
-    if threads <= 1 or len(starts) == 1:
-        results = [eval_chunk(s) for s in starts]
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(eval_chunk, starts))
-
-    first_qual = None
-    gmin, gargmin = math.inf, -1
-    for first, mn, am in results:
-        if first is not None and (first_qual is None or first < first_qual):
-            first_qual = first
-        if mn < gmin or (mn == gmin and am < gargmin):
-            gmin, gargmin = mn, am
-    return first_qual, gmin, gargmin
-
-
 def _candidate_pass(objective, candidates, eps: float, counters: dict):
     """(point, value, note) of the first candidate below eps, in list order, or None."""
     for name, pt in candidates:
@@ -453,24 +427,79 @@ def _candidate_pass(objective, candidates, eps: float, counters: dict):
     return None
 
 
-def _cover(objective, dim: int, G: int, eps: float, threads: int, counters: dict):
-    """Lattice sweep, then refinement around its minimum: (hit or None, min_over_grid).
+def _cover(objective, dim: int, G: int, eps: float, lip, threads: int, counters: dict):
+    """Coarse-to-fine covering over nested dyadic lattices, then refinement.
 
-    A hit is (point, value, note): the first qualifying lattice point, else
-    the refinement's best point if it qualifies.
+    Returns (hit or None, binding value, binding covering diameter).  With
+    G = g0 * 2**k (g0 odd) the levels are g0, 2*g0, ..., G, starting at the
+    coarsest whose cells could certify at all (at G without a bound).  A
+    lattice point whose margin value - lip * cover / 2 exceeds eps is a
+    certified leaf; every other point sends its 3**dim children 2k + {-1,0,1}
+    per axis to the next level, whose cells cover its own.  Point k/g is
+    point 2k/(2g) exactly, so its value is carried, not recomputed.  A hit is
+    (point, value, note): the first qualifying point of the first level that
+    has one, else the refinement's best point around the least unresolved
+    value at level G.  The binding cell is the leaf of least margin (ties go
+    to the coarser level, then the lower index); the points of the last level
+    evaluated are all leaves.
     """
-    first_qual, gmin, gargmin = _sweep(objective, dim, G, eps, threads)
-    counters["grid_points"] = counters.get("grid_points", 0) + G ** dim
-    if first_qual is not None:
-        pt = lattice_points(G, dim, idx=[first_qual])[0]
-        v = float(objective(pt[None, :])[0])
-        return (pt, v, "witness from grid (lexicographically first qualifying point)"), gmin
-    rv, rp = _refine(objective, lattice_points(G, dim, idx=[gargmin])[0], 1.0 / G)
-    refined = REFINE_LEVELS * (2 * REFINE_FACTOR + 1) ** dim
-    counters["refinement_points"] = counters.get("refinement_points", 0) + refined
-    if rv < eps:
-        return (rp, rv, "witness from refinement around the grid minimum"), gmin
-    return None, gmin
+    levels = [G]
+    while levels[0] % 2 == 0:
+        levels.insert(0, levels[0] // 2)
+    fits = [g for g in levels
+            if lip is not None and lip * (math.sqrt(dim) / g) / 2.0 < math.sqrt(dim) / 2.0 - eps]
+    levels = levels[levels.index(fits[0]):] if fits else [G]
+    offs = np.stack(np.meshgrid(*[[-1, 0, 1]] * dim, indexing="ij"), axis=-1).reshape(-1, dim)
+    idx = np.arange(levels[0] ** dim)
+    vals, new = np.empty(len(idx)), np.ones(len(idx), dtype=bool)
+    binding = None  # (margin, value, covering diameter, flat index in its level)
+    for g in levels:
+        todo = idx[new]
+
+        def eval_chunk(start: int):
+            return objective(lattice_points(g, dim, idx=todo[start:start + GRID_CHUNK]))
+
+        starts = range(0, len(todo), GRID_CHUNK)
+        if threads <= 1 or len(starts) <= 1:
+            parts = [eval_chunk(s) for s in starts]
+        else:
+            with ThreadPoolExecutor(max_workers=threads) as pool:
+                parts = list(pool.map(eval_chunk, starts))
+        vals[new] = np.concatenate(parts)
+        counters["grid_points"] = counters.get("grid_points", 0) + len(todo)
+        cover = math.sqrt(dim) / g
+        slack = 0.0 if lip is None else lip * cover / 2.0
+        unresolved = np.ones(len(idx), dtype=bool) if lip is None else vals - slack <= eps
+        qual = np.flatnonzero(vals < eps)
+        last = len(qual) > 0 or g == G or not unresolved.any()
+        leaf = np.ones(len(idx), dtype=bool) if last else ~unresolved
+        if leaf.any():
+            i = int(np.argmin(np.where(leaf, vals, np.inf)))
+            if binding is None or vals[i] - slack < binding[0]:
+                binding = (vals[i] - slack, float(vals[i]), cover, int(idx[i]))
+        if len(qual):
+            pt = lattice_points(g, dim, idx=idx[qual[:1]])[0]
+            note = "witness from grid (lexicographically first qualifying point)"
+            return (pt, float(vals[qual[0]]), note), binding[1], binding[2]
+        if last:
+            break
+        parents, pvals = idx[unresolved], vals[unresolved]
+        kids = 2 * np.stack(np.unravel_index(parents, (g,) * dim), axis=-1)[:, None, :] + offs
+        fine = (2 * g,) * dim
+        idx = np.unique(np.ravel_multi_index(tuple(np.moveaxis(kids % (2 * g), -1, 0)), fine))
+        coords = np.stack(np.unravel_index(idx, fine), axis=-1)
+        new = (coords % 2 == 1).any(axis=1)
+        vals = np.empty(len(idx))
+        carried = np.ravel_multi_index(tuple((coords[~new] // 2).T), (g,) * dim)
+        vals[~new] = pvals[np.searchsorted(parents, carried)]
+    hit = None
+    if unresolved.any():
+        rv, rp = _refine(objective, lattice_points(G, dim, idx=[binding[3]])[0], 1.0 / G)
+        refined = REFINE_LEVELS * (2 * REFINE_FACTOR + 1) ** dim
+        counters["refinement_points"] = counters.get("refinement_points", 0) + refined
+        if rv < eps:
+            hit = (rp, rv, "witness from refinement around the grid minimum")
+    return hit, binding[1], binding[2]
 
 
 def _certify(gmin: float, cover: float, lip, eps: float):
@@ -492,8 +521,7 @@ def _search(objective, dim: int, eps: float, grid_step: float, candidates, lip_b
         cap = int(RAW_GRID_CAP ** (1.0 / dim)) if raw else G
         coarsened = f"grid coarsened to {cap} per axis for a raw method; " if G > cap else ""
         G = min(G, cap)
-        cover = math.sqrt(dim) / G
-        hit, gmin = _cover(objective, dim, G, eps, threads, counters)
+        hit, gmin, cover = _cover(objective, dim, G, eps, lip_bound, threads, counters)
         grid = {"min_over_grid": gmin, "grid_step": cover}
         if hit is None:
             outcome, certified, note = _certify(gmin, cover, lip_bound, eps)

@@ -17,7 +17,11 @@ whose 2*eps is too wide for an anchor separation.  The checks run with
 witnesses from the anchor, the affine solver, Newton, the grid and refinement,
 a raw ``random:`` method (also as the pseudo-orbit of a direct check), both
 the circle and the torus, and every derived map constructor: translation
-drifts, the block drift, and shear-sin and translation perturbations.
+drifts, the block drift, and shear-sin and translation perturbations.  The
+covering appears in both forms: certified failures settled on coarser levels
+than the requested lattice (the shear drift at level 32, circle and identity
+drifts at levels 2 to 4), and the single sweep of the requested lattice that
+raw methods and a grid too coarse to certify (the shear at grid 8) run.
 """
 
 from __future__ import annotations

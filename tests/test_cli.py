@@ -219,7 +219,7 @@ def test_check_certified_failure_exits_three(capsys):
     record = json.loads(out)
     assert record["outcome"] == "failed"
     assert record["certified"] is True
-    assert record["min_over_grid"] == 0.47783120058237916
+    assert record["min_over_grid"] == 0.6533674789121348
 
 
 def test_check_inconclusive_exits_four(capsys):

@@ -520,16 +520,15 @@ def test_certified_drift_failure_on_the_default_grid():
     assert v.certified is True
     assert v.note == "covering certificate holds"
     assert v.witness is None and v.achieved is None
-    assert v.min_over_grid == pytest.approx(0.47010217732840476, rel=1e-12)
+    assert v.min_over_grid == pytest.approx(0.6533674789121348, rel=1e-12)
     assert v.lipschitz_bound == pytest.approx(25.039936203984453, rel=1e-12)
-    assert v.grid_step == pytest.approx(math.sqrt(2.0) / 512, rel=1e-12)
+    assert v.grid_step == pytest.approx(math.sqrt(2.0) / 32, rel=1e-12)  # the binding cell's level
     # the inequality the certificate claims, by hand
     assert v.min_over_grid - v.lipschitz_bound * v.grid_step / 2.0 > 0.1
     assert counters == {
         "candidate_evaluations": 2,
-        "grid_points": 262144,
+        "grid_points": 3679,
         "newton_iterations": 1,
-        "refinement_points": 578,
     }
 
 
@@ -591,7 +590,7 @@ def test_weak_and_orbital_drift_on_the_identity():
         v = check(f, m, (0.0, 0.0), 0.1, 25)
         assert v.outcome == "failed"
         assert v.certified is True
-        assert v.min_over_grid == pytest.approx(0.2500000000000002, rel=1e-12)
+        assert v.min_over_grid == 0.5
         assert v.lipschitz_bound == 1.0
         loose = check(f, m, (0.0, 0.0), 0.3, 25)
         assert loose.outcome == "tracked"
@@ -739,7 +738,10 @@ def test_verdicts_identical_across_chunk_sizes_and_threads(case, monkeypatch):
 
     expected = run(1)
     assert json.loads(expected[0])["note"] == note
-    assert expected[1]["grid_points"] == G * G
+    if method == "drift":  # the covering settles coarse cells without their lattice points
+        assert expected[1]["grid_points"] < G * G
+    else:
+        assert expected[1]["grid_points"] == G * G
     for chunk in (64, 7):
         monkeypatch.setattr(shadowing, "GRID_CHUNK", chunk)
         for threads in (1, 4):

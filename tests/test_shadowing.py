@@ -6,6 +6,7 @@ constants in the verdict tests were produced by those oracles and by hand
 calculations on the affine drift construction.
 """
 
+import itertools
 import json
 import math
 
@@ -45,8 +46,9 @@ from shadowlab import (
     weak_objective,
 )
 from shadowlab import shadowing
+from shadowlab.geometry import lattice_points
 from shadowlab.orbits import MethodSpec
-from shadowlab.shadowing import _min_norm_newton_step
+from shadowlab.shadowing import _cover, _min_norm_newton_step
 
 K_CAT = 1.618033988749895  # cond(V) * 1/(1 - lambda_s) for [[2,1],[1,1]]
 
@@ -596,6 +598,128 @@ def test_weak_and_orbital_drift_on_the_identity():
         assert loose.outcome == "tracked"
         assert loose.note == "witness from anchor"
         assert loose.achieved == pytest.approx(0.25, rel=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# the covering itself, on a synthetic 1-Lipschitz objective
+# ---------------------------------------------------------------------------
+
+
+def _cone(dim, seed):
+    """floor + d(y, z*): 1-Lipschitz on the torus, minimum `floor` at a random z*.
+
+    Returns the objective, which records every point it is asked for, the
+    list of those batches, and (floor, eps) drawn around the floor so that
+    tracked, certified and inconclusive endings all occur.
+    """
+    rng = np.random.default_rng(seed)
+    zstar = rng.random(dim)
+    floor = float(rng.choice([0.0, 0.1, 0.25]))
+    eps = float(rng.uniform(0.02, 0.3))
+    seen = []
+
+    def objective(ys):
+        seen.append(np.array(ys))
+        return floor + dist_array(ys, zstar)
+
+    return objective, seen, eps
+
+
+_COVER_GRIDS = [(1, 7), (1, 12), (1, 40), (1, 96), (2, 7), (2, 12), (2, 20), (2, 48)]
+
+
+# A 1-Lipschitz objective is also 4-Lipschitz; the looser bound makes the covering go deeper.
+@pytest.mark.parametrize("lip", [1.0, 4.0])
+@pytest.mark.parametrize("dim,G", _COVER_GRIDS)
+@pytest.mark.parametrize("seed", range(10))
+def test_cover_is_complete_and_sound_on_a_cone(dim, G, seed, lip):
+    objective, seen, eps = _cone(dim, 1000 * G + seed)
+    full = objective(lattice_points(G, dim))
+    seen.clear()
+    counters = {}
+    hit, value, cover = _cover(objective, dim, G, eps, lip, 1, counters)
+    lattice = np.concatenate(seen)[:counters["grid_points"]]
+    # each point is evaluated at most once, and every level's lattice lies in the finest one
+    assert len(np.unique(lattice, axis=0)) == len(lattice)
+    assert np.allclose(lattice * G, np.round(lattice * G), rtol=0, atol=1e-9)
+    # completeness: a qualifying point of the full lattice is never pruned away
+    if float(full.min()) < eps:
+        assert hit is not None and hit[2] == _GRID_NOTE
+    if hit is not None:
+        assert hit[1] < eps and hit[1] == float(objective(hit[0][None, :])[0])
+        return
+    margin = value - lip * cover / 2.0
+    # the binding cell is a lattice point of a coarser level, so it cannot beat the full lattice
+    assert value >= float(full.min())
+    assert cover in [math.sqrt(dim) / (G >> k) for k in range(8) if G % (1 << k) == 0]
+    # the old one-level certificate implies the new one
+    if float(full.min()) - lip * (math.sqrt(dim) / G) / 2.0 > eps:
+        assert margin > eps
+    if margin > eps:  # soundness: certified means nothing on the torus tracks
+        assert "refinement_points" not in counters
+        ys = np.random.default_rng(seed).random((4000, dim))
+        assert float(objective(ys).min()) > eps
+    else:
+        assert counters["refinement_points"] > 0
+
+
+def _oracle_cover(objective, dim, G, eps, lip):
+    """The covering written out cell by cell with scalar calls.
+
+    Returns (witness or None, its value, binding value, binding cover, points
+    evaluated), where a point k/g of one level is reused as 2k/(2g).
+    """
+    levels = [G >> j for j in range(G.bit_length()) if G % (1 << j) == 0][::-1]
+    start = next((g for g in levels
+                  if lip * (math.sqrt(dim) / g) / 2.0 < math.sqrt(dim) / 2.0 - eps), G)
+    cells = sorted(itertools.product(range(start), repeat=dim))
+    values, binding, evaluated = {}, None, 0
+    for g in levels[levels.index(start):]:
+        cover, known = math.sqrt(dim) / g, {tuple(2 * a for a in k): v for k, v in values.items()}
+        values = {k: known[k] if k in known else float(objective(np.array([k]) / g)[0])
+                  for k in cells}
+        evaluated += len(cells) - len(known.keys() & set(cells))
+        qual = [k for k in cells if values[k] < eps]
+        settled = [k for k in cells if values[k] - lip * cover / 2.0 > eps]
+        last = qual or g == G or len(settled) == len(cells)
+        for k in cells if last else settled:
+            if binding is None or values[k] - lip * cover / 2.0 < binding[0]:
+                binding = (values[k] - lip * cover / 2.0, values[k], cover)
+        if qual:
+            return np.array(qual[0]) / g, values[qual[0]], binding[1], binding[2], evaluated
+        if last:
+            break
+        values = {k: values[k] for k in cells if k not in settled}
+        cells = sorted({tuple((2 * a + o) % (2 * g) for a, o in zip(k, off))
+                        for k in values for off in itertools.product((-1, 0, 1), repeat=dim)})
+    return None, None, binding[1], binding[2], evaluated
+
+
+@pytest.mark.parametrize("lip", [1.0, 4.0])
+@pytest.mark.parametrize("dim,G", _COVER_GRIDS)
+@pytest.mark.parametrize("seed", range(4))
+def test_cover_matches_a_cell_by_cell_oracle(dim, G, seed, lip):
+    objective, _, eps = _cone(dim, 1000 * G + seed)
+    counters = {}
+    hit, value, cover = _cover(objective, dim, G, eps, lip, 1, counters)
+    point, achieved, o_value, o_cover, evaluated = _oracle_cover(objective, dim, G, eps, lip)
+    assert (value, cover, counters["grid_points"]) == (o_value, o_cover, evaluated)
+    if point is not None:
+        assert np.array_equal(hit[0], point) and hit[1] == achieved
+    else:
+        assert hit is None or hit[2] != _GRID_NOTE
+
+
+@pytest.mark.parametrize("dim,G", _COVER_GRIDS)
+def test_cover_without_a_bound_sweeps_the_whole_lattice(dim, G):
+    objective, seen, eps = _cone(dim, G)
+    counters = {}
+    hit, value, cover = _cover(objective, dim, G, eps, None, 1, counters)
+    assert counters["grid_points"] == G ** dim
+    assert np.array_equal(np.concatenate(seen)[:G ** dim], lattice_points(G, dim))
+    assert cover == math.sqrt(dim) / G
+    if hit is None:
+        assert value == float(objective(lattice_points(G, dim)).min())
 
 
 # ---------------------------------------------------------------------------

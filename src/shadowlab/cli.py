@@ -140,9 +140,13 @@ def parse_method_spec(spec: str, f: SystemMap, N: int, seed: int) -> MethodSpec:
 
 
 def _parse_point(text: str) -> tuple[float, ...]:
-    values = tuple(float(v) for v in text.split(","))
+    try:
+        values = tuple(float(v) for v in text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"coordinates must be numbers, got {text!r}") from None
     if len(values) not in (1, 2):
-        raise ValueError("points have one or two comma-separated coordinates")
+        raise argparse.ArgumentTypeError(
+            f"points have one or two comma-separated coordinates, got {len(values)}")
     return values
 
 

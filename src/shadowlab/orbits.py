@@ -40,13 +40,16 @@ __all__ = [
 TRUE_ORBIT_DELTA = 1e-8
 
 
-def _as_coords(x, dim: int | None = None) -> np.ndarray:
-    """One point as a 1-D array reduced to the unit cube, of length dim when given."""
+def _as_coords(x, dim: int | None = None, role: str = "anchor") -> np.ndarray:
+    """One point as a 1-D array reduced to the unit cube, of length dim when given.
+
+    ``role`` names the point in the error message.
+    """
     arr = x.as_array() if isinstance(x, TorusPoint) else reduce_to_unit(np.asarray(x, dtype=float))
     if arr.ndim == 0:
         arr = arr[None]
     if dim is not None and arr.shape != (dim,):
-        raise ValueError(f"anchor has shape {arr.shape}, expected ({dim},)")
+        raise ValueError(f"{role} has shape {arr.shape}, expected ({dim},)")
     return arr
 
 

@@ -577,7 +577,7 @@ def _run_check(property_name: str, f: SystemMap, m: MethodSpec, x, eps: float,
         targets = orbit_segment(f, x0, N).as_array()
         driver = m.source if m.is_induced else None
 
-    candidates = [("anchor", x0)] + [("seed", _as_coords(s, f.dim)) for s in seeds]
+    candidates = [("anchor", x0)] + [("seed", _as_coords(s, f.dim, "seed")) for s in seeds]
     if driver is None:
         def objective(ys):
             orbits = np.stack([m.evaluate(y, N).as_array() for y in ys], axis=1)

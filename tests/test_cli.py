@@ -336,6 +336,21 @@ def test_usage_errors_exit_two(argv, capsys):
 
 
 @pytest.mark.parametrize(
+    "x, message",
+    [("0.2,0.3,0.4", "argument --x: points have one or two comma-separated coordinates, got 3"),
+     ("0.2,abc", "argument --x: coordinates must be numbers, got '0.2,abc'")],
+)
+def test_bad_point_exits_two_naming_the_problem(x, message, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["check", "inverse", "--system", "cat", "--method", "same",
+                  "--x", x, "--eps", "0.1", "--N", "5"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert message in err
+    assert "_parse_point" not in err
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         ["check", "inverse", "--system", "nosuch", "--method", "same",

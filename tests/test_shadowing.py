@@ -810,6 +810,15 @@ def test_checker_input_gates():
         check_inverse_shadowing(f, method_from_map(c1, c1, 5), (0.2, 0.3), 0.1, 5)
 
 
+def test_bad_seed_is_named_as_a_seed():
+    f = cat_map()
+    m = method_from_map(f, f, 3)
+    with pytest.raises(ValueError, match=r"^seed has shape \(3,\), expected \(2,\)$"):
+        check_inverse_shadowing(f, m, (0.2, 0.3), 0.01, 3, seeds=[(0.1, 0.2, 0.3)])
+    with pytest.raises(ValueError, match=r"^anchor has shape \(3,\), expected \(2,\)$"):
+        check_inverse_shadowing(f, m, (0.1, 0.2, 0.3), 0.01, 3)
+
+
 def test_verdicts_identical_across_thread_counts():
     sh = shear_map()
     m = drift_method(sh, 0.01, 25)

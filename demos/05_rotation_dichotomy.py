@@ -24,7 +24,7 @@ print()
 
 inv = check_inverse_shadowing(f, m, (0.0,), eps, N, grid_step=1 / 4096)
 print(f"inverse shadowing:          {inv.outcome} (certified={inv.certified})")
-print(f"  grid minimum {inv.min_over_grid:.6f} - slack {inv.lipschitz_bound * inv.grid_step / 2:.6f} "
+print(f"  binding cell: value {inv.min_over_grid:.6f} - slack {inv.lipschitz_bound * inv.grid_step / 2:.6f} "
       f"> {eps}: every candidate y drifts N*delta = {N * delta} out of phase")
 print()
 

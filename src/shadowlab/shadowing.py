@@ -21,8 +21,9 @@ every cell is settled, so *no* point of the continuum tracks at this horizon
 On failed and inconclusive records, ``min_over_grid`` and ``grid_step`` are
 the value and covering diameter (per-axis spacing times sqrt(dim)) of the
 binding cell, the final cell of least margin, so the record alone restates
-the certificate inequality or shows where it fails.  ``grid_points`` counts lattice points evaluated.
-Without a Lipschitz bound the covering is one sweep of the requested lattice.
+the certificate inequality or shows where it fails.  The ``grid_points``
+counter counts lattice points evaluated.  Without a Lipschitz bound the
+covering is one sweep of the requested lattice.
 
 Levels are evaluated in chunks of fixed size combined by index order, so
 verdicts are byte-identical for any worker count.  A tracked witness found on

@@ -608,9 +608,9 @@ def test_weak_and_orbital_drift_on_the_identity():
 def _cone(dim, seed):
     """floor + d(y, z*): 1-Lipschitz on the torus, minimum `floor` at a random z*.
 
-    Returns the objective, which records every point it is asked for, the
-    list of those batches, and (floor, eps) drawn around the floor so that
-    tracked, certified and inconclusive endings all occur.
+    Returns the objective, which records every batch it is asked for, the
+    list of those batches, and an eps drawn so that, across seeds, tracked,
+    certified and inconclusive endings all occur.
     """
     rng = np.random.default_rng(seed)
     zstar = rng.random(dim)

@@ -28,30 +28,46 @@ __all__ = [
 def reduce_to_unit(values):
     """Map lift coordinates into the fundamental domain [0, 1).
 
-    Idempotent.  Guards against the float quirk where ``x % 1.0`` evaluates to
-    exactly ``1.0`` for tiny negative ``x``.
+    Idempotent.  ``v - floor(v)`` rounds to exactly ``1.0`` for tiny negative
+    ``v``; the fix-up maps that to ``0.0`` in place.  It tests ``== 1.0`` so that
+    NaN stays NaN instead of passing for a valid coordinate.
     """
-    r = np.asarray(values, dtype=float) % 1.0
-    return np.where(r == 1.0, 0.0, r)
+    v = np.asarray(values, dtype=float)
+    r = np.asarray(v - np.floor(v))  # an array even for one coordinate, so putmask can write to it
+    np.putmask(r, r == 1.0, 0.0)
+    return r
 
 
 def wrap_to_half(values):
     """Wrap lift displacements to the symmetric window [-1/2, 1/2)."""
-    r = (np.asarray(values, dtype=float) + 0.5) % 1.0
-    r = np.where(r == 1.0, 0.0, r)
-    return r - 0.5
+    return reduce_to_unit(np.asarray(values, dtype=float) + 0.5) - 0.5
 
 
 def sq_dist_array(a, b):
     """Squared quotient distance between coordinate arrays; last axis holds components.
 
     Broadcasts like an elementwise operation, so ``a`` of shape (m, 1, d) against
-    ``b`` of shape (t, d) yields the full (m, t) matrix.  The objectives reduce
-    squared distances and take one square root at the end.
+    ``b`` of shape (t, d) yields the full (m, t) matrix; two single points give a
+    ``numpy.float64``.  The objectives reduce squared distances and take one
+    square root at the end.
+
+    Works one axis at a time.  ``d - rint(d)`` is the signed distance from the
+    lift difference d to the nearest integer and is exact in float for every
+    finite d, so the operands need no reduction and the (m, t) matrix no
+    remainder.  The squares are summed in axis order.
     """
-    d = np.abs(np.asarray(a, dtype=float) - np.asarray(b, dtype=float)) % 1.0
-    d = np.minimum(d, 1.0 - d)
-    return np.einsum("...i,...i->...", d, d)
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    sq = None
+    for k in range(a.shape[-1]):
+        d = a[..., k] - b[..., k]
+        d -= np.rint(d)
+        d *= d
+        if sq is None:
+            sq = d
+        else:
+            sq += d
+    return sq
 
 
 def dist_array(a, b):

@@ -2,6 +2,8 @@
 
 import math
 import random
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -44,7 +46,7 @@ def test_reduce_to_unit_basics():
 
 
 def test_reduce_to_unit_tiny_negative_stays_inside():
-    # x % 1.0 evaluates to exactly 1.0 for tiny negative x; the reduction must not.
+    # x - floor(x) rounds to exactly 1.0 for tiny negative x; the reduction must not.
     out = reduce_to_unit(np.array([-1e-18]))
     assert 0.0 <= out[0] < 1.0
 
@@ -60,6 +62,87 @@ def test_wrap_to_half_window():
     vals = wrap_to_half(np.array([0.75, -0.75, 0.5, -0.5, 0.0]))
     assert vals.tolist() == [-0.25, 0.25, -0.5, -0.5, 0.0]
     assert np.all(vals >= -0.5) and np.all(vals < 0.5)
+
+
+# ---------------------------------------------------------------------------
+# The kernels against the remainder formulas they replaced
+# ---------------------------------------------------------------------------
+
+def remainder_reduce(values):
+    r = np.asarray(values, dtype=float) % 1.0
+    return np.where(r == 1.0, 0.0, r)
+
+
+def remainder_wrap(values):
+    r = (np.asarray(values, dtype=float) + 0.5) % 1.0
+    return np.where(r == 1.0, 0.0, r) - 0.5
+
+
+def remainder_sq_dist(a, b):
+    d = np.abs(np.asarray(a, dtype=float) - np.asarray(b, dtype=float)) % 1.0
+    d = np.minimum(d, 1.0 - d)
+    return np.einsum("...i,...i->...", d, d)
+
+
+def bits(x):
+    return np.asarray(x, dtype=float).view(np.int64)
+
+
+_EDGES = [0.0, -0.0, 1e-300, -1e-300, 1e-18, -1e-18, 0.5, -0.5, 0.25, -0.75,
+          1.0, -1.0, 2.0, -3.0, 7.0, -1e6, 2.0 ** 52, -(2.0 ** 53), 1e17, -1e17,
+          np.nextafter(1.0, 0.0), -np.nextafter(1.0, 0.0), np.nextafter(1.0, 2.0),
+          -np.nextafter(1.0, 2.0), np.nextafter(0.5, 0.0), -np.nextafter(0.5, 1.0)]
+
+
+def _lifts():
+    rng = np.random.default_rng(17)
+    scales = 10.0 ** np.arange(-300, 18, 7)
+    spread = (rng.uniform(-1.0, 1.0, (len(scales), 500)) * scales[:, None]).ravel()
+    return np.concatenate([_EDGES, spread, rng.integers(-10**6, 10**6, 200).astype(float)])
+
+
+def test_reduce_and_wrap_match_the_remainder_formulas_bitwise():
+    x = _lifts()
+    assert np.array_equal(bits(reduce_to_unit(x)), bits(remainder_reduce(x)))
+    assert np.array_equal(bits(wrap_to_half(x)), bits(remainder_wrap(x)))
+    r = reduce_to_unit(x)
+    assert np.all((r >= 0.0) & (r < 1.0))
+    assert np.array_equal(bits(reduce_to_unit(-0.0)), bits(0.0))
+
+
+def test_nan_stays_nan_through_the_kernels():
+    x = np.array([np.nan, 0.25, -np.nan])
+    for out in (reduce_to_unit(x), wrap_to_half(x)):
+        assert np.isnan(out[[0, 2]]).all() and not np.isnan(out[1])
+    assert np.isnan(sq_dist_array([np.nan, 0.2], [0.1, 0.2]))
+    assert np.isnan(sq_dist_array([0.1], [np.nan]))
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_sq_dist_array_matches_the_remainder_formula_bitwise(dim):
+    # the nearest-integer form is exact for every finite difference, so the
+    # match holds for lifts far outside [0, 1) as well as for reduced points
+    rng = np.random.default_rng(23 + dim)
+    lifts = _lifts()
+    for la, lb in ((rng.uniform(-3, 3, (4000, dim)), rng.uniform(-1e-3, 1, (4000, dim))),
+                   (rng.choice(lifts, (4000, dim)), rng.choice(lifts, (4000, dim)))):
+        for a, b in ((la, lb), (reduce_to_unit(la), reduce_to_unit(lb))):
+            assert np.array_equal(bits(sq_dist_array(a, b)), bits(remainder_sq_dist(a, b)))
+            pts, targets = a[:300, None, :], b[:51]
+            got = sq_dist_array(pts, targets)
+            assert got.shape == (300, 51)
+            assert np.array_equal(bits(got), bits(remainder_sq_dist(pts, targets)))
+            assert np.array_equal(bits(sq_dist_array(a, b[7])), bits(remainder_sq_dist(a, b[7])))
+            one = sq_dist_array(a[0], b[0])
+            assert type(one) is np.float64
+            assert bits(one) == bits(remainder_sq_dist(a[0], b[0]))
+
+
+def test_geometry_is_the_only_module_with_a_wrap():
+    wrap = re.compile(r"%\s*1(\.0*)?(?![\d.])|\bnp\.(floor|rint|remainder|fmod|mod)\b")
+    src = Path(__file__).resolve().parent.parent / "src" / "shadowlab"
+    found = {p.name for p in src.glob("*.py") if wrap.search(p.read_text(encoding="utf-8"))}
+    assert found == {"geometry.py"}
 
 
 # ---------------------------------------------------------------------------

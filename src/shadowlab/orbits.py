@@ -43,9 +43,13 @@ TRUE_ORBIT_DELTA = 1e-8
 def _as_coords(x, dim: int | None = None, role: str = "anchor") -> np.ndarray:
     """One point as a 1-D array reduced to the unit cube, of length dim when given.
 
-    ``role`` names the point in the error message.
+    ``role`` names the point in the error messages.  Non-finite coordinates are
+    rejected before the reduction, which would turn them into NaN.
     """
-    arr = x.as_array() if isinstance(x, TorusPoint) else reduce_to_unit(np.asarray(x, dtype=float))
+    arr = x.as_array() if isinstance(x, TorusPoint) else np.asarray(x, dtype=float)
+    if not np.isfinite(arr).all():
+        raise ValueError(f"{role} coordinates must be finite, got {np.atleast_1d(arr).tolist()}")
+    arr = reduce_to_unit(arr)
     if arr.ndim == 0:
         arr = arr[None]
     if dim is not None and arr.shape != (dim,):

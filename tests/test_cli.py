@@ -1,8 +1,8 @@
 """End-to-end tests for the command line interface.
 
 Everything runs in-process through ``cli.main(argv)`` so exit codes and
-emitted JSON/CSV can be asserted without spawning subprocesses; the one
-exception checks stderr as a fresh interpreter prints it, warnings included.
+emitted JSON/CSV can be asserted without spawning subprocesses; the
+exceptions check stderr as a fresh interpreter prints it, warnings included.
 """
 
 import inspect
@@ -392,12 +392,24 @@ def test_bad_point_exits_two_naming_the_problem(x, message, capsys):
         ["check", "inverse", "--system", "identity2", "--method",
          '{"kind":"translate-block","delta":0.01,"block":null}',
          "--x", "0,0", "--eps", "0.1", "--N", "5"],
+        ["check", "weak", "--system", "cat", "--method", "same",
+         "--x", "nan,0.3", "--eps", "0.1", "--N", "5"],
     ],
 )
 def test_spec_errors_exit_two_with_message(argv, capsys):
     rc, _, err = run_cli(argv, capsys)
     assert rc == 2
     assert err.startswith("shadowlab: error:")
+
+
+def run_fresh_check(args, cwd):
+    """``shadowlab check ARGS`` in a fresh interpreter, so numpy warnings reach stderr as a user sees them."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
+    return subprocess.run(
+        [sys.executable, "-m", "shadowlab.cli", "check", *args],
+        cwd=cwd, env=env, capture_output=True, text=True, timeout=120,
+    )
 
 
 @pytest.mark.parametrize(
@@ -407,16 +419,18 @@ def test_spec_errors_exit_two_with_message(argv, capsys):
     ids=["system", "method"],
 )
 def test_non_finite_rotation_prints_only_the_error_line(maps, tmp_path):
-    # a fresh interpreter, so that numpy warnings reach stderr as a user sees them
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
-    proc = subprocess.run(
-        [sys.executable, "-m", "shadowlab.cli", "check", "inverse", *maps,
-         "--x", "0", "--eps", "0.1", "--N", "5"],
-        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
-    )
+    proc = run_fresh_check(["inverse", *maps, "--x", "0", "--eps", "0.1", "--N", "5"], tmp_path)
     assert proc.returncode == 2
     assert proc.stderr == "shadowlab: error: theta must be finite, got inf\n"
+
+
+@pytest.mark.parametrize("x, shown", [("inf,0.3", "[inf, 0.3]"), ("0.2,-inf", "[0.2, -inf]"),
+                                      ("nan,0.3", "[nan, 0.3]")])
+def test_non_finite_point_prints_only_the_error_line(x, shown, tmp_path):
+    proc = run_fresh_check(["weak", "--system", "cat", "--method", "same", "--x", x,
+                            "--eps", "0.1", "--N", "5"], tmp_path)
+    assert proc.returncode == 2
+    assert proc.stderr == f"shadowlab: error: anchor coordinates must be finite, got {shown}\n"
 
 
 @pytest.mark.parametrize("flag", ["--theta", "--n-methods"])

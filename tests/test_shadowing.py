@@ -819,6 +819,16 @@ def test_bad_seed_is_named_as_a_seed():
         check_inverse_shadowing(f, m, (0.1, 0.2, 0.3), 0.01, 3)
 
 
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+def test_non_finite_points_are_rejected_by_role(bad):
+    f = cat_map()
+    m = method_from_map(f, f, 3)
+    with pytest.raises(ValueError, match=r"^seed coordinates must be finite, got \["):
+        check_inverse_shadowing(f, m, (0.2, 0.3), 0.01, 3, seeds=[(bad, 0.1)])
+    with pytest.raises(ValueError, match=r"^anchor coordinates must be finite, got \[0\.2, "):
+        check_weak_inverse(f, m, (0.2, bad), 0.01, 3)
+
+
 def test_verdicts_identical_across_thread_counts():
     sh = shear_map()
     m = drift_method(sh, 0.01, 25)

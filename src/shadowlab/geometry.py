@@ -5,7 +5,8 @@ on the flat quotient: the minimum over integer translates of a lift.  Because
 the lattice is a product of unit lattices, the minimum decomposes per axis,
 which is what the array kernels below implement; the three-translates-per-axis
 enumeration is kept as the reference in the test suite.  This module is the
-only place that knows the per-axis wrap formula.
+only place that knows the per-axis wrap formulas: ``v - floor(v)`` for points
+and ``d - rint(d)`` for differences.
 """
 
 from __future__ import annotations

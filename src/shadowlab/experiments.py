@@ -310,7 +310,7 @@ def run_drift_orbital(delta: float = 0.01, eps: float = 0.1, N: int = 25,
     base "neutral" is the identity construction of :func:`run_drift_weak`; the
     orbital objective coincides with the weak one there and fails at the same
     N*delta bound.  base "cat" runs the identical translation drift on top of
-    the cat map, where the exact affine solver produces a tracking point and
+    the cat map, where the Newton solver produces a tracking point and
     the check comes back tracked -- the dichotomy in one switch.
     """
     _check_drift_args(delta, eps, N, grid)

@@ -8,15 +8,16 @@ and orbital inverse shadowing (both one-sided inclusions).
 
 The existential quantifier "there is y" is realized in three stages, which
 ``_search`` sequences: a candidate pass over explicit points (the anchor,
-caller-provided seeds, a solver output), a covering, and a certifier that,
-when nothing tracked, issues a Lipschitz covering certificate or says why
-none holds.  The covering walks nested dyadic lattices from coarse to fine
-(branch and bound after Piyavskii and Shubert): a lattice point's cell is
-settled once its value minus lipschitz_bound * (cell diameter) / 2 exceeds
-eps, and every other cell is split, down to the requested lattice; local
-refinement around the least unsettled value follows.  A certificate means
-every cell is settled, so *no* point of the continuum tracks at this horizon
-— failure is a finite proof, not sampling evidence.
+caller-provided seeds, then the Newton solver's output, computed only if
+those miss), a covering, and a certifier that, when nothing tracked, issues
+a Lipschitz covering certificate or says why none holds.  The covering
+walks nested dyadic lattices from coarse to fine (branch and bound after
+Piyavskii and Shubert): a lattice point's cell is settled once its value
+minus lipschitz_bound * (cell diameter) / 2 exceeds eps, and every other
+cell is split, down to the requested lattice; local refinement around the
+least unsettled value follows.  A certificate means every cell is settled,
+so *no* point of the continuum tracks at this horizon — failure is a finite
+proof, not sampling evidence.
 
 On failed and inconclusive records, ``min_over_grid`` and ``grid_step`` are
 the value and covering diameter (per-axis spacing times sqrt(dim)) of the
@@ -33,6 +34,7 @@ level that has one.
 
 from __future__ import annotations
 
+import itertools
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
@@ -156,7 +158,7 @@ class ShadowVerdict:
 # ---------------------------------------------------------------------------
 
 def solve_tracking_constant(A) -> float:
-    """K with achieved <= K * delta for the affine solver: cond(V) * geometric-series factor."""
+    """K with achieved <= K * delta for :func:`shadow_solve_linear`: cond(V) * geometric-series factor."""
     aut = A if isinstance(A, LinearAutomorphism) else LinearAutomorphism(A)
     eigen = _hyperbolic_eigen(aut.matrix.astype(float))
     if eigen is None:
@@ -419,7 +421,7 @@ def _refine(objective, center: np.ndarray, step: float):
 
 
 def _candidate_pass(objective, candidates, eps: float, counters: dict):
-    """(point, value, note) of the first candidate below eps, in list order, or None."""
+    """(point, value, note) of the first candidate below eps, or None; stops drawing at the hit."""
     for name, pt in candidates:
         v = float(objective(pt[None, :])[0])
         counters["candidate_evaluations"] = counters.get("candidate_evaluations", 0) + 1
@@ -538,22 +540,18 @@ def _search(objective, dim: int, eps: float, grid_step: float, candidates, lip_b
 # ---------------------------------------------------------------------------
 
 def _solver_candidate(driver: SystemMap, targets: np.ndarray, delta_hint: float, counters: dict):
-    """(name, point) tracking the target sequence under driver's dynamics, if a solver applies."""
+    """Yield ("newton solver", point) when Newton finds a driver orbit near the targets.
+
+    A generator, so Newton runs only if the candidate pass gets this far.
+    """
     try:
         po = PseudoOrbit.checked(driver, targets, max(delta_hint * 1.01 + 1e-12, 2 * TRUE_ORBIT_DELTA))
     except ValueError:
-        return None
-    if driver.linear_part is not None and driver.dim == 2:
-        eigen = _hyperbolic_eigen(driver.linear_part.astype(float))
-        if eigen is not None:
-            c = driver.forward(np.zeros(2))
-            z, _ = _affine_correct(driver.linear_part.astype(float), c, po.as_array(), eigen)
-            return "affine solver", z[po.horizon]
+        return
     res = shadow_solve_newton(driver, po, tol=1e-9, max_iter=30)
     counters["newton_iterations"] = counters.get("newton_iterations", 0) + res.iterations
     if res.converged:
-        return "newton solver", res.points[po.horizon]
-    return None
+        yield "newton solver", res.points[po.horizon]
 
 
 def _run_check(property_name: str, f: SystemMap, m: MethodSpec, x, eps: float,
@@ -586,9 +584,7 @@ def _run_check(property_name: str, f: SystemMap, m: MethodSpec, x, eps: float,
         lip = None
     else:
         objective = partial(_objective_core, driver, targets, N=N, mode=mode)
-        cand = _solver_candidate(driver, targets, m.delta, counters)
-        if cand is not None:
-            candidates.append(cand)
+        candidates = itertools.chain(candidates, _solver_candidate(driver, targets, m.delta, counters))
         lip = horizon_lipschitz_bound(driver, N)
 
     fields = _search(objective, f.dim, eps, grid_step, candidates, lip,

@@ -14,7 +14,7 @@ row with two methods (each inverse witness seeds the set checks), a zero drift
 on the rotation in the dichotomy and in the gallery, and a drift-inverse run
 whose 2*eps is too wide for an anchor separation.  The checks run with
 ``--timings`` and together cover all four properties, all three outcomes,
-witnesses from the anchor, the affine solver, Newton, the grid and refinement,
+witnesses from the anchor, Newton, the grid and refinement,
 a raw ``random:`` method (also as the pseudo-orbit of a direct check), both
 the circle and the torus, and every derived map constructor: translation
 drifts, the block drift, and shear-sin and translation perturbations.  The

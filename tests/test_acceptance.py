@@ -172,7 +172,7 @@ def test_criterion_07_perturbed_cat_map_always_tracks():
         m = method_from_map(f, g, 30)
         v = check_inverse_shadowing(f, m, x, 0.1, 30, grid_step=1 / 64)
         assert v.outcome == "tracked", s
-        assert v.note in ("witness from newton solver", "witness from affine solver")
+        assert v.note == "witness from newton solver"
 
         true_pts = orbit_segment(f, x, 30).as_array()
         rep = shadow_solve_newton(g, PseudoOrbit.checked(g, true_pts, m.delta))

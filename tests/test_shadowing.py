@@ -93,7 +93,7 @@ def raw_drift_method(N):
 
 
 # ---------------------------------------------------------------------------
-# tracking constant and the affine solver
+# tracking constant and the eigenline-split linear solver
 # ---------------------------------------------------------------------------
 
 
@@ -458,13 +458,13 @@ def test_witness_from_newton_solver_on_the_shear():
     assert v.witness.coords == pytest.approx((0.004545454545454529, 0.95), abs=1e-9)
 
 
-def test_witness_from_affine_solver_on_the_cat():
+def test_witness_from_newton_solver_on_the_cat():
     f = cat_map()
     m = drift_method(f, 0.01, 10)
     v = check_inverse_shadowing(f, m, (0.2, 0.3), 0.1, 10)
     assert v.outcome == "tracked"
-    assert v.note == "witness from affine solver"
-    assert v.achieved == pytest.approx(0.0099993389522385, rel=1e-9)
+    assert v.note == "witness from newton solver"
+    assert v.achieved == pytest.approx(0.009999086465999457, rel=1e-9)
     assert v.achieved <= K_CAT * m.delta
 
 
@@ -580,8 +580,8 @@ def test_direct_shadowing_tracks_raw_noise():
     f = cat_map()
     v = check_direct_shadowing(f, random_method(f, 1e-3, 0), (0.2, 0.3), 0.1, 20)
     assert v.outcome == "tracked"
-    assert v.note == "witness from affine solver"
-    assert v.achieved == pytest.approx(0.000866646385582305, rel=1e-9)
+    assert v.note == "witness from newton solver"
+    assert v.achieved == pytest.approx(0.0008666463937806158, rel=1e-9)
     assert v.achieved <= K_CAT * 1e-3
 
 

@@ -69,11 +69,9 @@ from .shadowing import (
 )
 from .hyperbolicity import (
     AnosovCertificate,
-    ConeReport,
     PeriodicPointRecord,
     anosov_certificate_linear,
     classify_periodic,
-    cone_criterion,
     periodic_points_linear,
 )
 from .experiments import (

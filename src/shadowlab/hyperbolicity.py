@@ -13,17 +13,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import TorusPoint, lattice_points, torus_dist
+from .geometry import TorusPoint, torus_dist
 from .systems import LinearAutomorphism, SystemMap, _hyperbolic_eigen
 
 __all__ = [
     "PeriodicPointRecord",
     "AnosovCertificate",
-    "ConeReport",
     "periodic_points_linear",
     "classify_periodic",
     "anosov_certificate_linear",
-    "cone_criterion",
 ]
 
 HYPERBOLICITY_TOL = 1e-9
@@ -230,78 +228,3 @@ def anosov_certificate_linear(A) -> AnosovCertificate | None:
         stable=(float(v_s[0]), float(v_s[1])),
         unstable=(float(v_u[0]), float(v_u[1])),
     )
-
-
-@dataclass(frozen=True)
-class ConeReport:
-    """Outcome of the invariant-cone check; truthy iff both cone conditions hold."""
-
-    ok: bool
-    expansion: float    # worst growth factor of unstable-cone vectors under Df
-    contraction: float  # worst growth factor of stable-cone vectors under Df^{-1}
-    margin: float       # opening minus the widest image slope (positive = strictly inside)
-
-    def __bool__(self) -> bool:
-        return self.ok
-
-
-def cone_criterion(f: SystemMap, opening: float = 0.2, grid: int = 64, iterations: int = 1) -> ConeReport:
-    """Check that Df maps the unstable cone strictly into itself with expansion > 1
-    (and Df^{-1} the stable cone), over a grid of base points.
-
-    Cones are slope bands around the eigendirections of the map's reference
-    linear model.  False is a verdict, not an error: neutral maps simply have
-    no expanding cone.
-    """
-    if f.dim != 2:
-        raise ValueError("cone fields are defined on the 2-torus only")
-    if not 0.0 < opening < 1.0:
-        raise ValueError("opening must lie in (0, 1)")
-    if grid < 1 or iterations < 1:
-        raise ValueError("grid and iterations must be at least 1")
-
-    ref = f.reference_matrix if f.reference_matrix is not None else np.eye(2, dtype=np.int64)
-    w, V = np.linalg.eig(np.asarray(ref, dtype=float))
-    if np.iscomplexobj(w) and np.abs(w.imag).max() > 1e-12:
-        E = np.eye(2)  # no real eigendirections; the check will simply fail
-    else:
-        order = np.argsort(-np.abs(w.real))
-        E = V.real[:, order]
-        E = E / np.linalg.norm(E, axis=0, keepdims=True)
-    if abs(np.linalg.det(E)) < 1e-12:
-        E = np.eye(2)  # defective (single eigendirection): fall back to a basis
-    Einv = np.linalg.inv(E)
-
-    pts = lattice_points(grid, 2, offset=0.5)
-
-    # Accumulated forward and backward Jacobians over `iterations` steps.
-    Jf = np.broadcast_to(np.eye(2), (len(pts), 2, 2)).copy()
-    z = pts
-    for _ in range(iterations):
-        Jf = np.asarray(f.differential(z), dtype=float) @ Jf
-        z = f.forward(z)
-    Jb = np.broadcast_to(np.eye(2), (len(pts), 2, 2)).copy()
-    z = pts
-    for _ in range(iterations):
-        z = f.backward(z)
-        Jb = np.linalg.inv(np.asarray(f.differential(z), dtype=float)) @ Jb
-
-    slopes = np.linspace(-opening, opening, 17)
-
-    def worst(J, around_unstable: bool):
-        Jt = Einv[None] @ J @ E[None]
-        if around_unstable:
-            vin = np.stack([np.ones_like(slopes), slopes], axis=0)  # (2, S)
-        else:
-            vin = np.stack([slopes, np.ones_like(slopes)], axis=0)
-        vout = Jt @ vin[None]  # (B, 2, S)
-        main, off = (0, 1) if around_unstable else (1, 0)
-        new_slope = np.abs(vout[:, off, :]) / np.maximum(np.abs(vout[:, main, :]), 1e-300)
-        growth = np.sqrt((vout ** 2).sum(axis=1) / (vin ** 2).sum(axis=0)[None])
-        return float(new_slope.max()), float(growth.min())
-
-    u_slope, u_growth = worst(Jf, around_unstable=True)
-    s_slope, s_growth = worst(Jb, around_unstable=False)
-    margin = opening - max(u_slope, s_slope)
-    ok = bool(margin > 0.0 and u_growth > 1.0 and s_growth > 1.0)
-    return ConeReport(ok=ok, expansion=u_growth, contraction=s_growth, margin=margin)

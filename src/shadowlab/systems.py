@@ -10,9 +10,8 @@ Three primitives write out their own actions: toral automorphisms, the
 translation x -> x + v (a circle rotation is one), and a sine shear.  Every
 other map is built by ``_compose``, the one place that knows how maps compose:
 forward is outer after inner, backward runs the inverses in reverse order, the
-differential follows the chain rule, and the Lipschitz bounds, linear parts and
-reference matrices multiply.  A drift is ``translate(delta) o f`` and a
-perturbation is ``f o tau``.
+differential follows the chain rule, and the Lipschitz bounds and linear parts
+multiply.  A drift is ``translate(delta) o f`` and a perturbation is ``f o tau``.
 
 Volume preservation is measured as ``| |det Df| - 1 |`` so that
 orientation-reversing automorphisms (det = -1) count as measure-preserving.
@@ -147,13 +146,6 @@ class LinearAutomorphism:
         adj = np.array([[m[1, 1], -m[0, 1]], [-m[1, 0], m[0, 0]]], dtype=np.int64)
         return adj * self.det
 
-    def eigenvalues(self) -> np.ndarray:
-        return np.linalg.eigvals(self.matrix.astype(float))
-
-    def is_hyperbolic(self, tol: float = 1e-9) -> bool:
-        """No eigenvalue modulus inside the band [1 - tol, 1 + tol]."""
-        return bool(np.all(np.abs(np.abs(self.eigenvalues()) - 1.0) > tol))
-
 
 @dataclass(frozen=True, eq=False)
 class SystemMap:
@@ -164,8 +156,7 @@ class SystemMap:
     of shape (..., dim, dim).  ``lip_forward`` / ``lip_backward`` are declared
     upper bounds for the Lipschitz constant of a single application (exact for
     affine maps).  ``linear_part`` is the constant integer linear part when the
-    map is affine, else None; ``reference_matrix`` is the underlying linear
-    model, kept across compositions, for cone constructions.
+    map is affine, else None.
     """
 
     label: str
@@ -177,7 +168,6 @@ class SystemMap:
     lip_backward: float = field(repr=False, default=1.0)
     descriptor: dict = field(repr=False, default_factory=dict)
     linear_part: np.ndarray | None = field(repr=False, default=None)
-    reference_matrix: np.ndarray | None = field(repr=False, default=None)
 
     def apply(self, p: TorusPoint) -> TorusPoint:
         return TorusPoint.from_array(self.forward(p.as_array()))
@@ -227,7 +217,6 @@ def make_linear(A, label: str | None = None) -> SystemMap:
         lip_backward=spectral_norm(Ainv),
         descriptor={"kind": "linear", "matrix": [[int(v) for v in row] for row in aut.matrix]},
         linear_part=aut.matrix.copy(),
-        reference_matrix=aut.matrix.copy(),
     )
     return _construction_check(m)
 
@@ -235,7 +224,6 @@ def make_linear(A, label: str | None = None) -> SystemMap:
 def _translation(v) -> SystemMap:
     """The translation x -> x + v (mod 1): linear part I and a unit differential."""
     v = np.asarray(v, dtype=float)
-    eye = np.eye(v.size, dtype=np.int64)
 
     def shift(x, sign):
         return reduce_to_unit(np.asarray(x, dtype=float) + sign * v)
@@ -246,16 +234,14 @@ def _translation(v) -> SystemMap:
         forward=partial(shift, sign=1.0),
         backward=partial(shift, sign=-1.0),
         differential=partial(_constant_differential, M=np.eye(v.size)),
-        linear_part=eye,
-        reference_matrix=eye,
+        linear_part=np.eye(v.size, dtype=np.int64),
     )
 
 
 def _sine_shear(delta: float, axis: int, phase: float) -> SystemMap:
     """Shift coordinate ``axis`` by delta*sin(2*pi*(other + phase)); unit determinant.
 
-    Not affine, so it has no linear part; its reference matrix is I, so a
-    composition keeps the reference matrix of the other part.
+    Not affine, so it has no linear part, and neither has any composition with it.
     """
     other = 1 - axis
     c = 2.0 * math.pi * delta
@@ -282,7 +268,6 @@ def _sine_shear(delta: float, axis: int, phase: float) -> SystemMap:
         differential=diff,
         lip_forward=factor,
         lip_backward=factor,
-        reference_matrix=np.eye(2, dtype=np.int64),
     )
 
 
@@ -302,9 +287,6 @@ def _compose(outer: SystemMap, inner: SystemMap, label: str, descriptor: dict) -
     def diff(x):
         return outer.differential(inner.forward(x)) @ inner.differential(x)
 
-    def product(a, b):
-        return None if a is None or b is None else a @ b
-
     m = SystemMap(
         label=label,
         dim=inner.dim,
@@ -314,8 +296,8 @@ def _compose(outer: SystemMap, inner: SystemMap, label: str, descriptor: dict) -
         lip_forward=outer.lip_forward * inner.lip_forward,
         lip_backward=outer.lip_backward * inner.lip_backward,
         descriptor=descriptor,
-        linear_part=product(outer.linear_part, inner.linear_part),
-        reference_matrix=product(outer.reference_matrix, inner.reference_matrix),
+        linear_part=(None if outer.linear_part is None or inner.linear_part is None
+                     else outer.linear_part @ inner.linear_part),
     )
     return _construction_check(m)
 

@@ -1,4 +1,4 @@
-"""Periodic-point enumeration, classification, certificates, and cone checks.
+"""Periodic-point enumeration, classification, and certificates.
 
 The enumeration tests lean on two independent oracles: the exact integer
 determinant |det(A^n - I)| (computed with numpy's integer arithmetic, not the
@@ -16,16 +16,11 @@ from shadowlab import (
     AnosovCertificate,
     anosov_certificate_linear,
     cat_map,
-    circle_identity,
     classify_periodic,
-    cone_criterion,
     dist_array,
-    make_conservative_perturbation,
     make_rotation,
-    make_translation_method_map,
     periodic_points_linear,
     shear_map,
-    torus_identity,
 )
 
 CAT = np.array([[2, 1], [1, 1]])
@@ -225,56 +220,3 @@ def test_certificate_record_keys():
     assert set(rec) == {"lambda", "C", "stable", "unstable"}
     assert json.loads(json.dumps(rec)) == rec
     assert isinstance(anosov_certificate_linear(CAT), AnosovCertificate)
-
-
-# ---------------------------------------------------------------------------
-# cone criterion
-# ---------------------------------------------------------------------------
-
-
-def test_cone_criterion_accepts_the_cat():
-    r = cone_criterion(cat_map())
-    assert r.ok and bool(r)
-    assert r.expansion == pytest.approx(2.5682862228910577, rel=1e-9)
-    assert r.contraction == pytest.approx(2.5682862228910577, rel=1e-9)
-    assert r.margin == pytest.approx(0.17082039324993678, rel=1e-9)
-
-
-def test_cone_expansion_compounds_over_iterations():
-    one = cone_criterion(cat_map())
-    two = cone_criterion(cat_map(), iterations=2)
-    assert two.ok
-    assert two.expansion > one.expansion
-    assert two.expansion == pytest.approx(6.721060843263072, rel=1e-9)
-
-
-def test_cones_survive_small_conservative_perturbations():
-    g = make_conservative_perturbation(cat_map(), 1e-3, "shear-sin", seed=4)
-    r = cone_criterion(g)
-    assert r.ok
-    assert r.expansion == pytest.approx(2.560241913514246, rel=1e-9)
-    assert r.margin > 0.16
-    assert cone_criterion(make_translation_method_map(cat_map(), 1e-3)).ok
-
-
-def test_cone_criterion_rejects_neutral_maps():
-    rs = cone_criterion(shear_map())
-    assert not rs
-    assert rs.margin == -1.0
-    ri = cone_criterion(torus_identity())
-    assert not ri.ok
-    assert ri.expansion == 1.0
-    assert ri.margin == 0.0
-
-
-def test_cone_criterion_input_gates():
-    with pytest.raises(ValueError):
-        cone_criterion(circle_identity())
-    with pytest.raises(ValueError):
-        cone_criterion(cat_map(), opening=0.0)
-    with pytest.raises(ValueError):
-        cone_criterion(cat_map(), opening=1.2)
-    with pytest.raises(ValueError):
-        cone_criterion(cat_map(), grid=0)
-    with pytest.raises(ValueError):
-        cone_criterion(cat_map(), iterations=0)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from shadowlab.geometry import TorusPoint, dist_array, torus_dist
+from shadowlab.hyperbolicity import anosov_certificate_linear
 from shadowlab.systems import (
     CAT_MATRIX,
     GOLDEN_ROTATION,
@@ -69,16 +70,15 @@ def test_integer_inverse_is_exact():
 
 
 def test_hyperbolicity_classification():
-    assert LinearAutomorphism(CAT_MATRIX).is_hyperbolic()
-    assert not LinearAutomorphism(SHEAR_MATRIX).is_hyperbolic()
-    assert not LinearAutomorphism([[0, -1], [1, 0]]).is_hyperbolic()  # rotation by 90°
-    assert not LinearAutomorphism(np.eye(2, dtype=int)).is_hyperbolic()
+    assert anosov_certificate_linear(CAT_MATRIX) is not None
+    assert anosov_certificate_linear(SHEAR_MATRIX) is None
+    assert anosov_certificate_linear([[0, -1], [1, 0]]) is None  # rotation by 90°
+    assert anosov_certificate_linear(np.eye(2, dtype=int)) is None
 
 
 def test_cat_eigenvalues_are_golden():
-    w = sorted(abs(v) for v in LinearAutomorphism(CAT_MATRIX).eigenvalues())
-    assert w[1] == pytest.approx((3 + math.sqrt(5)) / 2, rel=1e-12)
-    assert w[0] == pytest.approx((3 - math.sqrt(5)) / 2, rel=1e-12)
+    # the rate is the stable eigenvalue, and 1 / the unstable one
+    assert anosov_certificate_linear(CAT_MATRIX).rate == pytest.approx((3 - math.sqrt(5)) / 2, rel=1e-12)
 
 
 def test_spectral_norm_closed_form():
@@ -243,23 +243,23 @@ _CAT, _SHEAR = [[2, 1], [1, 1]], [[1, 0], [1, 1]]
 _I2, _I1 = [[1, 0], [0, 1]], [[1]]
 _L_CAT, _L_SHEAR, _L_SIN = 2.618033988749895, 1.618033988749895, 2.6262717045438113
 
-# (linear_part, reference_matrix, lip_forward, lip_backward) per library map, then the block map
+# (linear_part, lip_forward, lip_backward) per library map, then the block map
 _PINNED = [
-    (_CAT, _CAT, _L_CAT, _L_CAT),
-    (_SHEAR, _SHEAR, _L_SHEAR, _L_SHEAR),
-    (_I2, _I2, 1.0, 1.0),
-    (_I1, _I1, 1.0, 1.0),
-    (_I1, _I1, 1.0, 1.0),
-    ([[1, 1], [1, 0]], [[1, 1], [1, 0]], _L_SHEAR, _L_SHEAR),
-    (_SHEAR, _SHEAR, _L_SHEAR, _L_SHEAR),
-    (_I2, _I2, 1.0, 1.0),
-    (_CAT, _CAT, _L_CAT, _L_CAT),
-    (_I1, _I1, 1.0, 1.0),
-    (None, _CAT, _L_SIN, _L_SIN),
-    (None, _CAT, _L_SIN, _L_SIN),
-    (_CAT, _CAT, _L_CAT, _L_CAT),
-    (_I1, _I1, 1.0, 1.0),
-    ([[1, 0], [0, -1]], [[1, 0], [0, -1]], 1.0, 1.0),
+    (_CAT, _L_CAT, _L_CAT),
+    (_SHEAR, _L_SHEAR, _L_SHEAR),
+    (_I2, 1.0, 1.0),
+    (_I1, 1.0, 1.0),
+    (_I1, 1.0, 1.0),
+    ([[1, 1], [1, 0]], _L_SHEAR, _L_SHEAR),
+    (_SHEAR, _L_SHEAR, _L_SHEAR),
+    (_I2, 1.0, 1.0),
+    (_CAT, _L_CAT, _L_CAT),
+    (_I1, 1.0, 1.0),
+    (None, _L_SIN, _L_SIN),
+    (None, _L_SIN, _L_SIN),
+    (_CAT, _L_CAT, _L_CAT),
+    (_I1, 1.0, 1.0),
+    ([[1, 0], [0, -1]], 1.0, 1.0),
 ]
 
 
@@ -267,12 +267,11 @@ _PINNED = [
 def test_linear_data_and_lipschitz_bounds_are_pinned(idx):
     maps = library_maps() + [make_translation_method_map(torus_identity(), 0.01, block=-1)]
     f = maps[idx]
-    linear, reference, lip_f, lip_b = _PINNED[idx]
-    for got, want in ((f.linear_part, linear), (f.reference_matrix, reference)):
-        if want is None:
-            assert got is None
-        else:
-            assert got.dtype == np.int64 and got.tolist() == want
+    linear, lip_f, lip_b = _PINNED[idx]
+    if linear is None:
+        assert f.linear_part is None
+    else:
+        assert f.linear_part.dtype == np.int64 and f.linear_part.tolist() == linear
     assert f.lip_forward == lip_f and f.lip_backward == lip_b
 
 

@@ -39,6 +39,18 @@ def reduce_to_unit(values):
     return r
 
 
+def _check_finite(arr: np.ndarray, role: str) -> None:
+    """ValueError naming the first non-finite point of ``arr`` (one point, or one per row).
+
+    Runs before any reduction, which would turn an infinite coordinate into NaN.
+    """
+    if not np.isfinite(arr).all():
+        rows = np.atleast_2d(arr)
+        i = int(np.flatnonzero(~np.isfinite(rows).all(axis=-1))[0])
+        where = f" in row {i}" if arr.ndim == 2 else ""
+        raise ValueError(f"{role} coordinates must be finite, got {rows[i].tolist()}{where}")
+
+
 def wrap_to_half(values):
     """Wrap lift displacements to the symmetric window [-1/2, 1/2)."""
     return reduce_to_unit(np.asarray(values, dtype=float) + 0.5) - 0.5
@@ -96,12 +108,15 @@ class TorusPoint:
 
     Coordinates are reduced to [0,1) at construction, so two representations of
     the same point compare equal as long as their reductions agree bitwise.
+    Non-finite coordinates are rejected.
     """
 
     coords: tuple[float, ...]
 
     def __post_init__(self):
-        arr = reduce_to_unit(np.atleast_1d(np.asarray(self.coords, dtype=float)))
+        arr = np.atleast_1d(np.asarray(self.coords, dtype=float))
+        _check_finite(arr, "point")
+        arr = reduce_to_unit(arr)
         if arr.ndim != 1 or arr.size not in (1, 2):
             raise ValueError(f"phase space is 1- or 2-dimensional, got coords of shape {arr.shape}")
         object.__setattr__(self, "coords", tuple(float(v) for v in arr))

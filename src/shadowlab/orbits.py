@@ -20,7 +20,7 @@ from typing import Callable
 
 import numpy as np
 
-from .geometry import TorusPoint, dist_array, reduce_to_unit
+from .geometry import TorusPoint, _check_finite, dist_array, reduce_to_unit
 from .systems import ConstructionError, SystemMap, c1_distance
 
 __all__ = [
@@ -43,12 +43,10 @@ TRUE_ORBIT_DELTA = 1e-8
 def _as_coords(x, dim: int | None = None, role: str = "anchor") -> np.ndarray:
     """One point as a 1-D array reduced to the unit cube, of length dim when given.
 
-    ``role`` names the point in the error messages.  Non-finite coordinates are
-    rejected before the reduction, which would turn them into NaN.
+    ``role`` names the point in the error messages; non-finite coordinates are rejected.
     """
     arr = x.as_array() if isinstance(x, TorusPoint) else np.asarray(x, dtype=float)
-    if not np.isfinite(arr).all():
-        raise ValueError(f"{role} coordinates must be finite, got {np.atleast_1d(arr).tolist()}")
+    _check_finite(arr, role)
     arr = reduce_to_unit(arr)
     if arr.ndim == 0:
         arr = arr[None]
@@ -100,12 +98,14 @@ class PseudoOrbit:
             raise ValueError("points must be a 2-D array (index, coordinate)")
         if len(arr) != 2 * self.horizon + 1:
             raise ValueError(f"expected {2 * self.horizon + 1} points for horizon {self.horizon}, got {len(arr)}")
+        _check_finite(arr, "pseudo-orbit")
         object.__setattr__(self, "points", reduce_to_unit(arr))
 
     @classmethod
     def checked(cls, f: SystemMap, points, delta_bound: float) -> "PseudoOrbit":
         """Validating constructor: every consecutive gap under f must be < delta_bound."""
         arr = _as_points_array(points, f.dim)
+        _check_finite(arr, "pseudo-orbit")
         if len(arr) % 2 != 1:
             raise ValueError("a two-sided pseudo-orbit needs an odd number of points")
         horizon = (len(arr) - 1) // 2

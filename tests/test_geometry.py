@@ -213,6 +213,14 @@ def test_torus_point_reduces_and_compares():
         TorusPoint((0.1, 0.2, 0.3))
 
 
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+def test_torus_point_rejects_non_finite_coordinates(bad):
+    # checked before the reduction, which would store inf as NaN
+    want = re.escape(f"point coordinates must be finite, got [{bad}, 0.1]")
+    with pytest.raises(ValueError, match=f"^{want}$"):
+        TorusPoint((bad, 0.1))
+
+
 def test_dimension_mismatch_rejected():
     with pytest.raises(ValueError):
         torus_dist(TorusPoint((0.1,)), TorusPoint((0.1, 0.2)))

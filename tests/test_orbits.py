@@ -2,6 +2,8 @@
 
 import io
 import math
+import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -78,6 +80,22 @@ def test_pseudo_orbit_shape_gates():
         PseudoOrbit(points=np.zeros((4, 2)), horizon=2, delta_bound=0.1)  # even count
     with pytest.raises(ValueError):
         PseudoOrbit.checked(cat_map(), np.zeros((1, 2)), 0.1)  # horizon 0
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+def test_pseudo_orbit_rejects_non_finite_rows(bad):
+    f = cat_map()
+    pts = orbit_segment(f, (0.2, 0.3), 3).as_array()
+    pts[4, 1] = bad
+    want = re.escape(f"pseudo-orbit coordinates must be finite, got [{float(pts[4, 0])!r}, {bad}] in row 4")
+
+    def forward(x):
+        raise AssertionError("the map ran on points that were not checked")
+
+    with pytest.raises(ValueError, match=f"^{want}$"):
+        PseudoOrbit.checked(replace(f, forward=forward), pts, 0.1)
+    with pytest.raises(ValueError, match=f"^{want}$"):
+        PseudoOrbit(points=pts, horizon=3, delta_bound=0.1)
 
 
 def test_pseudo_orbit_indexing_and_anchor():

@@ -1,6 +1,6 @@
 """Finding true orbits near noisy ones on the hyperbolic cat map.
 
-The eigenline-split linear solver splits the correction into stable and unstable eigenlines
+The linear solver splits the correction into stable and unstable eigenlines
 and sums each in its contracting direction; the Newton solver works on the
 whole orbit sequence at once.  Both land within the tracking-constant bound
 K * delta.
@@ -32,7 +32,7 @@ pts = (pts + rng.uniform(-2e-4, 2e-4, size=pts.shape)) % 1.0
 po = PseudoOrbit.checked(f, pts, delta)
 
 y, achieved = shadow_solve_linear(f.linear_part, po)
-print("eigenline-split linear solver on a noisy cat orbit")
+print("linear solver on a noisy cat orbit")
 print(f"  shadowing point y = ({y.coords[0]:.9f}, {y.coords[1]:.9f})")
 print(f"  max distance to the pseudo-orbit: {achieved:.6f}  <= K*delta")
 print()

@@ -52,7 +52,6 @@ from .orbits import (
 )
 from .shadowing import (
     NewtonShadowResult,
-    NonHyperbolicError,
     ShadowVerdict,
     check_direct_shadowing,
     check_inverse_shadowing,
@@ -61,9 +60,7 @@ from .shadowing import (
     horizon_lipschitz_bound,
     orbital_objective,
     resolve_threads,
-    shadow_solve_linear,
     shadow_solve_newton,
-    solve_tracking_constant,
     tracking_objective,
     weak_objective,
 )

@@ -23,7 +23,7 @@ import sys
 import time
 
 from .experiments import EXPERIMENTS
-from .orbits import MethodSpec, method_from_map, orbit_csv_text, orbit_segment, random_method, write_orbit_csv
+from .orbits import MethodSpec, method_from_map, orbit_csv_text, orbit_segment, random_method
 from .shadowing import (
     check_direct_shadowing,
     check_inverse_shadowing,
@@ -226,11 +226,7 @@ def _emit(text: str, out: str | None) -> None:
 def cmd_orbit(args: argparse.Namespace) -> int:
     """Write the CSV dump of the true orbit segment through --x."""
     f = parse_system_spec(args.system)
-    po = orbit_segment(f, args.x, args.N)
-    if args.out is None:
-        sys.stdout.write(orbit_csv_text(po))
-    else:
-        write_orbit_csv(po, args.out)
+    _emit(orbit_csv_text(orbit_segment(f, args.x, args.N)), args.out)
     return 0
 
 

@@ -2,9 +2,10 @@
 
 Periodic points of a toral automorphism are lattice points of (A^n - I) and
 are enumerated exactly over the rationals — no floating-point root search can
-miss one.  Classification is an eigenvalue-modulus test with an explicit
-tolerance band around 1; anything inside the band counts as nonhyperbolic,
-which is the conservative call in the regime where neutral directions matter.
+miss one.  Classification is one rule, :func:`_is_hyperbolic`: a 2x2 matrix
+with |det| = 1 has no eigenvalue on the unit circle iff |tr| > |1 + det|,
+which is exact on integer matrices; a 1x1 derivative is hyperbolic when its
+modulus is off 1 by more than a tolerance band.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import TorusPoint, torus_dist
-from .systems import LinearAutomorphism, SystemMap, _hyperbolic_eigen
+from .systems import LinearAutomorphism, SystemMap
 
 __all__ = [
     "PeriodicPointRecord",
@@ -79,10 +80,36 @@ def _mat2_pow(P, n: int):
     return R
 
 
-def _classify_moduli(eigs, tol: float) -> str:
-    if all(abs(abs(ev) - 1.0) > tol for ev in eigs):
-        return "hyperbolic"
-    return "nonhyperbolic"
+def _is_hyperbolic(M) -> bool:
+    """No eigenvalue of M on the unit circle; M is 1x1, or 2x2 with |det| = 1.
+
+    With det = 1 the eigenvalues are lambda and 1/lambda: a conjugate pair on
+    the circle for |tr| < 2, a double +-1 for |tr| = 2, real and off it for
+    |tr| > 2.  With det = -1 they are lambda and -1/lambda, on the circle iff
+    tr = 0.  No eigensolver is involved, so integer matrices get exact answers.
+    """
+    if len(M) == 1:
+        return abs(abs(M[0][0]) - 1.0) > HYPERBOLICITY_TOL
+    tr = M[0][0] + M[1][1]
+    det = M[0][0] * M[1][1] - M[0][1] * M[1][0]
+    return abs(tr) > abs(1 + det)
+
+
+def _hyperbolic_eigen(B: np.ndarray):
+    """(V, lam_u, lam_s) of a hyperbolic 2x2 matrix, unit columns, unstable first.
+
+    Each column is signed so that its first nonzero entry is positive.
+    """
+    w, V = np.linalg.eig(B)
+    order = np.argsort(-np.abs(w))
+    w = w[order]
+    V = V[:, order]
+    for j in range(2):
+        col = V[:, j]
+        col = col / np.linalg.norm(col)
+        lead = col[np.nonzero(np.abs(col) > 1e-14)[0][0]]
+        V[:, j] = col if lead > 0 else -col
+    return V, float(w[0]), float(w[1])
 
 
 def periodic_points_linear(A, n: int) -> list[PeriodicPointRecord]:
@@ -127,7 +154,7 @@ def periodic_points_linear(A, n: int) -> list[PeriodicPointRecord]:
                 point=TorusPoint((p / aD, q / aD)),
                 period=period,
                 eigenvalues=(complex(eigs[0]), complex(eigs[1])),
-                classification=_classify_moduli(eigs, HYPERBOLICITY_TOL),
+                classification="hyperbolic" if _is_hyperbolic(Ap) else "nonhyperbolic",
             )
         )
     return records
@@ -145,7 +172,7 @@ def _minimal_period_numerators(Aint, num: tuple[int, int], den: int, n: int) -> 
     raise AssertionError("point failed to return within n steps")
 
 
-def classify_periodic(f: SystemMap, p, n: int, tol: float = HYPERBOLICITY_TOL) -> PeriodicPointRecord:
+def classify_periodic(f: SystemMap, p, n: int) -> PeriodicPointRecord:
     """Eigenvalue classification of Df over one minimal period at a verified periodic point."""
     if n < 1:
         raise ValueError("n must be at least 1")
@@ -174,24 +201,24 @@ def classify_periodic(f: SystemMap, p, n: int, tol: float = HYPERBOLICITY_TOL) -
         point=pt,
         period=period,
         eigenvalues=eig_pair,
-        classification=_classify_moduli(eigs, tol),
+        classification="hyperbolic" if _is_hyperbolic(J) else "nonhyperbolic",
     )
 
 
 def anosov_certificate_linear(A) -> AnosovCertificate | None:
     """Expansion/contraction certificate for a linear automorphism, or None.
 
-    None is the defined negative outcome (some eigenvalue modulus within
-    1e-12 of 1), not an error.  For a granted certificate the decay
-    inequalities ||A^n v_s|| <= C lambda^n and ||A^{-n} v_u|| <= C lambda^n
-    are re-verified for n = 1..20 before it is returned.
+    None is the defined negative outcome (an eigenvalue on the unit circle,
+    decided exactly by :func:`_is_hyperbolic`), not an error.  For a granted
+    certificate the decay inequalities ||A^n v_s|| <= C lambda^n and
+    ||A^{-n} v_u|| <= C lambda^n are re-verified for n = 1..20 before it is
+    returned.
     """
     aut = A if isinstance(A, LinearAutomorphism) else LinearAutomorphism(A)
-    Af = aut.matrix.astype(float)
-    eigen = _hyperbolic_eigen(Af)
-    if eigen is None:
+    if not _is_hyperbolic(_mat2_int(aut)):
         return None
-    V, _, lam_u, lam_s = eigen
+    Af = aut.matrix.astype(float)
+    V, lam_u, lam_s = _hyperbolic_eigen(Af)
     rate = max(abs(lam_s), 1.0 / abs(lam_u))
     C = float(np.linalg.cond(V))
 
@@ -214,7 +241,7 @@ def anosov_certificate_linear(A) -> AnosovCertificate | None:
             raise AssertionError(f"stable decay inequality violated at n={k}")
         if abs(lam_u) ** -k > C * rate ** k + 1e-9:
             raise AssertionError(f"unstable decay inequality violated at n={k}")
-        if k <= 8:  # matrix powers stay trustworthy while |lam_u|^k * 1e-16 << 1e-9
+        if abs(lam_u) ** k * 2.0 ** -52 <= 1e-12:  # while matrix-power roundoff stays << 1e-9
             Mn = Mn @ Af
             Mi = Mi @ Ainv
             if np.linalg.norm(Mn @ v_s) > C * rate ** k + 1e-9:

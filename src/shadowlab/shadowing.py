@@ -45,15 +45,12 @@ import numpy as np
 
 from .geometry import TorusPoint, dist_array, lattice_points, reduce_to_unit, sq_dist_array, wrap_to_half
 from .orbits import TRUE_ORBIT_DELTA, MethodSpec, PseudoOrbit, _as_coords, _orbit_steps, orbit_segment
-from .systems import LinearAutomorphism, SystemMap, _hyperbolic_eigen, spectral_norm
+from .systems import LinearAutomorphism, SystemMap, spectral_norm
 
 __all__ = [
-    "NonHyperbolicError",
     "ShadowVerdict",
     "NewtonShadowResult",
-    "shadow_solve_linear",
     "shadow_solve_newton",
-    "solve_tracking_constant",
     "check_direct_shadowing",
     "check_inverse_shadowing",
     "check_weak_inverse",
@@ -76,10 +73,6 @@ RAW_GRID_CAP = 20000
 # 2 * REFINE_FACTOR + 1 points per axis, each REFINE_FACTOR times finer.
 REFINE_LEVELS = 2
 REFINE_FACTOR = 8
-
-
-class NonHyperbolicError(ValueError):
-    """The linear shadowing solver needs eigenvalues off the unit circle."""
 
 
 def resolve_threads(threads: int | None = None) -> int:
@@ -154,61 +147,8 @@ class ShadowVerdict:
 
 
 # ---------------------------------------------------------------------------
-# Exact solver for hyperbolic affine maps
+# Sequence-space Newton solver
 # ---------------------------------------------------------------------------
-
-def solve_tracking_constant(A) -> float:
-    """K with achieved <= K * delta for :func:`shadow_solve_linear`: cond(V) * geometric-series factor."""
-    aut = A if isinstance(A, LinearAutomorphism) else LinearAutomorphism(A)
-    eigen = _hyperbolic_eigen(aut.matrix.astype(float))
-    if eigen is None:
-        raise NonHyperbolicError(f"matrix {aut.matrix.tolist()} has an eigenvalue of modulus 1")
-    V, _, lu, ls = eigen
-    cond = float(np.linalg.cond(V))
-    return cond * max(1.0 / (1.0 - abs(ls)), 1.0 / (1.0 - 1.0 / abs(lu)))
-
-
-def _affine_correct(B: np.ndarray, c: np.ndarray, targets: np.ndarray, eigen):
-    """Corrected true-orbit sequence of x -> Bx + c near the target points.
-
-    One-step errors are split into eigencomponents; the stable component is
-    summed forward and the unstable component backward, which is the bounded
-    solution of the correction recursion and is numerically stable (only
-    multiplications by |lambda| < 1 and divisions by |lambda| > 1 occur).
-    """
-    V, Vinv, lu, ls = eigen
-    T = np.asarray(targets, dtype=float)
-    m = len(T)
-    e = wrap_to_half(T[1:] - (T[:-1] @ B.T + c))
-    ehat = e @ Vinv.T
-    uu = np.zeros(m)
-    us = np.zeros(m)
-    for i in range(m - 1):
-        us[i + 1] = ls * us[i] - ehat[i, 1]
-    for i in range(m - 2, -1, -1):
-        uu[i] = (uu[i + 1] + ehat[i, 0]) / lu
-    u = np.stack([uu, us], axis=1) @ V.T
-    z = reduce_to_unit(T + u)
-    achieved = float(dist_array(z, T).max())
-    return z, achieved
-
-
-def shadow_solve_linear(A, po: PseudoOrbit) -> tuple[TorusPoint, float]:
-    """Exact shadowing point for a hyperbolic toral automorphism.
-
-    Returns (y, achieved) where the orbit of y under A stays within
-    ``achieved`` of the pseudo-orbit, and achieved <= K * delta_bound with
-    K = solve_tracking_constant(A).  The achieved value is measured along the
-    corrected sequence, which is what keeps it meaningful at horizons where
-    naive re-iteration of A would amplify float roundoff past the answer.
-    """
-    aut = A if isinstance(A, LinearAutomorphism) else LinearAutomorphism(A)
-    eigen = _hyperbolic_eigen(aut.matrix.astype(float))
-    if eigen is None:
-        raise NonHyperbolicError(f"matrix {aut.matrix.tolist()} has an eigenvalue of modulus 1")
-    z, achieved = _affine_correct(aut.matrix.astype(float), np.zeros(2), po.as_array(), eigen)
-    return TorusPoint.from_array(z[po.horizon]), achieved
-
 
 @dataclass(frozen=True)
 class NewtonShadowResult:

@@ -96,29 +96,6 @@ def det_batch(M) -> np.ndarray:
     return M[..., 0, 0] * M[..., 1, 1] - M[..., 0, 1] * M[..., 1, 0]
 
 
-def _hyperbolic_eigen(B: np.ndarray):
-    """(V, Vinv, lam_u, lam_s) with unit columns (unstable first), or None."""
-    B = np.asarray(B, dtype=float)
-    if B.shape != (2, 2):
-        return None
-    w, V = np.linalg.eig(B)
-    if np.iscomplexobj(w) and np.abs(w.imag).max() > 1e-12:
-        return None
-    w = w.real
-    V = V.real
-    order = np.argsort(-np.abs(w))
-    w = w[order]
-    V = V[:, order]
-    if abs(abs(w[0]) - 1.0) <= 1e-12 or abs(abs(w[1]) - 1.0) <= 1e-12:
-        return None
-    for j in range(2):
-        col = V[:, j]
-        col = col / np.linalg.norm(col)
-        lead = col[np.nonzero(np.abs(col) > 1e-14)[0][0]]
-        V[:, j] = col if lead > 0 else -col
-    return V, np.linalg.inv(V), float(w[0]), float(w[1])
-
-
 @dataclass(frozen=True, eq=False)
 class LinearAutomorphism:
     """An integer 2x2 matrix with |det| = 1, acting on the 2-torus."""

@@ -32,7 +32,6 @@ from shadowlab import (
     periodic_points_linear,
     random_method,
     run_drift_weak,
-    shadow_solve_linear,
     shadow_solve_newton,
     shear_map,
     torus_identity,
@@ -184,8 +183,8 @@ def test_criterion_07_perturbed_cat_map_always_tracks():
     assert time.perf_counter() - t0 < 60.0
 
 
-def test_criterion_08_linear_solver_matches_brute_force():
-    """On 20 random pseudo-orbits of the cat map (N = 5), the linear solver
+def test_criterion_08_newton_solver_matches_brute_force():
+    """On 20 random pseudo-orbits of the cat map (N = 5), the Newton solver
     lands within one 400^2-grid cell of the brute-force argmin, and the grid
     minimum exceeds the solver value by at most the Lipschitz cell bound."""
     f = cat_map()
@@ -202,7 +201,8 @@ def test_criterion_08_linear_solver_matches_brute_force():
         pts = orbit_segment(f, tuple(rng.random(2)), N).as_array()
         pts = (pts + rng.uniform(-1e-4, 1e-4, size=pts.shape)) % 1.0
         po = PseudoOrbit.checked(f, pts, 1e-3)
-        y_star, achieved = shadow_solve_linear(f.linear_part, po)
+        res = shadow_solve_newton(f, po)
+        y_star, achieved = res.point(0, N), res.achieved
 
         objective = np.full(len(grid), -np.inf)
         for k in range(-N, N + 1):

@@ -6,6 +6,7 @@ module's own helpers) and direct iteration of the actual map at every
 enumerated point.
 """
 
+import itertools
 import json
 import math
 
@@ -18,6 +19,7 @@ from shadowlab import (
     cat_map,
     classify_periodic,
     dist_array,
+    make_linear,
     make_rotation,
     periodic_points_linear,
     shear_map,
@@ -25,6 +27,7 @@ from shadowlab import (
 
 CAT = np.array([[2, 1], [1, 1]])
 ROT90 = np.array([[0, -1], [1, 0]])
+PARABOLIC = np.array([[-3, 2], [-2, 1]])  # trace -2: the double eigenvalue -1, not diagonalisable
 LAMBDA_U = (3.0 + math.sqrt(5.0)) / 2.0
 
 
@@ -162,11 +165,14 @@ def test_classify_rejects_non_periodic_points():
         classify_periodic(cat_map(), (0.0, 0.0), 0)
 
 
-def test_classification_band_is_a_parameter():
-    # with an absurdly wide band even the cat looks neutral; the default band
-    # is what gives the standard answer
-    assert classify_periodic(cat_map(), (0.0, 0.0), 1, tol=2.0).classification == "nonhyperbolic"
-    assert classify_periodic(cat_map(), (0.0, 0.0), 1).classification == "hyperbolic"
+def test_parabolic_automorphism_is_nonhyperbolic():
+    # float eig splits the double eigenvalue -1 by about 2e-8; the verdict
+    # must not depend on that split
+    recs = periodic_points_linear(PARABOLIC, 1)
+    assert len(recs) == 4
+    assert {r.classification for r in recs} == {"nonhyperbolic"}
+    r = classify_periodic(make_linear(PARABOLIC), (0.0, 0.0), 1)
+    assert r.classification == "nonhyperbolic"
 
 
 # ---------------------------------------------------------------------------
@@ -213,6 +219,22 @@ def test_asymmetric_automorphism_certificate():
 @pytest.mark.parametrize("matrix", [[[1, 1], [0, 1]], [[1, 0], [0, 1]], [[0, -1], [1, 0]]])
 def test_certificate_refusals(matrix):
     assert anosov_certificate_linear(np.array(matrix)) is None
+
+
+def test_certificate_iff_trace_test_on_all_small_automorphisms():
+    """Every |det| = 1 integer matrix with entries in [-6, 6]: a certificate
+    exactly when no eigenvalue lies on the unit circle, and never an error."""
+    count = 0
+    for a, b, c, d in itertools.product(range(-6, 7), repeat=4):
+        det = a * d - b * c
+        if abs(det) != 1:
+            continue
+        count += 1
+        tr = a + d
+        hyperbolic = (det == 1 and abs(tr) > 2) or (det == -1 and tr != 0)
+        cert = anosov_certificate_linear(np.array([[a, b], [c, d]]))
+        assert (cert is not None) == hyperbolic, (a, b, c, d)
+    assert count == 744
 
 
 def test_certificate_record_keys():

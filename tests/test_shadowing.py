@@ -17,10 +17,10 @@ from hypothesis import given, settings, strategies as st
 from shadowlab import (
     GOLDEN_ROTATION,
     TRUE_ORBIT_DELTA,
-    NonHyperbolicError,
     PseudoOrbit,
     ShadowVerdict,
     TorusPoint,
+    anosov_certificate_linear,
     cat_map,
     check_direct_shadowing,
     check_inverse_shadowing,
@@ -37,10 +37,8 @@ from shadowlab import (
     orbital_objective,
     random_method,
     resolve_threads,
-    shadow_solve_linear,
     shadow_solve_newton,
     shear_map,
-    solve_tracking_constant,
     torus_identity,
     tracking_objective,
     weak_objective,
@@ -50,7 +48,7 @@ from shadowlab.geometry import lattice_points
 from shadowlab.orbits import MethodSpec
 from shadowlab.shadowing import _cover, _min_norm_newton_step
 
-K_CAT = 1.618033988749895  # cond(V) * 1/(1 - lambda_s) for [[2,1],[1,1]]
+K_CAT = 1.618033988749895  # C / (1 - rate) of the Anosov certificate of [[2,1],[1,1]]
 
 
 def drift_method(base, delta, N):
@@ -93,61 +91,30 @@ def raw_drift_method(N):
 
 
 # ---------------------------------------------------------------------------
-# tracking constant and the eigenline-split linear solver
+# tracking constant from the Anosov certificate
 # ---------------------------------------------------------------------------
 
 
 def test_tracking_constant_for_cat_matrix():
-    K = solve_tracking_constant(cat_map().linear_part)
-    assert K == pytest.approx(K_CAT, abs=1e-12)
+    cert = anosov_certificate_linear(cat_map().linear_part)
+    assert cert.C / (1.0 - cert.rate) == K_CAT
     # orthonormal eigenbasis (symmetric matrix), so K is the golden ratio
-    assert K == pytest.approx((1.0 + math.sqrt(5.0)) / 2.0, abs=1e-12)
-
-
-@pytest.mark.parametrize("matrix", [[[1, 0], [1, 1]], [[1, 0], [0, 1]], [[0, -1], [1, 0]]])
-def test_tracking_constant_rejects_unit_modulus(matrix):
-    with pytest.raises(NonHyperbolicError):
-        solve_tracking_constant(np.array(matrix))
-
-
-def test_nonhyperbolic_error_is_a_value_error():
-    assert issubclass(NonHyperbolicError, ValueError)
-
-
-def test_affine_solver_is_exact_on_a_true_orbit():
-    f = cat_map()
-    pts = orbit_segment(f, np.array([0.2, 0.3]), 12).as_array()
-    po = PseudoOrbit.checked(f, pts, TRUE_ORBIT_DELTA)
-    y, achieved = shadow_solve_linear(f.linear_part, po)
-    assert achieved <= 1e-14
-    assert float(dist_array(y.as_array(), np.array([0.2, 0.3]))) <= 1e-12
+    assert K_CAT == pytest.approx((1.0 + math.sqrt(5.0)) / 2.0, abs=1e-12)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2, 3, 4])
 def test_affine_solver_respects_tracking_bound(seed):
-    """achieved <= K * delta at a horizon where naive re-iteration is useless."""
+    """Newton on the affine cat map: achieved <= K * delta at a horizon where
+    naive re-iteration is useless."""
     f = cat_map()
     po = random_method(f, 1e-3, seed).evaluate((0.2, 0.3), 50)
-    y, achieved = shadow_solve_linear(f.linear_part, po)
-    assert 0.0 < achieved <= K_CAT * 1e-3
+    res = shadow_solve_newton(f, po)
+    y = res.point(0, po.horizon)
+    assert 0.0 < res.achieved <= K_CAT * 1e-3
     # independent re-check on the central window, where float iteration of the
     # cat map is still trustworthy (growth 2.618^8 * eps_mach << achieved)
     window = tracking_objective(f, po.as_array()[42:59], y.as_array(), 8)
-    assert window <= achieved + 1e-9
-
-
-def test_affine_solver_frozen_instance():
-    po = random_method(cat_map(), 1e-3, 0).evaluate((0.2, 0.3), 50)
-    _, achieved = shadow_solve_linear(cat_map().linear_part, po)
-    assert achieved == pytest.approx(0.0008347803138961178, rel=1e-12)
-
-
-def test_affine_solver_rejects_shear():
-    sh = shear_map()
-    pts = orbit_segment(sh, np.array([0.1, 0.2]), 3).as_array()
-    po = PseudoOrbit.checked(sh, pts, TRUE_ORBIT_DELTA)
-    with pytest.raises(NonHyperbolicError):
-        shadow_solve_linear(sh.linear_part, po)
+    assert window <= res.achieved + 1e-9
 
 
 # ---------------------------------------------------------------------------

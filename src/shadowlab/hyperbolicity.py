@@ -10,6 +10,7 @@ modulus is off 1 by more than a tolerance band.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -130,17 +131,13 @@ def periodic_points_linear(A, n: int) -> list[PeriodicPointRecord]:
     if D == 0:
         raise ValueError("non-isolated periodic set: det(A^n - I) = 0")
     aD = abs(D)
-    sgn = 1 if D > 0 else -1
     adj = [[M[1][1], -M[0][1]], [-M[1][0], M[0][0]]]
 
-    # x = M^{-1} m = adj(M) m / D; enumerating m over a residue system mod aD
-    # yields every numerator pair exactly once.
-    found: set[tuple[int, int]] = set()
-    for m0 in range(aD):
-        for m1 in range(aD):
-            p = (sgn * (adj[0][0] * m0 + adj[0][1] * m1)) % aD
-            q = (sgn * (adj[1][0] * m0 + adj[1][1] * m1)) % aD
-            found.add((p, q))
+    # x = M^{-1} m = adj(M) m / D for m in Z^2, so the numerator pairs are the
+    # lattice adj(M) Z^2 + aD Z^2 reduced mod aD.  Its Hermite basis (a, b),
+    # (0, c) has a * c = aD, and lists each point once: (i*a, i*b + j*c mod aD).
+    a, b, c = _hermite_basis([(adj[0][0], adj[1][0]), (adj[0][1], adj[1][1]), (aD, 0), (0, aD)])
+    found = {(i * a, (i * b) % c + j * c) for i in range(aD // a) for j in range(aD // c)}
     if len(found) != aD:
         raise AssertionError(f"enumeration produced {len(found)} points, expected {aD}")
 
@@ -158,6 +155,34 @@ def periodic_points_linear(A, n: int) -> list[PeriodicPointRecord]:
             )
         )
     return records
+
+
+def _hermite_basis(gens) -> tuple[int, int, int]:
+    """(a, b, c) with Z(a, b) + Z(0, c) the full-rank lattice that the integer vectors gens span.
+
+    a, c > 0 and 0 <= b < c.  Each vector v is merged with the running basis
+    vector w by the unimodular pair s*w + t*v (first entry gcd(w0, v0)) and
+    (v0/g)*w - (w0/g)*v (first entry 0), whose second entry joins c's gcd.
+    """
+    w0, w1, c = 0, 0, 0
+    for v0, v1 in gens:
+        g, s, t = _ext_gcd(w0, v0)
+        if g == 0:
+            c = math.gcd(c, v1)
+            continue
+        c = math.gcd(c, (v0 // g) * w1 - (w0 // g) * v1)
+        w0, w1 = g, s * w1 + t * v1
+    return w0, w1 % c, c
+
+
+def _ext_gcd(x: int, y: int) -> tuple[int, int, int]:
+    """(g, s, t) with s*x + t*y = g = gcd(x, y) >= 0."""
+    s0, t0, s1, t1 = 1, 0, 0, 1
+    while y:
+        q, x, y = x // y, y, x % y
+        s0, s1 = s1, s0 - q * s1
+        t0, t1 = t1, t0 - q * t1
+    return (x, s0, t0) if x >= 0 else (-x, -s0, -t0)
 
 
 def _minimal_period_numerators(Aint, num: tuple[int, int], den: int, n: int) -> int:

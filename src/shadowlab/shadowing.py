@@ -17,7 +17,13 @@ minus lipschitz_bound * (cell diameter) / 2 exceeds eps, and every other
 cell is split, down to the requested lattice; local refinement around the
 least unsettled value follows.  A certificate means every cell is settled,
 so *no* point of the continuum tracks at this horizon — failure is a finite
-proof, not sampling evidence.
+proof, not sampling evidence.  In the weak and orbital modes a lattice point
+also stops folding its orbit, farthest steps first, once its running max
+passes max(eps, U) + slack, U the least exact leaf margin so far: the
+partial max is a lower bound that already settles the cell (the cut-off
+test of interval branch and bound, after Hansen and Walster).  At the end
+of each level, the stopped leaves whose bound could still undercut U are
+evaluated exactly, so the binding cell is chosen among exact values.
 
 On failed and inconclusive records, ``min_over_grid`` and ``grid_step`` are
 the value and covering diameter (per-axis spacing times sqrt(dim)) of the
@@ -73,6 +79,9 @@ RAW_GRID_CAP = 20000
 # 2 * REFINE_FACTOR + 1 points per axis, each REFINE_FACTOR times finer.
 REFINE_LEVELS = 2
 REFINE_FACTOR = 8
+# Set-mode objectives hold all 2N+1 positions of the points they fold; folding
+# blocks of this many points bounds that memory (1.7 MB at N = 25).
+FOLD_BLOCK = 2048
 
 
 def resolve_threads(threads: int | None = None) -> int:
@@ -255,7 +264,8 @@ def shadow_solve_newton(f: SystemMap, po: PseudoOrbit, tol: float = 1e-10, max_i
 # Tracking objectives (vectorized over candidate points y)
 # ---------------------------------------------------------------------------
 
-def _fold_objective(targets: np.ndarray, steps, n: int, mode: str) -> np.ndarray:
+def _fold_objective(targets: np.ndarray, steps, n: int, mode: str,
+                    stop: float | None = None) -> np.ndarray:
     """Squared objective of n candidates, folded over their orbit positions.
 
     ``steps`` yields (i, z): z holds the candidates' positions (n, dim) at
@@ -263,32 +273,75 @@ def _fold_objective(targets: np.ndarray, steps, n: int, mode: str) -> np.ndarray
     target.  "pointwise" compares z with targets[i]; "weak" compares it with
     the set of distinct targets, and "orbital" also folds the reverse
     inclusion.  max and min are exact, so the order of the steps is free.
+
+    ``stop`` None folds every step of every candidate.  Otherwise a candidate
+    leaves the fold at the first step after which its running max exceeds
+    stop (compared as a distance): it is settled, and its result is that
+    running max, a lower bound of its value with sqrt(result) > stop.  In
+    orbital mode it skips the reverse inclusion, since the forward fold is
+    already a lower bound.  A candidate that never exceeds stop gets its
+    value bit for bit.
     """
     uniq = np.unique(targets, axis=0) if mode != "pointwise" else None
-    acc = np.zeros(n)
+    out = np.empty(n)
+    run = np.zeros(n)  # running max of the candidates still folding
     rmin = np.full((n, len(uniq)), np.inf) if mode == "orbital" else None
+    act = slice(None)  # a view of every candidate until the first one stops
     for i, z in steps:
+        z = z[act]
         if mode == "pointwise":
-            np.maximum(acc, sq_dist_array(z, targets[i]), out=acc)
-            continue
-        D = sq_dist_array(z[:, None, :], uniq[None, :, :])
-        np.maximum(acc, D.min(axis=1), out=acc)
-        if rmin is not None:
-            np.minimum(rmin, D, out=rmin)
-        del D  # free the (n, len(uniq)) matrix before the next step builds its own
+            np.maximum(run, sq_dist_array(z, targets[i]), out=run)
+        else:
+            D = sq_dist_array(z[:, None, :], uniq[None, :, :])
+            np.maximum(run, D.min(axis=1), out=run)
+            if rmin is not None:
+                np.minimum(rmin, D, out=rmin)
+            del D  # free the (n, len(uniq)) matrix before the next step builds its own
+        if stop is not None:
+            keep = np.sqrt(run) <= stop
+            if not keep.all():
+                rows = np.arange(n)[act]
+                out[rows[~keep]] = run[~keep]
+                act, run = rows[keep], run[keep]
+                if rmin is not None:
+                    rmin = rmin[keep]
     if rmin is not None:
-        np.maximum(acc, rmin.max(axis=1), out=acc)
-    return acc
+        np.maximum(run, rmin.max(axis=1), out=run)
+    out[act] = run
+    return out
 
 
-def _objective_core(g: SystemMap, targets: np.ndarray, ys: np.ndarray, N: int, mode: str) -> np.ndarray:
+def _objective_core(g: SystemMap, targets: np.ndarray, ys: np.ndarray, N: int, mode: str,
+                    stop: float | None = None) -> np.ndarray:
+    """The objective of ys; with ``stop``, a value above stop may be a lower bound.
+
+    Set modes fold blocks of FOLD_BLOCK points, farthest steps first (|k| =
+    N, N-1, ..., 0), where the orbits of a drifting method stray most, so a
+    settled point leaves the fold early; pointwise mode folds in orbit order.
+    """
     T = np.asarray(targets, dtype=float)
     if len(T) != 2 * N + 1:
         raise ValueError("targets must cover indices -N..N")
     scalar = ys.ndim == 1
     Y = ys[None, :] if scalar else ys
-    out = np.sqrt(_fold_objective(T, _orbit_steps(g, Y, N), len(Y), mode))
+    if mode == "pointwise":
+        sq = _fold_objective(T, _orbit_steps(g, Y, N), len(Y), mode, stop)
+    else:
+        sq = np.concatenate([_fold_objective(T, _farthest_first(g, B, N), len(B), mode, stop)
+                             for B in np.split(Y, range(FOLD_BLOCK, len(Y), FOLD_BLOCK))])
+    out = np.sqrt(sq)
     return float(out[0]) if scalar else out
+
+
+def _farthest_first(g: SystemMap, y: np.ndarray, N: int):
+    """(i, g^(i-N)(y)) for |i - N| = N, N-1, ..., 0; every position is computed first."""
+    pos = np.empty((2 * N + 1,) + y.shape)
+    for i, z in _orbit_steps(g, y, N):
+        pos[i] = z
+    for k in range(N, 0, -1):
+        yield N + k, pos[N + k]
+        yield N - k, pos[N - k]
+    yield N, pos[N]
 
 
 def tracking_objective(g: SystemMap, targets, ys, N: int):
@@ -370,7 +423,8 @@ def _candidate_pass(objective, candidates, eps: float, counters: dict):
     return None
 
 
-def _cover(objective, dim: int, G: int, eps: float, lip, threads: int, counters: dict):
+def _cover(objective, dim: int, G: int, eps: float, lip, threads: int, counters: dict,
+           stops: bool = False):
     """Coarse-to-fine covering over nested dyadic lattices, then refinement.
 
     Returns (hit or None, binding value, binding covering diameter).  With
@@ -385,6 +439,16 @@ def _cover(objective, dim: int, G: int, eps: float, lip, threads: int, counters:
     value at level G.  The binding cell is the leaf of least margin (ties go
     to the coarser level, then the lower index); the points of the last level
     evaluated are all leaves.
+
+    ``stops`` says that the objective takes a ``stop`` keyword (see
+    ``_fold_objective``).  Lattice points are then evaluated with stop =
+    max(eps, U) + slack, U the least exact leaf margin so far (eps before
+    there is one), so a value above stop may be a lower bound; such a point
+    is still a certified leaf, since its margin exceeds eps.  At the end of
+    each level, the leaves whose lower-bound margin is at most U are
+    evaluated exactly, least bound first, in doubling blocks, until the
+    least remaining bound exceeds U; the binding cell is then chosen among
+    exact values.  Qualifying, unresolved and carried values are exact.
     """
     levels = [G]
     while levels[0] % 2 == 0:
@@ -398,9 +462,13 @@ def _cover(objective, dim: int, G: int, eps: float, lip, threads: int, counters:
     binding = None  # (margin, value, covering diameter, flat index in its level)
     for g in levels:
         todo = idx[new]
+        cover = math.sqrt(dim) / g
+        slack = 0.0 if lip is None else lip * cover / 2.0
+        stop = (eps if binding is None else max(eps, binding[0])) + slack
+        lattice = partial(objective, stop=stop) if stops else objective
 
         def eval_chunk(start: int):
-            return objective(lattice_points(g, dim, idx=todo[start:start + GRID_CHUNK]))
+            return lattice(lattice_points(g, dim, idx=todo[start:start + GRID_CHUNK]))
 
         starts = range(0, len(todo), GRID_CHUNK)
         if threads <= 1 or len(starts) <= 1:
@@ -410,13 +478,23 @@ def _cover(objective, dim: int, G: int, eps: float, lip, threads: int, counters:
                 parts = list(pool.map(eval_chunk, starts))
         vals[new] = np.concatenate(parts)
         counters["grid_points"] = counters.get("grid_points", 0) + len(todo)
-        cover = math.sqrt(dim) / g
-        slack = 0.0 if lip is None else lip * cover / 2.0
+        low = new & (vals > stop) if stops else np.zeros_like(new)  # values that may be lower bounds
         unresolved = np.ones(len(idx), dtype=bool) if lip is None else vals - slack <= eps
         qual = np.flatnonzero(vals < eps)
         last = len(qual) > 0 or g == G or not unresolved.any()
         leaf = np.ones(len(idx), dtype=bool) if last else ~unresolved
         if leaf.any():
+            U = min(binding[0] if binding else math.inf,
+                    float((vals[leaf & ~low] - slack).min(initial=math.inf)))
+            order = np.flatnonzero(leaf & low)
+            order = order[np.argsort(vals[order], kind="stable")]
+            size = 1
+            while len(order) and vals[order[0]] - slack <= U:
+                take = min(size, int(np.searchsorted(vals[order] - slack, U, side="right")))
+                block, order = order[:take], order[take:]
+                vals[block] = objective(lattice_points(g, dim, idx=idx[block]))
+                U = min(U, float((vals[block] - slack).min()))
+                size *= 2
             i = int(np.argmin(np.where(leaf, vals, np.inf)))
             if binding is None or vals[i] - slack < binding[0]:
                 binding = (vals[i] - slack, float(vals[i]), cover, int(idx[i]))
@@ -455,7 +533,7 @@ def _certify(gmin: float, cover: float, lip, eps: float):
 
 
 def _search(objective, dim: int, eps: float, grid_step: float, candidates, lip_bound,
-            threads: int, counters: dict, raw: bool = False):
+            threads: int, counters: dict, raw: bool = False, stops: bool = False):
     """Candidate pass, then covering, then certificate. Returns verdict fields."""
     hit = _candidate_pass(objective, candidates, eps, counters)
     grid = {}
@@ -464,7 +542,7 @@ def _search(objective, dim: int, eps: float, grid_step: float, candidates, lip_b
         cap = int(RAW_GRID_CAP ** (1.0 / dim)) if raw else G
         coarsened = f"grid coarsened to {cap} per axis for a raw method; " if G > cap else ""
         G = min(G, cap)
-        hit, gmin, cover = _cover(objective, dim, G, eps, lip_bound, threads, counters)
+        hit, gmin, cover = _cover(objective, dim, G, eps, lip_bound, threads, counters, stops)
         grid = {"min_over_grid": gmin, "grid_step": cover}
         if hit is None:
             outcome, certified, note = _certify(gmin, cover, lip_bound, eps)
@@ -527,8 +605,10 @@ def _run_check(property_name: str, f: SystemMap, m: MethodSpec, x, eps: float,
         candidates = itertools.chain(candidates, _solver_candidate(driver, targets, m.delta, counters))
         lip = horizon_lipschitz_bound(driver, N)
 
-    fields = _search(objective, f.dim, eps, grid_step, candidates, lip,
-                     workers, counters, raw=driver is None)
+    # Only the set modes stop settled points: the pointwise kernel is so cheap
+    # that the gathers of a shrinking active set cost more than they save.
+    fields = _search(objective, f.dim, eps, grid_step, candidates, lip, workers, counters,
+                     raw=driver is None, stops=driver is not None and mode != "pointwise")
     return ShadowVerdict(
         property_name=property_name,
         epsilon=float(eps),

@@ -105,6 +105,31 @@ def test_records_come_sorted_and_serializable():
     assert json.loads(json.dumps(rec)) == rec
 
 
+def _brute_force_points(A, n):
+    """Every numerator pair of (A^n - I)^-1 Z^2 mod Z^2, from all |D|^2 residues m, as coordinates."""
+    M = np.linalg.matrix_power(np.asarray(A, dtype=np.int64), n) - np.eye(2, dtype=np.int64)
+    D = int(M[0, 0] * M[1, 1] - M[0, 1] * M[1, 0])
+    adj = [[int(M[1, 1]), -int(M[0, 1])], [-int(M[1, 0]), int(M[0, 0])]]
+    aD, sgn = abs(D), (1 if D > 0 else -1)
+    found = {((sgn * (adj[0][0] * m0 + adj[0][1] * m1)) % aD,
+              (sgn * (adj[1][0] * m0 + adj[1][1] * m1)) % aD)
+             for m0 in range(aD) for m1 in range(aD)}
+    return [(p / aD, q / aD) for p, q in sorted(found)]
+
+
+@pytest.mark.parametrize("A,n", [(CAT, n) for n in range(1, 7)]
+                         + [(np.array([[3, 1], [2, 1]]), n) for n in range(1, 5)]
+                         + [(np.array([[1, 1], [1, 0]]), n) for n in range(1, 8)])
+def test_lattice_enumeration_matches_brute_force(A, n):
+    assert [r.point.coords for r in periodic_points_linear(A, n)] == _brute_force_points(A, n)
+
+
+def test_cat_period_eight_points():
+    recs = periodic_points_linear(CAT, 8)
+    assert len(recs) == 2205
+    assert len({r.point.coords for r in recs}) == 2205
+
+
 def test_neutral_rotation_points_are_nonhyperbolic():
     recs = periodic_points_linear(ROT90, 1)
     assert [(r.point.coords, r.period, r.classification) for r in recs] == [

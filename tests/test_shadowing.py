@@ -346,6 +346,25 @@ def test_objective_monotone_in_horizon():
         assert o5 <= o15 + 1e-12 <= o25 + 2e-12
 
 
+@pytest.mark.parametrize("mode", ["pointwise", "weak", "orbital"])
+def test_objective_with_stop_is_exact_or_a_lower_bound_above_stop(mode):
+    sh = shear_map()
+    g = make_translation_method_map(sh, 0.01)
+    targets = orbit_segment(sh, np.array([0.2, 0.3]), 25).as_array()
+    ys = lattice_points(64, 2)
+    exact = shadowing._objective_core(g, targets, ys, 25, mode)
+    assert np.array_equal(exact, shadowing._objective_core(g, targets, ys, 25, mode, stop=math.inf))
+    lowered = 0
+    for stop in np.quantile(exact, [0.05, 0.3, 0.6, 0.95]):
+        value = shadowing._objective_core(g, targets, ys, 25, mode, stop=stop)
+        kept = value <= stop
+        assert np.array_equal(value[kept], exact[kept])
+        assert (value[~kept] <= exact[~kept]).all()
+        assert np.array_equal(kept, exact <= stop)
+        lowered += int((value < exact).sum())
+    assert lowered > 0
+
+
 # ---------------------------------------------------------------------------
 # horizon lipschitz bounds
 # ---------------------------------------------------------------------------
@@ -677,6 +696,74 @@ def test_cover_matches_a_cell_by_cell_oracle(dim, G, seed, lip):
         assert hit is None or hit[2] != _GRID_NOTE
 
 
+def _stopping_cone(dim, seed):
+    """_cone's objective, honouring ``stop`` as _fold_objective does.
+
+    A point's value is the max of three steps, 0.6, 0.85 and 1 times the cone
+    value, which equals the cone value bit for bit.  With ``stop``, a point
+    leaves at the first step whose running max exceeds stop and returns that
+    partial max.  Also returns the batches evaluated with stop, those
+    evaluated without, and a count of the points that stopped.
+    """
+    cone, _, eps = _cone(dim, seed)
+    bounded, exact, stopped = [], [], [0]
+
+    def objective(ys, stop=None):
+        (exact if stop is None else bounded).append(np.array(ys))
+        value = cone(ys)
+        if stop is None:
+            return value
+        run = np.zeros(len(value))
+        active = np.ones(len(value), dtype=bool)
+        for w in (0.6, 0.85, 1.0):
+            run[active] = np.maximum(run[active], w * value[active])
+            active &= run <= stop
+        stopped[0] += int((run < value).sum())
+        return run
+
+    return objective, eps, bounded, exact, stopped
+
+
+def _re_evaluated(exact, counters):
+    """Points evaluated without stop during the levels: all but the trailing refinement batches."""
+    points = np.concatenate(exact) if exact else np.empty((0, 1))
+    return points[:len(points) - counters.get("refinement_points", 0)]
+
+
+# The covering's "done when" test for stopping: same hit, binding cell and work counters.
+@pytest.mark.parametrize("lip", [1.0, 4.0])
+@pytest.mark.parametrize("dim,G", _COVER_GRIDS)
+@pytest.mark.parametrize("seed", range(10))
+def test_cover_is_the_same_with_and_without_stopping(dim, G, seed, lip):
+    cone, _, eps = _cone(dim, 1000 * G + seed)
+    objective, _, bounded, exact, _ = _stopping_cone(dim, 1000 * G + seed)
+    plain, stopping = {}, {}
+    hit, value, cover = _cover(cone, dim, G, eps, lip, 1, plain)
+    s_hit, s_value, s_cover = _cover(objective, dim, G, eps, lip, 1, stopping, stops=True)
+    assert (s_value, s_cover, stopping) == (value, cover, plain)
+    assert (hit is None) == (s_hit is None)
+    if hit is not None:
+        assert np.array_equal(hit[0], s_hit[0]) and hit[1:] == s_hit[1:]
+    # every lattice point is evaluated once with stop; re-evaluations add no new point
+    lattice = np.concatenate(bounded)
+    assert len(lattice) == plain["grid_points"]
+    assert {tuple(p) for p in _re_evaluated(exact, stopping)} <= {tuple(p) for p in lattice}
+
+
+def test_stopping_settles_points_and_re_evaluates_few():
+    """Over all the cone cases above, points do stop, and few are evaluated twice."""
+    stopped = again = total = 0
+    for (dim, G), seed, lip in itertools.product(_COVER_GRIDS, range(10), (1.0, 4.0)):
+        objective, eps, bounded, exact, count = _stopping_cone(dim, 1000 * G + seed)
+        counters = {}
+        _cover(objective, dim, G, eps, lip, 1, counters, stops=True)
+        stopped += count[0]
+        again += len(_re_evaluated(exact, counters))
+        total += counters["grid_points"]
+    assert stopped > total // 10
+    assert 0 < again < stopped
+
+
 @pytest.mark.parametrize("dim,G", _COVER_GRIDS)
 def test_cover_without_a_bound_sweeps_the_whole_lattice(dim, G):
     objective, seen, eps = _cone(dim, G)
@@ -821,6 +908,8 @@ _CHUNK_CASES = {
                           "covering certificate holds"),
     "certified-weak": (check_weak_inverse, "drift", (0.0, 0.0), 0.1, 25, 64,
                        "covering certificate holds"),
+    "certified-orbital": (check_orbital_inverse, "drift", (0.0, 0.0), 0.1, 25, 64,
+                          "covering certificate holds"),
 }
 
 

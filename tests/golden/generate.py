@@ -21,7 +21,10 @@ drifts, the block drift, and shear-sin and translation perturbations.  The
 covering appears in both forms: certified failures settled on coarser levels
 than the requested lattice (the shear drift at level 32, circle and identity
 drifts at levels 2 to 4), and the single sweep of the requested lattice that
-raw methods and a grid too coarse to certify (the shear at grid 8) run.
+raw methods and a grid too coarse to certify (the shear at grid 8) run.  One
+check sweeps the whole default lattice with no usable Lipschitz bound (the
+shear-sin perturbation of the cat at N=40): its 262,144 points run as four
+chunks on the sweep's thread pool.
 """
 
 from __future__ import annotations
@@ -96,6 +99,9 @@ CASES = {
                                    '{"kind":"linear","matrix":[[1,0],[0,-1]]}',
                                    "--method", '{"kind":"translate-block","delta":0.01,"block":-1}',
                                    "--x", "0,0", "--eps", "0.1", "--N", "25", "--grid", "64"],
+    "check-inverse-cat-perturbed-no-bound": ["check", "inverse", "--system", "cat",
+                                             "--method", "perturb:shear-sin:0.001",
+                                             "--x", "0.2,0.3", "--eps", "0.1", "--N", "40"],
 }
 
 

@@ -1,17 +1,19 @@
 """Periodic points, hyperbolicity classification, and expansion certificates.
 
-Periodic points of a toral automorphism are lattice points of (A^n - I) and
-are enumerated exactly over the rationals — no floating-point root search can
-miss one.  Classification is one rule, :func:`_is_hyperbolic`: a 2x2 matrix
-with |det| = 1 has no eigenvalue on the unit circle iff |tr| > |1 + det|,
-which is exact on integer matrices; a 1x1 derivative is hyperbolic when its
-modulus is off 1 by more than a tolerance band.
+Periodic points of a toral automorphism are enumerated exactly over the
+rationals — no floating-point root search can miss one: their numerators mod
+|D| = |det(A^n - I)| are the subgroup generated by the columns of
+adj(A^n - I), listed by closing it under addition.  Eigenvalues and
+classification depend only on the minimal period and are computed once per
+period.  Classification is one rule, :func:`_is_hyperbolic`: a 2x2 matrix with
+|det| = 1 has no eigenvalue on the unit circle iff |tr| > |1 + det|, exact on
+integer matrices; a 1x1 derivative is hyperbolic when its modulus is off 1 by
+more than a tolerance band.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -63,12 +65,6 @@ class AnosovCertificate:
         }
 
 
-def _mat2_int(A) -> list[list[int]]:
-    aut = A if isinstance(A, LinearAutomorphism) else LinearAutomorphism(A)
-    return [[int(aut.matrix[0, 0]), int(aut.matrix[0, 1])],
-            [int(aut.matrix[1, 0]), int(aut.matrix[1, 1])]]
-
-
 def _mat2_mul(P, Q):
     return [[P[0][0] * Q[0][0] + P[0][1] * Q[1][0], P[0][0] * Q[0][1] + P[0][1] * Q[1][1]],
             [P[1][0] * Q[0][0] + P[1][1] * Q[1][0], P[1][0] * Q[0][1] + P[1][1] * Q[1][1]]]
@@ -116,73 +112,57 @@ def _hyperbolic_eigen(B: np.ndarray):
 def periodic_points_linear(A, n: int) -> list[PeriodicPointRecord]:
     """All points of period dividing n for the automorphism A, enumerated exactly.
 
-    Solutions of (A^n - I)x = 0 mod Z^2 form a lattice of exactly
+    Solutions of (A^n - I)x = 0 mod Z^2 form a group of exactly
     |det(A^n - I)| points; they are produced as exact rationals p/|D| via the
     integer adjugate, so the count is structural, not numerical.  Each record
     carries the minimal period (computed by exact iteration on numerators) and
-    the eigenvalue classification of A^period.
+    the eigenvalue classification of A^period, computed once per period.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
-    Aint = _mat2_int(A)
+    Aint = (A if isinstance(A, LinearAutomorphism) else LinearAutomorphism(A)).matrix.tolist()
     An = _mat2_pow(Aint, n)
     M = [[An[0][0] - 1, An[0][1]], [An[1][0], An[1][1] - 1]]
     D = M[0][0] * M[1][1] - M[0][1] * M[1][0]
     if D == 0:
         raise ValueError("non-isolated periodic set: det(A^n - I) = 0")
     aD = abs(D)
-    adj = [[M[1][1], -M[0][1]], [-M[1][0], M[0][0]]]
 
-    # x = M^{-1} m = adj(M) m / D for m in Z^2, so the numerator pairs are the
-    # lattice adj(M) Z^2 + aD Z^2 reduced mod aD.  Its Hermite basis (a, b),
-    # (0, c) has a * c = aD, and lists each point once: (i*a, i*b + j*c mod aD).
-    a, b, c = _hermite_basis([(adj[0][0], adj[1][0]), (adj[0][1], adj[1][1]), (aD, 0), (0, aD)])
-    found = {(i * a, (i * b) % c + j * c) for i in range(aD // a) for j in range(aD // c)}
+    # x = M^{-1} m = adj(M) m / D for m in Z^2, so the numerator pairs mod aD
+    # are the subgroup generated by the columns u, w of adj(M).  With the cycle
+    # of u listed, the multiples of w up to the first one on that cycle pick
+    # one point of each coset, so the sums list every point exactly once.
+    (u0, u1), (w0, w1) = (M[1][1], -M[1][0]), (-M[0][1], M[0][0])
+    cycle = [(0, 0)]
+    while (nxt := ((cycle[-1][0] + u0) % aD, (cycle[-1][1] + u1) % aD)) != (0, 0):
+        cycle.append(nxt)
+    steps = [(0, 0)]  # scanning the cycle list costs at most len(steps) * len(cycle) = aD
+    while (nxt := ((steps[-1][0] + w0) % aD, (steps[-1][1] + w1) % aD)) not in cycle:
+        steps.append(nxt)
+    found = {((p + s) % aD, (q + t) % aD) for p, q in cycle for s, t in steps}
     if len(found) != aD:
         raise AssertionError(f"enumeration produced {len(found)} points, expected {aD}")
 
+    per_period = {}
     records = []
     for p, q in sorted(found):
+        point = TorusPoint((p / aD, q / aD))
         period = _minimal_period_numerators(Aint, (p, q), aD, n)
-        Ap = _mat2_pow(Aint, period)
-        eigs = np.linalg.eigvals(np.array(Ap, dtype=float))
-        records.append(
-            PeriodicPointRecord(
-                point=TorusPoint((p / aD, q / aD)),
-                period=period,
-                eigenvalues=(complex(eigs[0]), complex(eigs[1])),
-                classification="hyperbolic" if _is_hyperbolic(Ap) else "nonhyperbolic",
-            )
-        )
+        if period not in per_period:
+            per_period[period] = _record(point, period, _mat2_pow(Aint, period))
+        records.append(replace(per_period[period], point=point))
     return records
 
 
-def _hermite_basis(gens) -> tuple[int, int, int]:
-    """(a, b, c) with Z(a, b) + Z(0, c) the full-rank lattice that the integer vectors gens span.
-
-    a, c > 0 and 0 <= b < c.  Each vector v is merged with the running basis
-    vector w by the unimodular pair s*w + t*v (first entry gcd(w0, v0)) and
-    (v0/g)*w - (w0/g)*v (first entry 0), whose second entry joins c's gcd.
-    """
-    w0, w1, c = 0, 0, 0
-    for v0, v1 in gens:
-        g, s, t = _ext_gcd(w0, v0)
-        if g == 0:
-            c = math.gcd(c, v1)
-            continue
-        c = math.gcd(c, (v0 // g) * w1 - (w0 // g) * v1)
-        w0, w1 = g, s * w1 + t * v1
-    return w0, w1 % c, c
-
-
-def _ext_gcd(x: int, y: int) -> tuple[int, int, int]:
-    """(g, s, t) with s*x + t*y = g = gcd(x, y) >= 0."""
-    s0, t0, s1, t1 = 1, 0, 0, 1
-    while y:
-        q, x, y = x // y, y, x % y
-        s0, s1 = s1, s0 - q * s1
-        t0, t1 = t1, t0 - q * t1
-    return (x, s0, t0) if x >= 0 else (-x, -s0, -t0)
+def _record(point: TorusPoint, period: int, M) -> PeriodicPointRecord:
+    """Record of a point whose derivative over one minimal period is M (1x1 or 2x2)."""
+    eigs = np.linalg.eigvals(np.array(M, dtype=float))
+    return PeriodicPointRecord(
+        point=point,
+        period=period,
+        eigenvalues=(complex(eigs[0]), complex(eigs[-1])),
+        classification="hyperbolic" if _is_hyperbolic(M) else "nonhyperbolic",
+    )
 
 
 def _minimal_period_numerators(Aint, num: tuple[int, int], den: int, n: int) -> int:
@@ -217,17 +197,7 @@ def classify_periodic(f: SystemMap, p, n: int) -> PeriodicPointRecord:
     J = np.eye(f.dim)
     for k in range(period):
         J = np.asarray(f.differential(orbit[k]), dtype=float) @ J
-    eigs = np.linalg.eigvals(J)
-    if f.dim == 1:
-        eig_pair = (complex(eigs[0]), complex(eigs[0]))
-    else:
-        eig_pair = (complex(eigs[0]), complex(eigs[1]))
-    return PeriodicPointRecord(
-        point=pt,
-        period=period,
-        eigenvalues=eig_pair,
-        classification="hyperbolic" if _is_hyperbolic(J) else "nonhyperbolic",
-    )
+    return _record(pt, period, J)
 
 
 def anosov_certificate_linear(A) -> AnosovCertificate | None:
@@ -240,7 +210,7 @@ def anosov_certificate_linear(A) -> AnosovCertificate | None:
     returned.
     """
     aut = A if isinstance(A, LinearAutomorphism) else LinearAutomorphism(A)
-    if not _is_hyperbolic(_mat2_int(aut)):
+    if not _is_hyperbolic(aut.matrix.tolist()):
         return None
     Af = aut.matrix.astype(float)
     V, lam_u, lam_s = _hyperbolic_eigen(Af)

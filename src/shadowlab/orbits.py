@@ -139,14 +139,14 @@ class PseudoOrbit:
         return len(self.points)
 
 
-def orbit_segment(f: SystemMap, x, N: int, delta_bound: float = TRUE_ORBIT_DELTA) -> PseudoOrbit:
+def orbit_segment(f: SystemMap, x, N: int) -> PseudoOrbit:
     """True orbit f^k(x) for -N <= k <= N, packaged as a (roundoff-level) pseudo-orbit."""
     if N < 1:
         raise ValueError("N must be at least 1")
     arr = np.empty((2 * N + 1, f.dim))
     for i, z in _orbit_steps(f, _as_coords(x), N):
         arr[i] = z
-    return PseudoOrbit.checked(f, arr, delta_bound)
+    return PseudoOrbit.checked(f, arr, TRUE_ORBIT_DELTA)
 
 
 def validate_pseudo_orbit(f: SystemMap, seq, delta: float) -> bool:
@@ -208,8 +208,8 @@ class MethodSpec:
         return po
 
 
-def method_from_map(f: SystemMap, g: SystemMap, N: int, margin: float = 0.05) -> MethodSpec:
-    """Method induced by iterating g, with delta = measured C1 gap plus a relative margin.
+def method_from_map(f: SystemMap, g: SystemMap, N: int) -> MethodSpec:
+    """Method induced by iterating g, with delta = measured C1 gap plus a 5% margin.
 
     The C1 estimate is a grid lower bound, so the margin (and an absolute floor
     of 1e-9 for the g = f case, where only roundtrip roundoff remains) keeps
@@ -220,7 +220,7 @@ def method_from_map(f: SystemMap, g: SystemMap, N: int, margin: float = 0.05) ->
     if N < 1:
         raise ValueError("N must be at least 1")
     d1 = c1_distance(f, g, samples=128)
-    delta = max(d1 * (1.0 + margin), 1e-9)
+    delta = max(d1 * 1.05, 1e-9)
     return MethodSpec(
         kind="induced",
         target=f,

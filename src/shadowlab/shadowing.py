@@ -90,7 +90,10 @@ def resolve_threads(threads: int | None = None) -> int:
         return max(1, int(threads))
     env = os.environ.get("SHADOWLAB_THREADS")
     if env:
-        return max(1, int(env))
+        try:
+            return max(1, int(env))
+        except ValueError:
+            raise ValueError(f"SHADOWLAB_THREADS must be an integer, got {env!r}") from None
     return os.cpu_count() or 1
 
 

@@ -103,12 +103,15 @@ class LinearAutomorphism:
     matrix: np.ndarray
 
     def __post_init__(self):
-        arr = np.asarray(self.matrix)
+        arr = np.asarray(self.matrix, dtype=object)  # exact entries, before any cast can wrap one
         if arr.shape != (2, 2):
             raise ConstructionError(f"expected a 2x2 matrix, got shape {arr.shape}")
-        if not np.all(arr == np.round(arr)):
-            raise ConstructionError("matrix entries must be integers")
-        object.__setattr__(self, "matrix", np.array(np.round(arr), dtype=np.int64))
+        for v in arr.flat:
+            if v != v // 1:
+                raise ConstructionError("matrix entries must be integers")
+            if not -2**63 <= v < 2**63:
+                raise ConstructionError(f"matrix entry {v} does not fit a 64-bit integer")
+        object.__setattr__(self, "matrix", arr.astype(np.int64))
         if abs(self.det) != 1:
             raise ConstructionError(f"|det| must be 1 for an invertible torus map, got det = {self.det}")
 
@@ -424,7 +427,7 @@ def map_from_descriptor(d: dict) -> SystemMap:
     kind = d.get("kind")
     try:
         if kind == "linear":
-            return make_linear(np.asarray(d["matrix"]))
+            return make_linear(d["matrix"])
         if kind == "rotation":
             return make_rotation(float(d["theta"]))
         if kind == "translate":

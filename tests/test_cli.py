@@ -433,6 +433,21 @@ def test_non_finite_point_prints_only_the_error_line(x, shown, tmp_path):
     assert proc.stderr == f"shadowlab: error: anchor coordinates must be finite, got {shown}\n"
 
 
+@pytest.mark.parametrize("form", ["spec", "descriptor"])
+@pytest.mark.parametrize("entry, shown", [(2**63, "9223372036854775808"),
+                                          (-2**63 - 1, "-9223372036854775809"),
+                                          (1e19, "1e+19")])
+def test_matrix_entry_beyond_int64_prints_only_the_error_line(form, entry, shown, tmp_path):
+    if form == "spec":
+        system, shown = f"linear:{int(entry)},1,1,0", str(int(entry))
+    else:
+        system = json.dumps({"kind": "linear", "matrix": [[entry, 1], [1, 0]]})
+    proc = run_fresh_check(["inverse", "--system", system, "--method", "same", "--x", "0.2,0.3",
+                            "--eps", "0.1", "--N", "5"], tmp_path)
+    assert proc.returncode == 2
+    assert proc.stderr == f"shadowlab: error: matrix entry {shown} does not fit a 64-bit integer\n"
+
+
 @pytest.mark.parametrize("flag", ["--theta", "--n-methods"])
 def test_experiment_rejects_unknown_override(flag, capsys):
     rc, _, err = run_cli(["experiment", "drift-inverse", flag, "2"], capsys)

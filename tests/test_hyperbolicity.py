@@ -24,6 +24,7 @@ from shadowlab import (
     periodic_points_linear,
     shear_map,
 )
+from shadowlab import hyperbolicity
 
 CAT = np.array([[2, 1], [1, 1]])
 ROT90 = np.array([[0, -1], [1, 0]])
@@ -122,6 +123,32 @@ def _brute_force_points(A, n):
                          + [(np.array([[1, 1], [1, 0]]), n) for n in range(1, 8)])
 def test_lattice_enumeration_matches_brute_force(A, n):
     assert [r.point.coords for r in periodic_points_linear(A, n)] == _brute_force_points(A, n)
+
+
+def test_classification_is_computed_once_per_period(monkeypatch):
+    calls = []
+    real = hyperbolicity._mat2_pow
+
+    def counting(P, n):
+        calls.append(n)
+        return real(P, n)
+
+    monkeypatch.setattr(hyperbolicity, "_mat2_pow", counting)
+    recs = periodic_points_linear(CAT, 6)
+    assert len(recs) == 320
+    assert len(calls) <= 1 + len({r.period for r in recs})
+
+
+# |det(A^n - I)| stays below 200 on every case, so each enumeration is small.
+@pytest.mark.parametrize("A,n", [(A, n) for A in (CAT, [[1, 1], [1, 0]], [[3, 2], [1, 1]])
+                                 for n in range(1, 5)]
+                         + [([[0, 1], [-1, 0]], n) for n in range(1, 4)])  # n = 4 is not isolated
+def test_records_agree_with_classify_periodic(A, n):
+    f = make_linear(A)
+    for r in periodic_points_linear(A, n):
+        c = classify_periodic(f, r.point, n)
+        assert (c.period, c.eigenvalues, c.classification) == (r.period, r.eigenvalues,
+                                                               r.classification)
 
 
 def test_cat_period_eight_points():

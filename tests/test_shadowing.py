@@ -953,5 +953,9 @@ def test_resolve_threads_precedence(monkeypatch):
     monkeypatch.setenv("SHADOWLAB_THREADS", "3")
     assert resolve_threads() == 3
     assert resolve_threads(2) == 2
+    monkeypatch.setenv("SHADOWLAB_THREADS", "abc")
+    with pytest.raises(ValueError, match="SHADOWLAB_THREADS must be an integer, got 'abc'"):
+        resolve_threads()
+    assert resolve_threads(2) == 2
     monkeypatch.delenv("SHADOWLAB_THREADS")
     assert resolve_threads() >= 1

@@ -1,6 +1,7 @@
 """Tests for the map constructors, their gates, and the C1/volume estimators."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -60,6 +61,23 @@ def test_unimodularity_gate():
         LinearAutomorphism([[1.5, 0], [0, 1]])
     assert LinearAutomorphism([[1, 1], [1, 0]]).det == -1
     assert LinearAutomorphism(CAT_MATRIX).det == 1
+
+
+@pytest.mark.parametrize("entry, shown", [(2**63, "9223372036854775808"),
+                                          (-2**63 - 1, "-9223372036854775809"),
+                                          (1e19, "1e+19")])
+def test_entries_int64_cannot_hold_are_rejected(entry, shown):
+    message = re.escape(f"matrix entry {shown} does not fit a 64-bit integer")
+    for build in (LinearAutomorphism, make_linear, anosov_certificate_linear):
+        with pytest.raises(ConstructionError, match=message):
+            build([[entry, 1], [1, 0]])
+    with pytest.raises(ConstructionError, match=message):
+        map_from_descriptor({"kind": "linear", "matrix": [[entry, 1], [1, 0]]})
+
+
+def test_int64_extremes_are_kept_exactly():
+    for entry in (2**63 - 1, -2**63):
+        assert LinearAutomorphism([[entry, 1], [1, 0]]).matrix[0, 0] == entry
 
 
 def test_integer_inverse_is_exact():

@@ -176,8 +176,14 @@ def test_orbit_torus_header_and_anchor_row(capsys):
     assert rc == 0
     lines = out.splitlines()
     assert lines[0] == "k,coord_0,coord_1"
-    assert len(lines) == 1 + 5
-    assert lines[3] == "0,0.2,0.3"
+    assert lines[1:] == [
+        "-2,0.5,0.8999999999999999",
+        "-1,0.9,0.39999999999999997",
+        "0,0.2,0.3",
+        "1,0.7,0.5",
+        "2,0.8999999999999999,0.19999999999999996",
+    ]
+    assert out.endswith("0.19999999999999996\n")
 
 
 def test_orbit_out_file_matches_stdout(tmp_path, capsys):

@@ -34,9 +34,9 @@ pts = (pts + rng.uniform(-2e-4, 2e-4, size=pts.shape)) % 1.0
 po = PseudoOrbit.checked(f, pts, delta)
 
 res = shadow_solve_newton(f, po)
-y = res.point(0, N)
+y = res.points[N]
 print("Newton solver on a noisy cat orbit")
-print(f"  shadowing point y = ({y.coords[0]:.9f}, {y.coords[1]:.9f})")
+print(f"  shadowing point y = ({y[0]:.9f}, {y[1]:.9f})")
 print(f"  max distance to the pseudo-orbit: {res.achieved:.6f}  <= K*delta")
 print()
 

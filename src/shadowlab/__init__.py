@@ -46,9 +46,6 @@ from .orbits import (
     orbit_csv_text,
     orbit_segment,
     random_method,
-    read_orbit_csv,
-    validate_pseudo_orbit,
-    write_orbit_csv,
 )
 from .shadowing import (
     NewtonShadowResult,
@@ -81,7 +78,6 @@ from .experiments import (
     run_drift_inverse,
     run_drift_orbital,
     run_drift_weak,
-    run_experiment,
     run_property_gallery,
     run_rotation_dichotomy,
 )

@@ -64,7 +64,6 @@ __all__ = [
     "run_rotation_dichotomy",
     "run_property_gallery",
     "EXPERIMENTS",
-    "run_experiment",
 ]
 
 
@@ -446,12 +445,3 @@ EXPERIMENTS = {
     "rotation-dichotomy": run_rotation_dichotomy,
     "property-gallery": run_property_gallery,
 }
-
-
-def run_experiment(name: str, **kwargs) -> ExperimentReport:
-    """Dispatch to a registered experiment by name."""
-    try:
-        runner = EXPERIMENTS[name]
-    except KeyError:
-        raise ValueError(f"unknown experiment {name!r}; choose from {sorted(EXPERIMENTS)}") from None
-    return runner(**kwargs)

@@ -236,7 +236,7 @@ def anosov_certificate_linear(A) -> AnosovCertificate | None:
             raise AssertionError(f"stable decay inequality violated at n={k}")
         if abs(lam_u) ** -k > C * rate ** k + 1e-9:
             raise AssertionError(f"unstable decay inequality violated at n={k}")
-        if abs(lam_u) ** k * 2.0 ** -52 <= 1e-12:  # while matrix-power roundoff stays << 1e-9
+        if k * np.log2(abs(lam_u)) - 52 <= np.log2(1e-12):  # while matrix-power roundoff stays << 1e-9
             Mn = Mn @ Af
             Mi = Mi @ Ainv
             if np.linalg.norm(Mn @ v_s) > C * rate ** k + 1e-9:

@@ -1,10 +1,12 @@
-"""Finite orbit segments, pseudo-orbit validation, and step methods.
+"""Finite orbit segments, pseudo-orbits, step methods, and the orbit dump.
 
 A pseudo-orbit is a two-sided finite sequence indexed -N..N whose consecutive
-gaps d(f(x_i), x_{i+1}) stay strictly below a bound delta.  A "method" assigns
-to every point an anchored pseudo-orbit (entry 0 is the point itself); the
-operative class consists of methods induced by iterating a nearby map g, with
-raw callable methods kept around for exercising the validators.
+gaps d(f(x_i), x_{i+1}) stay strictly below a bound delta;
+``PseudoOrbit.checked`` is the one gap test.  A "method" assigns to every
+point an anchored pseudo-orbit (entry 0 is the point itself); the operative
+class consists of methods induced by iterating a nearby map g, with raw
+callable methods kept around for exercising the validator.  An orbit dump is
+the CSV text of ``orbit_csv_text``.
 
 Bi-infinite sequences are truncated at an explicit horizon N.  Every verdict
 built on top of these objects is a finite-horizon statement and says so.
@@ -12,8 +14,6 @@ built on top of these objects is a finite-horizon statement and says so.
 
 from __future__ import annotations
 
-import csv
-import io
 import math
 from dataclasses import dataclass, field
 from typing import Callable
@@ -27,11 +27,9 @@ __all__ = [
     "PseudoOrbit",
     "MethodSpec",
     "orbit_segment",
-    "validate_pseudo_orbit",
     "method_from_map",
     "random_method",
-    "write_orbit_csv",
-    "read_orbit_csv",
+    "orbit_csv_text",
     "TRUE_ORBIT_DELTA",
 ]
 
@@ -69,14 +67,8 @@ def _orbit_steps(g: SystemMap, y: np.ndarray, N: int):
 
 
 def _as_points_array(seq, dim: int | None = None) -> np.ndarray:
-    """Normalize a PseudoOrbit / TorusPoint sequence / array to (m, dim) floats."""
-    if isinstance(seq, PseudoOrbit):
-        return seq.as_array()
-    if isinstance(seq, np.ndarray):
-        arr = np.asarray(seq, dtype=float)
-    else:
-        rows = [p.as_array() if isinstance(p, TorusPoint) else np.asarray(p, dtype=float) for p in seq]
-        arr = np.stack(rows, axis=0)
+    """Points as (m, dim) floats; a 1-D input is one coordinate per point."""
+    arr = np.asarray(seq, dtype=float)
     if arr.ndim == 1:
         arr = arr[:, None]
     if dim is not None and arr.shape[1] != dim:
@@ -149,14 +141,6 @@ def orbit_segment(f: SystemMap, x, N: int) -> PseudoOrbit:
     return PseudoOrbit.checked(f, arr, TRUE_ORBIT_DELTA)
 
 
-def validate_pseudo_orbit(f: SystemMap, seq, delta: float) -> bool:
-    """True iff every consecutive gap d(f(x_i), x_{i+1}) is strictly below delta."""
-    arr = _as_points_array(seq, f.dim)
-    if len(arr) < 2:
-        raise ValueError("need at least two points to validate")
-    return bool(dist_array(f.forward(arr[:-1]), arr[1:]).max() < delta)
-
-
 @dataclass(frozen=True, eq=False)
 class MethodSpec:
     """A delta-method for ``target``: point -> anchored pseudo-orbit.
@@ -164,7 +148,7 @@ class MethodSpec:
     kind "induced": the output at x is the orbit segment of ``source`` (a map
     within delta of the target in the C1 estimate), the operative class of the
     checkers.  kind "raw": ``producer(x_array, N)`` returns the points array;
-    raw methods exist to exercise validators and have no structure the grid
+    raw methods exist to exercise the validator and have no structure the grid
     search can exploit.
     """
 
@@ -276,38 +260,9 @@ def random_method(f: SystemMap, delta: float, seed: int) -> MethodSpec:
 # Orbit dump format: CSV with columns k, coord_0[, coord_1], k ascending.
 # ---------------------------------------------------------------------------
 
-def write_orbit_csv(po: PseudoOrbit, out) -> None:
-    """Write an orbit dump to a path or text file object."""
-    own = isinstance(out, (str, bytes))
-    fh = open(out, "w", newline="") if own else out
-    try:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(["k"] + [f"coord_{i}" for i in range(po.dim)])
-        for i, row in enumerate(po.as_array()):
-            w.writerow([i - po.horizon] + [repr(float(v)) for v in row])
-    finally:
-        if own:
-            fh.close()
-
-
-def read_orbit_csv(src) -> tuple[np.ndarray, np.ndarray]:
-    """Read an orbit dump; returns (indices, points array)."""
-    own = isinstance(src, (str, bytes))
-    fh = open(src, "r", newline="") if own else src
-    try:
-        rows = list(csv.reader(fh))
-    finally:
-        if own:
-            fh.close()
-    if not rows or rows[0][0] != "k":
-        raise ValueError("not an orbit dump: missing header")
-    ks = np.array([int(r[0]) for r in rows[1:]], dtype=int)
-    pts = np.array([[float(v) for v in r[1:]] for r in rows[1:]], dtype=float)
-    return ks, pts
-
-
 def orbit_csv_text(po: PseudoOrbit) -> str:
-    """Orbit dump as a string (the CLI writes exactly this)."""
-    buf = io.StringIO()
-    write_orbit_csv(po, buf)
-    return buf.getvalue()
+    """Orbit dump as a string (the CLI writes exactly this); cells are repr() floats."""
+    lines = [",".join(["k"] + [f"coord_{i}" for i in range(po.dim)])]
+    lines += [",".join([str(k)] + [repr(float(v)) for v in row])
+              for k, row in zip(range(-po.horizon, po.horizon + 1), po.points)]
+    return "\n".join(lines) + "\n"

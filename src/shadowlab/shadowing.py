@@ -172,9 +172,6 @@ class NewtonShadowResult:
     iterations: int
     converged: bool
 
-    def point(self, k: int, horizon: int) -> TorusPoint:
-        return TorusPoint.from_array(self.points[horizon + k])
-
 
 def _spd_block_tridiagonal_solve(D: np.ndarray, L: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Solve a symmetric positive definite block-tridiagonal system by cyclic reduction.
@@ -507,15 +504,15 @@ def _cover(objective, dim: int, G: int, eps: float, lip, threads: int, counters:
             return (pt, float(vals[qual[0]]), note), binding[1], binding[2]
         if last:
             break
-        parents, pvals = idx[unresolved], vals[unresolved]
-        kids = 2 * np.stack(np.unravel_index(parents, (g,) * dim), axis=-1)[:, None, :] + offs
+        pvals = vals[unresolved]
+        kids = 2 * np.stack(np.unravel_index(idx[unresolved], (g,) * dim), axis=-1)[:, None, :] + offs
         fine = (2 * g,) * dim
         idx = np.unique(np.ravel_multi_index(tuple(np.moveaxis(kids % (2 * g), -1, 0)), fine))
-        coords = np.stack(np.unravel_index(idx, fine), axis=-1)
-        new = (coords % 2 == 1).any(axis=1)
+        new = (np.stack(np.unravel_index(idx, fine), axis=-1) % 2 == 1).any(axis=1)
         vals = np.empty(len(idx))
-        carried = np.ravel_multi_index(tuple((coords[~new] // 2).T), (g,) * dim)
-        vals[~new] = pvals[np.searchsorted(parents, carried)]
+        # The even children are exactly 2k for the unresolved parents k, one each
+        # and in flat-index order, so the carried values line up by position.
+        vals[~new] = pvals
     hit = None
     if unresolved.any():
         rv, rp = _refine(objective, lattice_points(G, dim, idx=[binding[3]])[0], 1.0 / G)

@@ -27,7 +27,7 @@ from typing import Callable
 
 import numpy as np
 
-from .geometry import TorusPoint, dist_array, lattice_points, reduce_to_unit
+from .geometry import dist_array, lattice_points, reduce_to_unit
 
 __all__ = [
     "ConstructionError",
@@ -50,6 +50,8 @@ __all__ = [
     "spectral_norm_batch",
     "det_batch",
     "GOLDEN_ROTATION",
+    "CAT_MATRIX",
+    "SHEAR_MATRIX",
 ]
 
 GOLDEN_ROTATION = (math.sqrt(5.0) - 1.0) / 2.0
@@ -148,9 +150,6 @@ class SystemMap:
     lip_backward: float = field(repr=False, default=1.0)
     descriptor: dict = field(repr=False, default_factory=dict)
     linear_part: np.ndarray | None = field(repr=False, default=None)
-
-    def apply(self, p: TorusPoint) -> TorusPoint:
-        return TorusPoint.from_array(self.forward(p.as_array()))
 
     def __repr__(self):
         return f"SystemMap({self.label!r}, dim={self.dim})"

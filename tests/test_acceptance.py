@@ -176,7 +176,7 @@ def test_criterion_07_perturbed_cat_map_always_tracks():
         true_pts = orbit_segment(f, x, 30).as_array()
         rep = shadow_solve_newton(g, PseudoOrbit.checked(g, true_pts, m.delta))
         assert rep.converged
-        y = rep.point(0, 30).as_array()
+        y = rep.points[30]
         g_orbit = orbit_segment(g, tuple(y), 30).as_array()
         worst = max(float(dist_array(a, b)) for a, b in zip(g_orbit, true_pts))
         assert worst < 0.1
@@ -202,7 +202,7 @@ def test_criterion_08_newton_solver_matches_brute_force():
         pts = (pts + rng.uniform(-1e-4, 1e-4, size=pts.shape)) % 1.0
         po = PseudoOrbit.checked(f, pts, 1e-3)
         res = shadow_solve_newton(f, po)
-        y_star, achieved = res.point(0, N), res.achieved
+        y_star, achieved = res.points[N], res.achieved
 
         objective = np.full(len(grid), -np.inf)
         for k in range(-N, N + 1):
@@ -212,7 +212,7 @@ def test_criterion_08_newton_solver_matches_brute_force():
             objective = np.maximum(objective, np.hypot(d[:, 0], d[:, 1]))
         best = int(np.argmin(objective))
 
-        gap = np.abs(grid[best] - y_star.as_array())
+        gap = np.abs(grid[best] - y_star)
         gap = np.minimum(gap, 1.0 - gap)
         assert float(np.hypot(*gap)) < cell, trial
         assert -1e-12 <= float(objective[best]) - achieved <= L * cell, trial

@@ -1,5 +1,6 @@
 """Tests for pseudo-orbits, delta-methods, and the orbit CSV format."""
 
+import csv
 import io
 import math
 import re
@@ -19,9 +20,6 @@ from shadowlab.orbits import (
     orbit_csv_text,
     orbit_segment,
     random_method,
-    read_orbit_csv,
-    validate_pseudo_orbit,
-    write_orbit_csv,
 )
 from shadowlab.systems import (
     GOLDEN_ROTATION,
@@ -63,7 +61,7 @@ def test_cat_segment_steps_forward_and_back():
     assert po.point(1) == TorusPoint((0.7, 0.5))
     assert po.anchor == TorusPoint((0.2, 0.3))
     # the backward leg really is the inverse orbit (up to float roundtrip)
-    assert torus_dist(f.apply(po.point(-1)), po.point(0)) <= 1e-12
+    assert torus_dist(TorusPoint.from_array(f.forward(po.point(-1).as_array())), po.point(0)) <= 1e-12
 
 
 def test_orbit_segment_rejects_bad_horizon():
@@ -110,24 +108,18 @@ def test_pseudo_orbit_indexing_and_anchor():
 def test_validation_boundary_is_strict():
     """Gaps exactly equal to delta do not validate; dyadic values make it exact."""
     f = circle_identity()
-    seq = np.array([[0.0], [0.125]])  # gap is exactly 0.125 under the identity
-    assert not validate_pseudo_orbit(f, seq, 0.125)
-    assert validate_pseudo_orbit(f, seq, 0.125 + 1e-9)
-    with pytest.raises(ValueError):
-        PseudoOrbit.checked(f, np.array([[0.0], [0.125], [0.25]]), 0.125)
-    PseudoOrbit.checked(f, np.array([[0.0], [0.125], [0.25]]), 0.1250001)
+    seq = np.array([[0.0], [0.125], [0.25]])  # both gaps are exactly 0.125 under the identity
+    with pytest.raises(ValueError, match="is not < delta_bound"):
+        PseudoOrbit.checked(f, seq, 0.125)
+    PseudoOrbit.checked(f, seq, 0.125 + 1e-9)
 
 
 def test_validation_wraps_across_the_seam():
     f = circle_identity()
-    seq = np.array([[0.95], [0.05]])  # distance 0.1 through the seam
-    assert validate_pseudo_orbit(f, seq, 0.11)
-    assert not validate_pseudo_orbit(f, seq, 0.09)
-
-
-def test_validate_needs_two_points():
-    with pytest.raises(ValueError):
-        validate_pseudo_orbit(circle_identity(), np.array([[0.0]]), 0.1)
+    seq = np.array([[0.95], [0.05], [0.1]])  # 0.1 through the seam, then 0.05
+    PseudoOrbit.checked(f, seq, 0.11)
+    with pytest.raises(ValueError, match="is not < delta_bound"):
+        PseudoOrbit.checked(f, seq, 0.09)
 
 
 @settings(max_examples=50, deadline=None)
@@ -137,13 +129,13 @@ def test_validation_is_monotone_in_delta(delta, frac):
     f = torus_identity()
     step = delta * frac / math.sqrt(2.0)
     seq = np.array([[0.0, 0.0], [step, step], [2 * step, 2 * step]])
-    assert validate_pseudo_orbit(f, seq, delta)
-    assert validate_pseudo_orbit(f, seq, delta * 2)
+    PseudoOrbit.checked(f, seq, delta)
+    PseudoOrbit.checked(f, seq, delta * 2)
 
 
 def test_true_orbit_validates_at_roundoff_scale():
     po = orbit_segment(cat_map(), (0.123, 0.456), 50)
-    assert validate_pseudo_orbit(cat_map(), po, TRUE_ORBIT_DELTA)
+    PseudoOrbit.checked(cat_map(), po.points, TRUE_ORBIT_DELTA)
 
 
 # ---------------------------------------------------------------------------
@@ -178,7 +170,7 @@ def test_induced_method_output_validates_and_anchors():
     po = m.evaluate((0.25, 0.75))
     assert po.horizon == 8
     assert po.anchor == TorusPoint((0.25, 0.75))
-    assert validate_pseudo_orbit(f, po, m.delta)
+    PseudoOrbit.checked(f, po.points, m.delta)
 
 
 def test_induced_method_horizon_override():
@@ -213,7 +205,7 @@ def test_random_method_output_is_a_valid_pseudo_orbit(seed):
     f = cat_map()
     m = random_method(f, 0.01, seed=seed)
     po = m.evaluate((0.4, 0.9), 10)
-    assert validate_pseudo_orbit(f, po, m.delta)
+    PseudoOrbit.checked(f, po.points, m.delta)
     assert po.anchor == TorusPoint((0.4, 0.9))
 
 
@@ -221,7 +213,7 @@ def test_random_method_on_the_circle():
     f = make_rotation(GOLDEN_ROTATION)
     m = random_method(f, 0.005, seed=1)
     po = m.evaluate((0.0,), 10)
-    assert validate_pseudo_orbit(f, po, m.delta)
+    PseudoOrbit.checked(f, po.points, m.delta)
 
 
 # ---------------------------------------------------------------------------
@@ -244,17 +236,10 @@ def test_csv_header_on_the_circle():
 
 
 def test_csv_roundtrip_is_bit_exact():
-    po = orbit_segment(cat_map(), (0.2, 0.3), 7)
-    buf = io.StringIO(orbit_csv_text(po))
-    idx, pts = read_orbit_csv(buf)
-    assert idx.tolist() == list(range(-7, 8))
-    assert np.array_equal(pts, po.as_array())  # repr() floats survive the roundtrip
-
-
-def test_csv_file_roundtrip(tmp_path):
-    po = orbit_segment(make_rotation(GOLDEN_ROTATION), (0.25,), 4)
-    path = tmp_path / "orbit.csv"
-    write_orbit_csv(po, str(path))
-    idx, pts = read_orbit_csv(str(path))
-    assert idx.tolist() == list(range(-4, 5))
-    assert np.array_equal(pts, po.as_array())
+    for po in (orbit_segment(cat_map(), (0.2, 0.3), 7),
+               orbit_segment(make_rotation(GOLDEN_ROTATION), (0.25,), 4)):
+        header, *rows = csv.reader(io.StringIO(orbit_csv_text(po)))
+        assert header == ["k"] + [f"coord_{i}" for i in range(po.dim)]
+        assert [int(r[0]) for r in rows] == list(range(-po.horizon, po.horizon + 1))
+        pts = np.array([[float(v) for v in r[1:]] for r in rows])
+        assert np.array_equal(pts, po.as_array())  # repr() floats survive the roundtrip

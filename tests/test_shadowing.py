@@ -109,11 +109,11 @@ def test_affine_solver_respects_tracking_bound(seed):
     f = cat_map()
     po = random_method(f, 1e-3, seed).evaluate((0.2, 0.3), 50)
     res = shadow_solve_newton(f, po)
-    y = res.point(0, po.horizon)
+    y = res.points[po.horizon]
     assert 0.0 < res.achieved <= K_CAT * 1e-3
     # independent re-check on the central window, where float iteration of the
     # cat map is still trustworthy (growth 2.618^8 * eps_mach << achieved)
-    window = tracking_objective(f, po.as_array()[42:59], y.as_array(), 8)
+    window = tracking_objective(f, po.as_array()[42:59], y, 8)
     assert window <= res.achieved + 1e-9
 
 
@@ -227,15 +227,6 @@ def test_newton_long_horizon_converges_in_two_iterations():
     assert res.achieved < 0.1
     gaps = dist_array(g.forward(res.points[:-1]), res.points[1:])
     assert float(gaps.max()) <= 1e-9
-
-
-def test_newton_point_accessor():
-    f = cat_map()
-    po = random_method(f, 1e-3, 7).evaluate((0.1, 0.6), 20)
-    res = shadow_solve_newton(f, po)
-    p = res.point(0, po.horizon)
-    assert p.coords == tuple(res.points[po.horizon])
-    assert float(dist_array(p.as_array(), np.array([0.1, 0.6]))) <= res.achieved
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,7 @@ import re
 import numpy as np
 import pytest
 
-from shadowlab.geometry import TorusPoint, dist_array, torus_dist
+from shadowlab.geometry import TorusPoint, dist_array
 from shadowlab.hyperbolicity import anosov_certificate_linear
 from shadowlab.systems import (
     CAT_MATRIX,
@@ -51,7 +51,7 @@ def fd_jacobian(f: SystemMap, x, h: float = 1e-6) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def test_cat_map_step():
-    assert cat_map().apply(TorusPoint((0.2, 0.3))) == TorusPoint((0.7, 0.5))
+    assert TorusPoint.from_array(cat_map().forward(np.array([0.2, 0.3]))) == TorusPoint((0.7, 0.5))
 
 
 def test_unimodularity_gate():
@@ -99,6 +99,14 @@ def test_cat_eigenvalues_are_golden():
     assert anosov_certificate_linear(CAT_MATRIX).rate == pytest.approx((3 - math.sqrt(5)) / 2, rel=1e-12)
 
 
+@pytest.mark.parametrize("n", [2**53 + 1, 2**62, 2**63 - 1], ids=["2^53+1", "2^62", "2^63-1"])
+def test_certificate_for_a_huge_unstable_eigenvalue(n):
+    # |lambda_u|^20 overflows a float here; the matrix-power roundoff guard must not
+    cert = anosov_certificate_linear([[n, 1], [-1, 0]])
+    assert cert is not None
+    assert cert.rate == pytest.approx(1.0 / n, rel=1e-9)
+
+
 def test_spectral_norm_closed_form():
     assert spectral_norm([[3.0]]) == 3.0
     # [[1, c], [0, 1]] has norm (|c| + sqrt(c^2 + 4)) / 2
@@ -116,11 +124,11 @@ def test_spectral_norm_closed_form():
 
 def test_rotation_is_periodic_when_rational():
     f = make_rotation(0.25)
-    p = TorusPoint((0.1,))
+    p = np.array([0.1])
     q = p
     for _ in range(4):
-        q = f.apply(q)
-    assert torus_dist(p, q) <= 1e-15
+        q = f.forward(q)
+    assert float(dist_array(p, q)) <= 1e-15
 
 
 def test_golden_rotation_constant():

@@ -66,12 +66,12 @@ def _orbit_steps(g: SystemMap, y: np.ndarray, N: int):
         yield N - k, z
 
 
-def _as_points_array(seq, dim: int | None = None) -> np.ndarray:
+def _as_points_array(seq, dim: int) -> np.ndarray:
     """Points as (m, dim) floats; a 1-D input is one coordinate per point."""
     arr = np.asarray(seq, dtype=float)
     if arr.ndim == 1:
         arr = arr[:, None]
-    if dim is not None and arr.shape[1] != dim:
+    if arr.shape[1] != dim:
         raise ValueError(f"points have dim {arr.shape[1]}, expected {dim}")
     return arr
 

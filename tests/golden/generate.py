@@ -24,7 +24,10 @@ drifts at levels 2 to 4), and the single sweep of the requested lattice that
 raw methods and a grid too coarse to certify (the shear at grid 8) run.  One
 check sweeps the whole default lattice with no usable Lipschitz bound (the
 shear-sin perturbation of the cat at N=40): its 262,144 points run as four
-chunks on the sweep's thread pool.
+chunks on the sweep's thread pool.  Two checks decide in the candidate pass
+with a Newton witness after the anchor misses: a long horizon (the shear-sin
+perturbation of the shear at N=300) and a set-mode property (orbital, on the
+shear-sin perturbation of the cat).
 """
 
 from __future__ import annotations
@@ -102,6 +105,13 @@ CASES = {
     "check-inverse-cat-perturbed-no-bound": ["check", "inverse", "--system", "cat",
                                              "--method", "perturb:shear-sin:0.001",
                                              "--x", "0.2,0.3", "--eps", "0.1", "--N", "40"],
+    "check-inverse-shear-sin-long": ["check", "inverse", "--system", "shear",
+                                     "--method", "perturb:shear-sin:0.001:0",
+                                     "--x", "0.7621155845848191,0.7847298237460361",
+                                     "--eps", "0.1", "--N", "300", "--grid", "64"],
+    "check-orbital-cat-perturbed-newton": ["check", "orbital", "--system", "cat",
+                                           "--method", "perturb:shear-sin:0.001",
+                                           "--x", "0.2,0.3", "--eps", "0.1", "--N", "30"],
 }
 
 

@@ -10,7 +10,10 @@ The existential quantifier "there is y" is realized in three stages, which
 ``_search`` sequences: a candidate pass over explicit points (the anchor,
 caller-provided seeds, then the Newton solver's output, computed only if
 those miss), a covering, and a certifier that, when nothing tracked, issues
-a Lipschitz covering certificate or says why none holds.  The covering
+a Lipschitz covering certificate or says why none holds.  A candidate walks
+its orbit lazily, in orbit order, with stop = eps: a hit gets its exact
+value, and a candidate that misses stops walking within one step block past
+eps, since a lower bound above eps settles it.  The covering
 walks nested dyadic lattices from coarse to fine (branch and bound after
 Piyavskii and Shubert): a lattice point's cell is settled once its value
 minus lipschitz_bound * (cell diameter) / 2 exceeds eps, and every other
@@ -32,6 +35,8 @@ the certificate inequality or shows where it fails.  The ``grid_points``
 counter counts lattice points evaluated.  Without a Lipschitz bound the
 covering is one sweep of the requested lattice.
 
+Objectives fold consecutive orbit steps in blocks, with one distance call
+per block and exact max/min reductions, so the blocking changes no value.
 Levels are evaluated in chunks of fixed size combined by index order, so
 verdicts are byte-identical for any worker count.  A tracked witness found on
 a lattice is the lexicographically smallest qualifying point of the coarsest
@@ -80,8 +85,11 @@ RAW_GRID_CAP = 20000
 REFINE_LEVELS = 2
 REFINE_FACTOR = 8
 # Set-mode objectives hold all 2N+1 positions of the points they fold; folding
-# blocks of this many points bounds that memory (1.7 MB at N = 25).
+# blocks of this many points bounds that memory (1.7 MB at N = 25).  A fold
+# takes at most this many point-steps (point-step-targets in the set modes) at
+# once, and at most STEP_BLOCK consecutive steps.
 FOLD_BLOCK = 2048
+STEP_BLOCK = 32
 
 
 def resolve_threads(threads: int | None = None) -> int:
@@ -264,44 +272,64 @@ def shadow_solve_newton(f: SystemMap, po: PseudoOrbit, tol: float = 1e-10, max_i
 # Tracking objectives (vectorized over candidate points y)
 # ---------------------------------------------------------------------------
 
+def _fold_targets(targets, N: int, mode: str) -> np.ndarray:
+    """What ``_fold_objective`` compares positions with: the 2N+1 targets, or their distinct points."""
+    T = np.asarray(targets, dtype=float)
+    if len(T) != 2 * N + 1:
+        raise ValueError("targets must cover indices -N..N")
+    return T if mode == "pointwise" else np.unique(T, axis=0)
+
+
 def _fold_objective(targets: np.ndarray, steps, n: int, mode: str,
                     stop: float | None = None) -> np.ndarray:
     """Squared objective of n candidates, folded over their orbit positions.
 
     ``steps`` yields (i, z): z holds the candidates' positions (n, dim) at
-    orbit index i, where index N is the anchor and targets[i] the matching
-    target.  "pointwise" compares z with targets[i]; "weak" compares it with
-    the set of distinct targets, and "orbital" also folds the reverse
-    inclusion.  max and min are exact, so the order of the steps is free.
+    orbit index i, where index N is the anchor.  "pointwise" compares z with
+    targets[i], the index-matched target; in the set modes ``targets`` holds
+    the distinct targets (``_fold_targets``), "weak" compares z with that set,
+    and "orbital" also folds the reverse inclusion.  Consecutive steps are
+    folded in blocks of at most STEP_BLOCK steps and FOLD_BLOCK point-steps
+    (point-step-targets in the set modes): one ``sq_dist_array`` call per
+    block, reduced by max (and min over the block's steps).  max and min are
+    exact and the distance is elementwise, so neither the blocks nor the
+    order of the steps change a value.
 
     ``stop`` None folds every step of every candidate.  Otherwise a candidate
-    leaves the fold at the first step after which its running max exceeds
-    stop (compared as a distance): it is settled, and its result is that
-    running max, a lower bound of its value with sqrt(result) > stop.  In
-    orbital mode it skips the reverse inclusion, since the forward fold is
+    leaves the fold at the end of the first block after which its running
+    max exceeds stop (compared as a distance): it is settled, and its result
+    is that running max, a lower bound of its value with sqrt(result) > stop.
+    In orbital mode it skips the reverse inclusion, since the forward fold is
     already a lower bound.  A candidate that never exceeds stop gets its
-    value bit for bit.
+    value bit for bit.  Once no candidate is left the fold returns, and a
+    lazy ``steps`` computes no further positions.
     """
-    uniq = np.unique(targets, axis=0) if mode != "pointwise" else None
+    width = n if mode == "pointwise" else n * len(targets)
+    size = max(1, min(STEP_BLOCK, FOLD_BLOCK // width))
+    steps = iter(steps)
     out = np.empty(n)
     run = np.zeros(n)  # running max of the candidates still folding
-    rmin = np.full((n, len(uniq)), np.inf) if mode == "orbital" else None
+    rmin = np.full((n, len(targets)), np.inf) if mode == "orbital" else None
     act = slice(None)  # a view of every candidate until the first one stops
-    for i, z in steps:
-        z = z[act]
+    while block := list(itertools.islice(steps, size)):
+        Z = np.stack([z[act] for _, z in block])  # (steps, candidates, dim)
         if mode == "pointwise":
-            np.maximum(run, sq_dist_array(z, targets[i]), out=run)
+            T = targets[[i for i, _ in block]]
+            np.maximum(run, sq_dist_array(Z, T[:, None, :]).max(axis=0), out=run)
         else:
-            D = sq_dist_array(z[:, None, :], uniq[None, :, :])
-            np.maximum(run, D.min(axis=1), out=run)
+            D = sq_dist_array(Z[:, :, None, :], targets)
+            np.maximum(run, D.min(axis=2).max(axis=0), out=run)
             if rmin is not None:
-                np.minimum(rmin, D, out=rmin)
-            del D  # free the (n, len(uniq)) matrix before the next step builds its own
+                for Dk in D:
+                    np.minimum(rmin, Dk, out=rmin)
+            del D  # free the (steps, candidates, targets) block before the next one
         if stop is not None:
             keep = np.sqrt(run) <= stop
             if not keep.all():
                 rows = np.arange(n)[act]
                 out[rows[~keep]] = run[~keep]
+                if not keep.any():
+                    return out  # nothing left to fold, so a lazy ``steps`` walks no further
                 act, run = rows[keep], run[keep]
                 if rmin is not None:
                     rmin = rmin[keep]
@@ -315,19 +343,20 @@ def _objective_core(g: SystemMap, targets: np.ndarray, ys: np.ndarray, N: int, m
                     stop: float | None = None) -> np.ndarray:
     """The objective of ys; with ``stop``, a value above stop may be a lower bound.
 
-    Set modes fold blocks of FOLD_BLOCK points, farthest steps first (|k| =
-    N, N-1, ..., 0), where the orbits of a drifting method stray most, so a
-    settled point leaves the fold early; pointwise mode folds in orbit order.
+    ``targets`` is ``_fold_targets``' output for this N and mode.  One point
+    walks its orbit lazily in orbit order (index N, then forward, then
+    backward), so with ``stop`` a point that misses stops walking within one
+    step block past stop.  Set modes fold several points in blocks of
+    FOLD_BLOCK, farthest steps first (|k| = N, N-1, ..., 0), where the orbits
+    of a drifting method stray most, so a settled point leaves the fold
+    early; pointwise mode folds in orbit order.
     """
-    T = np.asarray(targets, dtype=float)
-    if len(T) != 2 * N + 1:
-        raise ValueError("targets must cover indices -N..N")
     scalar = ys.ndim == 1
     Y = ys[None, :] if scalar else ys
-    if mode == "pointwise":
-        sq = _fold_objective(T, _orbit_steps(g, Y, N), len(Y), mode, stop)
+    if mode == "pointwise" or len(Y) == 1:
+        sq = _fold_objective(targets, _orbit_steps(g, Y, N), len(Y), mode, stop)
     else:
-        sq = np.concatenate([_fold_objective(T, _farthest_first(g, B, N), len(B), mode, stop)
+        sq = np.concatenate([_fold_objective(targets, _farthest_first(g, B, N), len(B), mode, stop)
                              for B in np.split(Y, range(FOLD_BLOCK, len(Y), FOLD_BLOCK))])
     out = np.sqrt(sq)
     return float(out[0]) if scalar else out
@@ -346,17 +375,20 @@ def _farthest_first(g: SystemMap, y: np.ndarray, N: int):
 
 def tracking_objective(g: SystemMap, targets, ys, N: int):
     """max over |k| <= N of d(g^k(y), t_k): the index-matched tracking error."""
-    return _objective_core(g, targets, np.asarray(ys, dtype=float), N, "pointwise")
+    T = _fold_targets(targets, N, "pointwise")
+    return _objective_core(g, T, np.asarray(ys, dtype=float), N, "pointwise")
 
 
 def weak_objective(g: SystemMap, targets, ys, N: int):
     """max over |k| <= N of d(g^k(y), {targets}): one-sided inclusion error."""
-    return _objective_core(g, targets, np.asarray(ys, dtype=float), N, "weak")
+    T = _fold_targets(targets, N, "weak")
+    return _objective_core(g, T, np.asarray(ys, dtype=float), N, "weak")
 
 
 def orbital_objective(g: SystemMap, targets, ys, N: int):
     """Larger of the two one-sided inclusion errors between {g^k(y)} and {targets}."""
-    return _objective_core(g, targets, np.asarray(ys, dtype=float), N, "orbital")
+    T = _fold_targets(targets, N, "orbital")
+    return _objective_core(g, T, np.asarray(ys, dtype=float), N, "orbital")
 
 
 def horizon_lipschitz_bound(g: SystemMap, N: int) -> float | None:
@@ -414,9 +446,13 @@ def _refine(objective, center: np.ndarray, step: float):
 
 
 def _candidate_pass(objective, candidates, eps: float, counters: dict):
-    """(point, value, note) of the first candidate below eps, or None; stops drawing at the hit."""
+    """(point, value, note) of the first candidate below eps, or None; stops drawing at the hit.
+
+    Each candidate is evaluated with stop = eps: a miss only needs a value
+    above eps, which may be a lower bound, and a hit's value is exact.
+    """
     for name, pt in candidates:
-        v = float(objective(pt[None, :])[0])
+        v = float(objective(pt[None, :], stop=eps)[0])
         counters["candidate_evaluations"] = counters.get("candidate_evaluations", 0) + 1
         if v < eps:
             return pt, v, f"witness from {name}"
@@ -595,13 +631,14 @@ def _run_check(property_name: str, f: SystemMap, m: MethodSpec, x, eps: float,
         driver = m.source if m.is_induced else None
 
     candidates = [("anchor", x0)] + [("seed", _as_coords(s, f.dim, "seed")) for s in seeds]
+    T = _fold_targets(targets, N, mode)
     if driver is None:
-        def objective(ys):
+        def objective(ys, stop=None):
             orbits = np.stack([m.evaluate(y, N).as_array() for y in ys], axis=1)
-            return np.sqrt(_fold_objective(targets, enumerate(orbits), len(ys), mode))
+            return np.sqrt(_fold_objective(T, enumerate(orbits), len(ys), mode, stop))
         lip = None
     else:
-        objective = partial(_objective_core, driver, targets, N=N, mode=mode)
+        objective = partial(_objective_core, driver, T, N=N, mode=mode)
         candidates = itertools.chain(candidates, _solver_candidate(driver, targets, m.delta, counters))
         lip = horizon_lipschitz_bound(driver, N)
 

@@ -9,6 +9,8 @@ calculations on the affine drift construction.
 import itertools
 import json
 import math
+from functools import partial
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -43,9 +45,9 @@ from shadowlab import (
     tracking_objective,
     weak_objective,
 )
-from shadowlab import shadowing
-from shadowlab.geometry import lattice_points
-from shadowlab.orbits import MethodSpec
+from shadowlab import cli, shadowing
+from shadowlab.geometry import lattice_points, sq_dist_array
+from shadowlab.orbits import MethodSpec, _orbit_steps
 from shadowlab.shadowing import _cover, _min_norm_newton_step
 
 K_CAT = 1.618033988749895  # C / (1 - rate) of the Anosov certificate of [[2,1],[1,1]]
@@ -341,7 +343,7 @@ def test_objective_monotone_in_horizon():
 def test_objective_with_stop_is_exact_or_a_lower_bound_above_stop(mode):
     sh = shear_map()
     g = make_translation_method_map(sh, 0.01)
-    targets = orbit_segment(sh, np.array([0.2, 0.3]), 25).as_array()
+    targets = shadowing._fold_targets(orbit_segment(sh, np.array([0.2, 0.3]), 25).as_array(), 25, mode)
     ys = lattice_points(64, 2)
     exact = shadowing._objective_core(g, targets, ys, 25, mode)
     assert np.array_equal(exact, shadowing._objective_core(g, targets, ys, 25, mode, stop=math.inf))
@@ -354,6 +356,93 @@ def test_objective_with_stop_is_exact_or_a_lower_bound_above_stop(mode):
         assert np.array_equal(kept, exact <= stop)
         lowered += int((value < exact).sum())
     assert lowered > 0
+
+
+def _newton_long_driver(N):
+    """The shear and the driver of its pinned shear-sin method (non-affine)."""
+    f = shear_map()
+    return f, cli.parse_method_spec("perturb:shear-sin:0.001:0", f, N, 0).source
+
+
+def _reference_fold(g, targets, ys, N, mode):
+    """The objective with one sq_dist_array call per orbit step, in orbit order."""
+    uniq = np.unique(targets, axis=0)
+    run = np.zeros(len(ys))
+    rmin = np.full((len(ys), len(uniq)), np.inf)
+    for i, z in _orbit_steps(g, ys, N):
+        if mode == "pointwise":
+            run = np.maximum(run, sq_dist_array(z, targets[i]))
+        else:
+            D = sq_dist_array(z[:, None, :], uniq)
+            run = np.maximum(run, D.min(axis=1))
+            rmin = np.minimum(rmin, D)
+    if mode == "orbital":
+        run = np.maximum(run, rmin.max(axis=1))
+    return np.sqrt(run)
+
+
+# The targets lie on a shear orbit of period 32, so the set modes compare
+# with at most 32 distinct targets and FOLD_BLOCK + 1 points stay cheap at
+# N = 300; a step block holds 1, 21 or STEP_BLOCK steps across the cases.
+@pytest.mark.parametrize("N", [1, 25, 300])
+@pytest.mark.parametrize("n", [1, 3, shadowing.FOLD_BLOCK + 1])
+@pytest.mark.parametrize("mode", ["pointwise", "weak", "orbital"])
+def test_objective_core_matches_a_per_step_reference_fold(mode, n, N):
+    f, g = _newton_long_driver(N)
+    targets = orbit_segment(f, np.array([1 / 32, 5 / 16]), N).as_array()
+    ys = np.random.default_rng(1000 * n + N).random((n, 2))
+    exact = _reference_fold(g, targets, ys, N, mode)
+    T = shadowing._fold_targets(targets, N, mode)
+    assert np.array_equal(shadowing._objective_core(g, T, ys, N, mode), exact)
+    q = float(np.quantile(exact, 0.3))
+    for stop in (q, q / 2):
+        value = shadowing._objective_core(g, T, ys, N, mode, stop=stop)
+        kept = value <= stop
+        assert np.array_equal(kept, exact <= stop)
+        assert np.array_equal(value[kept], exact[kept])
+        assert (value[~kept] <= exact[~kept]).all()
+
+
+def test_missing_anchor_stops_walking_and_the_newton_witness_walks_its_orbit():
+    """The golden check-inverse-shear-sin-long case, with the driver's steps counted."""
+    N = 300
+    f, driver = _newton_long_driver(N)
+    m = method_from_map(f, driver, N)
+    points = []  # points per map step, in call order
+    for attr in ("forward", "backward"):
+        def counted(z, act=getattr(driver, attr)):
+            points.append(len(np.atleast_2d(z)))
+            return act(z)
+        object.__setattr__(driver, attr, counted)
+    counters = {}
+    x = (0.7621155845848191, 0.7847298237460361)
+    v = check_inverse_shadowing(f, m, x, eps=0.1, N=N, grid_step=1 / 64, threads=1, counters=counters)
+    golden = json.loads((Path(__file__).parent / "golden" / "check-inverse-shear-sin-long.json").read_text())
+    assert v.to_record() == {k: golden[k] for k in v.to_record()}
+    assert counters == golden["timings"]
+    # single-point steps: the anchor's walk before Newton, the witness's after it
+    anchor = next(k for k, p in enumerate(points) if p > 1)
+    witness = next(k for k, p in enumerate(reversed(points)) if p > 1)
+    assert set(points[:anchor]) == set(points[len(points) - witness:]) == {1}
+    assert anchor < N
+    assert witness == 2 * N
+
+
+@pytest.mark.parametrize("mode", ["pointwise", "weak", "orbital"])
+def test_candidate_pass_misses_at_eps_and_hits_just_below_with_the_exact_value(mode):
+    N = 300
+    f, g = _newton_long_driver(N)
+    x = np.array([0.7621155845848191, 0.7847298237460361])
+    T = shadowing._fold_targets(orbit_segment(f, x, N).as_array(), N, mode)
+    objective = partial(shadowing._objective_core, g, T, N=N, mode=mode)
+    far, y = x + [0.5, 0.0], x + 0.001  # far's orbit keeps 0.5 from every target
+    v = float(objective(y[None, :])[0])
+    candidates = [("anchor", far), ("seed", y)]
+    counters = {}
+    assert shadowing._candidate_pass(objective, candidates, v, counters) is None
+    hit = shadowing._candidate_pass(objective, candidates, np.nextafter(v, 1.0), counters)
+    assert hit[0] is y and hit[1] == v and hit[2] == "witness from seed"
+    assert counters == {"candidate_evaluations": 4}
 
 
 # ---------------------------------------------------------------------------

@@ -86,8 +86,8 @@ REFINE_LEVELS = 2
 REFINE_FACTOR = 8
 # Set-mode objectives hold all 2N+1 positions of the points they fold; folding
 # blocks of this many points bounds that memory (1.7 MB at N = 25).  A fold
-# takes at most this many point-steps (point-step-targets in the set modes) at
-# once, and at most STEP_BLOCK consecutive steps.
+# takes up to STEP_BLOCK consecutive steps at once, fewer where they would
+# pass this many point-steps (point-step-targets in the set modes).
 FOLD_BLOCK = 2048
 STEP_BLOCK = 32
 
@@ -289,9 +289,10 @@ def _fold_objective(targets: np.ndarray, steps, n: int, mode: str,
     targets[i], the index-matched target; in the set modes ``targets`` holds
     the distinct targets (``_fold_targets``), "weak" compares z with that set,
     and "orbital" also folds the reverse inclusion.  Consecutive steps are
-    folded in blocks of at most STEP_BLOCK steps and FOLD_BLOCK point-steps
-    (point-step-targets in the set modes): one ``sq_dist_array`` call per
-    block, reduced by max (and min over the block's steps).  max and min are
+    folded in blocks of up to STEP_BLOCK steps, fewer where the block would
+    pass FOLD_BLOCK point-steps (point-step-targets in the set modes), but
+    at least one: one ``sq_dist_array`` call per block, reduced by max (and
+    min over the block's steps).  max and min are
     exact and the distance is elementwise, so neither the blocks nor the
     order of the steps change a value.
 

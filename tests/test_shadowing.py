@@ -358,10 +358,10 @@ def test_objective_with_stop_is_exact_or_a_lower_bound_above_stop(mode):
     assert lowered > 0
 
 
-def _newton_long_driver(N):
-    """The shear and the driver of its pinned shear-sin method (non-affine)."""
+def _newton_long_method(N):
+    """The shear and its pinned shear-sin method, whose driver is not affine."""
     f = shear_map()
-    return f, cli.parse_method_spec("perturb:shear-sin:0.001:0", f, N, 0).source
+    return f, cli.parse_method_spec("perturb:shear-sin:0.001:0", f, N, 0)
 
 
 def _reference_fold(g, targets, ys, N, mode):
@@ -388,7 +388,8 @@ def _reference_fold(g, targets, ys, N, mode):
 @pytest.mark.parametrize("n", [1, 3, shadowing.FOLD_BLOCK + 1])
 @pytest.mark.parametrize("mode", ["pointwise", "weak", "orbital"])
 def test_objective_core_matches_a_per_step_reference_fold(mode, n, N):
-    f, g = _newton_long_driver(N)
+    f, m = _newton_long_method(N)
+    g = m.source
     targets = orbit_segment(f, np.array([1 / 32, 5 / 16]), N).as_array()
     ys = np.random.default_rng(1000 * n + N).random((n, 2))
     exact = _reference_fold(g, targets, ys, N, mode)
@@ -406,8 +407,8 @@ def test_objective_core_matches_a_per_step_reference_fold(mode, n, N):
 def test_missing_anchor_stops_walking_and_the_newton_witness_walks_its_orbit():
     """The golden check-inverse-shear-sin-long case, with the driver's steps counted."""
     N = 300
-    f, driver = _newton_long_driver(N)
-    m = method_from_map(f, driver, N)
+    f, m = _newton_long_method(N)
+    driver = m.source
     points = []  # points per map step, in call order
     for attr in ("forward", "backward"):
         def counted(z, act=getattr(driver, attr)):
@@ -431,10 +432,10 @@ def test_missing_anchor_stops_walking_and_the_newton_witness_walks_its_orbit():
 @pytest.mark.parametrize("mode", ["pointwise", "weak", "orbital"])
 def test_candidate_pass_misses_at_eps_and_hits_just_below_with_the_exact_value(mode):
     N = 300
-    f, g = _newton_long_driver(N)
+    f, m = _newton_long_method(N)
     x = np.array([0.7621155845848191, 0.7847298237460361])
     T = shadowing._fold_targets(orbit_segment(f, x, N).as_array(), N, mode)
-    objective = partial(shadowing._objective_core, g, T, N=N, mode=mode)
+    objective = partial(shadowing._objective_core, m.source, T, N=N, mode=mode)
     far, y = x + [0.5, 0.0], x + 0.001  # far's orbit keeps 0.5 from every target
     v = float(objective(y[None, :])[0])
     candidates = [("anchor", far), ("seed", y)]

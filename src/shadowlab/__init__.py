@@ -3,9 +3,9 @@
 The package turns infinite-horizon tracking notions -- direct, inverse, weak
 inverse, and orbital inverse shadowing -- into finite, decidable searches:
 an orbit segment, a method that proposes pseudo-orbits, an objective over
-candidate starting points, and a verdict that is either a concrete witness or
-a coarse-grid failure, certificate-backed when a horizon Lipschitz bound is
-available.
+candidate starting points, and a verdict that is tracked (with a witness),
+failed (with a covering certificate), or inconclusive (for want of a horizon
+Lipschitz bound or of a fine enough grid).
 """
 
 from .geometry import (

@@ -6,8 +6,8 @@ partition the outcomes so scripts can triage without parsing:
 
 * 0 -- tracked / consistent
 * 2 -- usage error, a bad system/method spec, or an invalid value
-* 3 -- certified failure
-* 4 -- inconclusive (including failures without a certificate)
+* 3 -- failed: a covering certificate proves nothing tracks
+* 4 -- inconclusive check or experiment
 * 5 -- experiment conclusion inconsistent
 
 A fixed ``--seed`` (default 0) is recorded in every report, and identical
@@ -245,11 +245,7 @@ def cmd_check(args: argparse.Namespace) -> int:
     if args.timings:
         record["timings"] = {k: counters[k] for k in sorted(counters)}
     _emit(json.dumps(record, sort_keys=True, indent=2) + "\n", args.out)
-    if verdict.outcome == "tracked":
-        return 0
-    if verdict.outcome == "failed" and verdict.certified:
-        return 3
-    return 4
+    return {"tracked": 0, "failed": 3, "inconclusive": 4}[verdict.outcome]
 
 
 def cmd_experiment(args: argparse.Namespace) -> int:

@@ -14,9 +14,9 @@ closed-form argument applies:
   at the anchor itself already decides success.
 
 Anything in between is "any": no prediction, every outcome matches.  An
-expected failure is only *confirmed* by a certificate-backed failure; a bare
-grid minimum leaves the comparison undecided.  The experiment's conclusion is
-a pure fold of the per-check agreements, recomputable from the report JSON.
+expected failure is confirmed by a failed verdict, which always carries a
+covering certificate, and left undecided by an inconclusive one.  The
+conclusion is a pure fold of the per-check agreements, recomputable from JSON.
 
 Reports are JSON-stable: keys are emitted sorted, and the ``timings`` section
 holds deterministic work counters rather than wall-clock times, so a report is
@@ -109,12 +109,11 @@ def evaluate_rule(rule: dict | None, params: dict, derived: dict) -> str:
 
 
 def agreement(expected: str, record: dict) -> str:
-    """Score one verdict record against its expectation.
+    """Score one verdict record against its expectation, from its outcome alone.
 
-    "track" is contradicted by anything that is not tracked.  "fail" is
-    matched only by a certificate-backed failure and contradicted only by a
-    tracked verdict; an uncertified failure or an inconclusive search leaves
-    the comparison "undecided".
+    "track" is contradicted by anything not tracked.  "fail" is matched by a
+    failed verdict (always certified), contradicted by a tracked one and left
+    "undecided" by an inconclusive one.
     """
     outcome = record["outcome"]
     if expected == "any":
@@ -122,11 +121,7 @@ def agreement(expected: str, record: dict) -> str:
     if expected == "track":
         return "match" if outcome == "tracked" else "contradict"
     if expected == "fail":
-        if outcome == "tracked":
-            return "contradict"
-        if outcome == "failed" and record.get("certified"):
-            return "match"
-        return "undecided"
+        return {"failed": "match", "tracked": "contradict", "inconclusive": "undecided"}[outcome]
     raise ValueError(f"unknown expectation {expected!r}")
 
 

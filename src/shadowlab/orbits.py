@@ -38,17 +38,15 @@ __all__ = [
 TRUE_ORBIT_DELTA = 1e-8
 
 
-def _as_coords(x, dim: int | None = None, role: str = "anchor") -> np.ndarray:
-    """One point as a 1-D array reduced to the unit cube, of length dim when given.
+def _as_coords(x, dim: int, role: str = "anchor") -> np.ndarray:
+    """One point as a 1-D array of length dim, reduced to the unit cube.
 
     ``role`` names the point in the error messages; non-finite coordinates are rejected.
     """
     arr = x.as_array() if isinstance(x, TorusPoint) else np.asarray(x, dtype=float)
     _check_finite(arr, role)
-    arr = reduce_to_unit(arr)
-    if arr.ndim == 0:
-        arr = arr[None]
-    if dim is not None and arr.shape != (dim,):
+    arr = np.atleast_1d(reduce_to_unit(arr))
+    if arr.shape != (dim,):
         raise ValueError(f"{role} has shape {arr.shape}, expected ({dim},)")
     return arr
 
@@ -136,7 +134,7 @@ def orbit_segment(f: SystemMap, x, N: int) -> PseudoOrbit:
     if N < 1:
         raise ValueError("N must be at least 1")
     arr = np.empty((2 * N + 1, f.dim))
-    for i, z in _orbit_steps(f, _as_coords(x), N):
+    for i, z in _orbit_steps(f, _as_coords(x, f.dim), N):
         arr[i] = z
     return PseudoOrbit.checked(f, arr, TRUE_ORBIT_DELTA)
 
@@ -179,7 +177,7 @@ class MethodSpec:
         n = self.horizon if N is None else int(N)
         if n < 1:
             raise ValueError("N must be at least 1")
-        x0 = _as_coords(x)
+        x0 = _as_coords(x, self.target.dim)
         if self.is_induced:
             pts = orbit_segment(self.source, x0, n).as_array()
         else:

@@ -111,13 +111,11 @@ def resolve_threads(threads: int | None = None) -> int:
 
 @dataclass(frozen=True)
 class ShadowVerdict:
-    """Outcome of one tracking search at a fixed horizon.
+    """Outcome of one tracking search at a fixed horizon: tracked, failed or inconclusive.
 
-    outcome "tracked" carries a witness and its achieved distance (< epsilon,
-    strictly).  outcome "failed" carries the binding cell's value and covering
-    diameter, the Lipschitz bound if one was computed, and whether the
-    covering certificate holds.  "inconclusive" means a bound was
-    available but the grid was too coarse to certify, and nothing tracked.
+    "tracked" carries a witness with achieved < epsilon.  "failed" is a proof:
+    its binding cell and Lipschitz bound satisfy the covering inequality.
+    ``certified`` and ``reason`` are derived from these fields, never stored.
     """
 
     property_name: str
@@ -132,18 +130,31 @@ class ShadowVerdict:
     min_over_grid: float | None = None
     grid_step: float | None = None
     lipschitz_bound: float | None = None
-    certified: bool | None = None
     note: str = ""
 
     def __post_init__(self):
         if self.outcome not in ("tracked", "failed", "inconclusive"):
             raise ValueError(f"unknown outcome {self.outcome!r}")
-        if self.outcome == "tracked" and not (self.achieved < self.epsilon):
+        if (self.witness is not None) != (self.outcome == "tracked"):
+            raise ValueError("a verdict carries a witness exactly when it is tracked")
+        if self.outcome == "tracked" and not (self.achieved is not None and self.achieved < self.epsilon):
             raise ValueError("tracked verdicts require achieved < epsilon")
-        if self.outcome == "failed" and self.certified:
-            slack = self.lipschitz_bound * self.grid_step / 2.0
-            if not (math.isfinite(self.min_over_grid) and self.min_over_grid - slack > self.epsilon):
-                raise ValueError("certificate inequality does not hold")
+        if self.outcome == "failed" and (
+                None in (self.min_over_grid, self.grid_step)
+                or _certify(self.min_over_grid, self.grid_step, self.lipschitz_bound, self.epsilon)[0] != "failed"):
+            raise ValueError("failed verdicts require a holding covering certificate")
+
+    @property
+    def certified(self) -> bool | None:
+        """None when tracked; else True exactly when failed, since failed always certifies."""
+        return None if self.outcome == "tracked" else self.outcome == "failed"
+
+    @property
+    def reason(self) -> str | None:
+        """Why an inconclusive search did not certify: "no-lipschitz" or "grid"; None otherwise."""
+        if self.outcome != "inconclusive":
+            return None
+        return "no-lipschitz" if self.lipschitz_bound is None else "grid"
 
     def to_record(self) -> dict:
         """JSON-ready record with the wire keys."""
@@ -158,7 +169,7 @@ class ShadowVerdict:
         }
         if self.witness is not None:
             rec["witness"] = [float(v) for v in self.witness.coords]
-        for key in ("achieved", "min_over_grid", "grid_step", "lipschitz_bound", "certified"):
+        for key in ("achieved", "min_over_grid", "grid_step", "lipschitz_bound", "certified", "reason"):
             if getattr(self, key) is not None:
                 rec[key] = getattr(self, key)
         if self.note:
@@ -561,12 +572,12 @@ def _cover(objective, dim: int, G: int, eps: float, lip, threads: int, counters:
 
 
 def _certify(gmin: float, cover: float, lip, eps: float):
-    """(outcome, certified, note) when nothing tracked: the covering certificate, or why it fails."""
+    """(outcome, note) when nothing tracked: "failed" exactly when the covering certificate holds."""
     if lip is None:
-        return "failed", False, "no usable Lipschitz bound at this horizon"
-    if gmin - lip * cover / 2.0 > eps:
-        return "failed", True, "covering certificate holds"
-    return "inconclusive", False, "grid too coarse to certify at this Lipschitz bound"
+        return "inconclusive", "no usable Lipschitz bound at this horizon"
+    if math.isfinite(gmin) and gmin - lip * cover / 2.0 > eps:
+        return "failed", "covering certificate holds"
+    return "inconclusive", "grid too coarse to certify at this Lipschitz bound"
 
 
 def _search(objective, dim: int, eps: float, grid_step: float, candidates, lip_bound,
@@ -582,9 +593,8 @@ def _search(objective, dim: int, eps: float, grid_step: float, candidates, lip_b
         hit, gmin, cover = _cover(objective, dim, G, eps, lip_bound, threads, counters, stops)
         grid = {"min_over_grid": gmin, "grid_step": cover}
         if hit is None:
-            outcome, certified, note = _certify(gmin, cover, lip_bound, eps)
-            return {"outcome": outcome, "certified": certified, "note": coarsened + note,
-                    "lipschitz_bound": lip_bound, **grid}
+            outcome, note = _certify(gmin, cover, lip_bound, eps)
+            return {"outcome": outcome, "note": coarsened + note, "lipschitz_bound": lip_bound, **grid}
     pt, v, note = hit
     return {"outcome": "tracked", "witness": TorusPoint.from_array(pt), "achieved": v,
             "note": note, **grid}

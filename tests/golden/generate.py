@@ -28,6 +28,16 @@ chunks on the sweep's thread pool.  Two checks decide in the candidate pass
 with a Newton witness after the anchor misses: a long horizon (the shear-sin
 perturbation of the shear at N=300) and a set-mode property (orbital, on the
 shear-sin perturbation of the cat).
+
+Every failed record carries a covering certificate.  Four checks end
+inconclusive, and their records name the reason.  One has reason "grid": the
+shear drift at grid 8 (``check-inverse-shear-inconclusive``) has a Lipschitz
+bound, but its cells are too coarse to certify.  Three have reason
+"no-lipschitz", where no bound exists, so a grid miss proves nothing: the raw
+``random:`` methods of ``check-inverse-random-uncertified`` and
+``check-orbital-random-uncertified``, and the shear-sin perturbation of the
+cat at N=40 (``check-inverse-cat-perturbed-no-bound``), a non-affine driver
+past the cap on N*log(lip).
 """
 
 from __future__ import annotations

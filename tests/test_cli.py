@@ -196,6 +196,14 @@ def test_orbit_out_file_matches_stdout(tmp_path, capsys):
     assert path.read_text() == out
 
 
+@pytest.mark.parametrize("system, x, shape, expected", [("cat", "0.1", 1, 2), ("golden", "0.1,0.2", 2, 1)])
+def test_orbit_wrong_dimension_anchor_is_named(system, x, shape, expected, capsys):
+    rc, out, err = run_cli(["orbit", "--system", system, "--x", x, "--N", "3"], capsys)
+    assert rc == 2
+    assert out == ""
+    assert err == f"shadowlab: error: anchor has shape ({shape},), expected ({expected},)\n"
+
+
 # --- check command ---------------------------------------------------------
 
 
@@ -236,12 +244,14 @@ def test_check_inconclusive_exits_four(capsys):
     )
     assert rc == 4
     record = json.loads(out)
+    assert record["outcome"] == "inconclusive"
     assert record["certified"] is False
+    assert record["reason"] == "grid"
     assert "grid too coarse" in record["note"]
 
 
 def test_check_raw_method_failure_is_uncertified(capsys):
-    """Raw methods carry no Lipschitz data, so a grid miss cannot certify."""
+    """Raw methods carry no Lipschitz data, so a grid miss is inconclusive, not a failure."""
     rc, out, _ = run_cli(
         ["check", "inverse", "--system", "cat", "--method", "random:0.001",
          "--x", "0.2,0.3", "--eps", "0.1", "--N", "10", "--grid", "32"],
@@ -249,7 +259,10 @@ def test_check_raw_method_failure_is_uncertified(capsys):
     )
     assert rc == 4
     record = json.loads(out)
+    assert record["outcome"] == "inconclusive"
     assert record["certified"] is False
+    assert record["reason"] == "no-lipschitz"
+    assert "lipschitz_bound" not in record
     assert record["min_over_grid"] == 0.5207696520081438
     assert record["note"] == "no usable Lipschitz bound at this horizon"
 

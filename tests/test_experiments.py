@@ -66,14 +66,15 @@ def test_unknown_rule_kind_raises():
 
 
 def test_agreement_matrix():
+    # only the outcome is read: a failed record always carries a certificate
     assert agreement("any", {"outcome": "failed"}) == "match"
     assert agreement("track", {"outcome": "tracked"}) == "match"
-    assert agreement("track", {"outcome": "failed", "certified": True}) == "contradict"
+    assert agreement("track", {"outcome": "failed"}) == "contradict"
     assert agreement("track", {"outcome": "inconclusive"}) == "contradict"
     assert agreement("fail", {"outcome": "tracked"}) == "contradict"
-    assert agreement("fail", {"outcome": "failed", "certified": True}) == "match"
-    assert agreement("fail", {"outcome": "failed", "certified": False}) == "undecided"
-    assert agreement("fail", {"outcome": "inconclusive"}) == "undecided"
+    assert agreement("fail", {"outcome": "failed"}) == "match"
+    assert agreement("fail", {"outcome": "inconclusive", "reason": "grid"}) == "undecided"
+    assert agreement("fail", {"outcome": "inconclusive", "reason": "no-lipschitz"}) == "undecided"
     with pytest.raises(ValueError):
         agreement("maybe", {"outcome": "tracked"})
 
@@ -86,10 +87,10 @@ def test_conclusion_fold():
     assert conclusion_from_verdicts([entry("any", {"outcome": "failed"})]) == "consistent"
     assert conclusion_from_verdicts([
         entry("track", {"outcome": "tracked"}),
-        entry("fail", {"outcome": "failed", "certified": False}),
+        entry("fail", {"outcome": "inconclusive"}),
     ]) == "inconclusive"
     assert conclusion_from_verdicts([
-        entry("fail", {"outcome": "failed", "certified": False}),
+        entry("fail", {"outcome": "inconclusive"}),
         entry("track", {"outcome": "failed"}),
     ]) == "inconsistent"
 

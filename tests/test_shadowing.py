@@ -628,19 +628,34 @@ def test_inconclusive_when_the_grid_is_too_coarse():
                                 grid_step=1 / 8)
     assert v.outcome == "inconclusive"
     assert v.certified is False
+    assert v.reason == "grid"
     assert "grid too coarse to certify" in v.note
     assert v.lipschitz_bound is not None
 
 
 def test_uncertified_failure_for_a_raw_method():
+    """Without a Lipschitz bound a grid miss proves nothing: inconclusive, not failed."""
     f, m = piecewise_method()
     v = check_inverse_shadowing(f, m, (0.45, 0.5), 0.03, 2, grid_step=1 / 512)
-    assert v.outcome == "failed"
+    assert v.outcome == "inconclusive"
     assert v.certified is False
+    assert v.reason == "no-lipschitz"
     assert v.lipschitz_bound is None
     assert v.min_over_grid == pytest.approx(0.05366339133374026, rel=1e-9)
     assert v.note == ("grid coarsened to 141 per axis for a raw method; "
                       "no usable Lipschitz bound at this horizon")
+
+
+def test_inconclusive_past_the_lipschitz_cap():
+    """A non-affine driver at N = 40 has no usable bound (40 * log(lip) > LIP_CAP)."""
+    f = cat_map()
+    m = method_from_map(f, make_conservative_perturbation(f, 0.001, "shear-sin", seed=0), 40)
+    assert horizon_lipschitz_bound(m.source, 40) is None
+    v = check_inverse_shadowing(f, m, (0.2, 0.3), 0.1, 40, grid_step=1 / 8)
+    assert v.outcome == "inconclusive"
+    assert v.reason == "no-lipschitz"
+    assert v.min_over_grid > 0.1
+    assert v.note == "no usable Lipschitz bound at this horizon"
 
 
 def test_direct_shadowing_tracks_raw_noise():
@@ -891,17 +906,32 @@ def test_tracked_verdict_requires_strict_achievement():
 
 
 def test_certified_verdict_requires_the_inequality():
-    with pytest.raises(ValueError):
-        _verdict(outcome="failed", witness=None, achieved=None, certified=True,
-                 min_over_grid=0.11, grid_step=0.01, lipschitz_bound=25.0)
+    failed = dict(outcome="failed", witness=None, achieved=None, min_over_grid=0.11, grid_step=0.01)
+    with pytest.raises(ValueError, match="holding covering certificate"):
+        _verdict(lipschitz_bound=25.0, **failed)
+    with pytest.raises(ValueError, match="holding covering certificate"):
+        _verdict(lipschitz_bound=None, **failed)
 
 
 def test_certified_verdict_requires_a_finite_minimum():
-    certified = dict(outcome="failed", witness=None, achieved=None, certified=True,
-                     grid_step=0.01, lipschitz_bound=1.0)
-    assert _verdict(min_over_grid=0.25, **certified).certified
+    failed = dict(outcome="failed", witness=None, achieved=None, grid_step=0.01, lipschitz_bound=1.0)
+    v = _verdict(min_over_grid=0.25, **failed)
+    assert v.certified is True and v.reason is None
     with pytest.raises(ValueError):
-        _verdict(min_over_grid=math.inf, **certified)
+        _verdict(min_over_grid=math.inf, **failed)
+
+
+def test_verdict_carries_a_witness_exactly_when_tracked():
+    with pytest.raises(ValueError, match="witness exactly when it is tracked"):
+        _verdict(witness=None)
+    inconclusive = dict(outcome="inconclusive", achieved=None, min_over_grid=0.2, grid_step=0.01)
+    with pytest.raises(ValueError, match="witness exactly when it is tracked"):
+        _verdict(**inconclusive)
+    v = _verdict(witness=None, **inconclusive)
+    assert (v.certified, v.reason) == (False, "no-lipschitz")
+    v = _verdict(witness=None, lipschitz_bound=25.0, **inconclusive)
+    assert (v.certified, v.reason) == (False, "grid")
+    assert (_verdict().certified, _verdict().reason) == (None, None)
 
 
 def test_record_wire_keys():
@@ -922,6 +952,14 @@ def test_record_wire_keys():
                         "note"}
     assert rec["outcome"] == "failed"
     assert rec["certified"] is True
+
+    inconclusive = check_inverse_shadowing(sh, drift_method(sh, 0.01, 25), (0.0, 0.0), 0.1, 25,
+                                           grid_step=1 / 8)
+    rec = inconclusive.to_record()
+    assert set(rec) == {"property", "system", "method", "x", "eps", "N", "outcome",
+                        "min_over_grid", "grid_step", "lipschitz_bound", "certified",
+                        "reason", "note"}
+    assert (rec["certified"], rec["reason"]) == (False, "grid")
 
 
 # ---------------------------------------------------------------------------

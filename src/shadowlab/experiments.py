@@ -112,7 +112,7 @@ def agreement(expected: str, record: dict) -> str:
     """Score one verdict record against its expectation, from its outcome alone.
 
     "track" is contradicted by anything not tracked.  "fail" is matched by a
-    failed verdict (always certified), contradicted by a tracked one and left
+    failed verdict (always a proof), contradicted by a tracked one and left
     "undecided" by an inconclusive one.
     """
     outcome = record["outcome"]

@@ -17,6 +17,7 @@ invocations produce byte-identical output regardless of ``--threads``.
 from __future__ import annotations
 
 import argparse
+import functools
 import inspect
 import json
 import sys
@@ -211,6 +212,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser ``main`` uses, built once per process: parsing leaves it unchanged."""
+    return build_parser()
+
+
 def _emit(text: str, out: str | None) -> None:
     if out is None:
         sys.stdout.write(text)
@@ -265,8 +272,7 @@ _DISPATCH = {"orbit": cmd_orbit, "check": cmd_check, "experiment": cmd_experimen
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     start = time.perf_counter()
     try:
         code = _DISPATCH[args.command](args)

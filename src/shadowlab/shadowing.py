@@ -9,11 +9,12 @@ and orbital inverse shadowing (both one-sided inclusions).
 The existential quantifier "there is y" is realized in three stages, which
 ``_search`` sequences: a candidate pass over explicit points (the anchor,
 caller-provided seeds, then the Newton solver's output, computed only if
-those miss), a covering, and a certifier that, when nothing tracked, issues
-a Lipschitz covering certificate or says why none holds.  A candidate walks
-its orbit lazily, in orbit order, with stop = eps: a hit gets its exact
-value, and a candidate that misses stops walking within one step block past
-eps, since a lower bound above eps settles it.  The covering
+those miss, then, for a non-affine driver, that output polished by further
+Newton steps), a covering, and a certifier that, when nothing tracked,
+issues a Lipschitz covering certificate or says why none holds.  A
+candidate walks its orbit lazily, in orbit order, with stop = eps: a hit
+gets its exact value, and a candidate that misses stops walking within one
+step block past eps, since a lower bound above eps settles it.  The covering
 walks nested dyadic lattices from coarse to fine (branch and bound after
 Piyavskii and Shubert): a lattice point's cell is settled once its value
 minus lipschitz_bound * (cell diameter) / 2 exceeds eps, and every other
@@ -22,11 +23,12 @@ least unsettled value follows.  A certificate means every cell is settled,
 so *no* point of the continuum tracks at this horizon — failure is a finite
 proof, not sampling evidence.  In the weak and orbital modes a lattice point
 also stops folding its orbit, farthest steps first, once its running max
-passes max(eps, U) + slack, U the least exact leaf margin so far: the
-partial max is a lower bound that already settles the cell (the cut-off
-test of interval branch and bound, after Hansen and Walster).  At the end
-of each level, the stopped leaves whose bound could still undercut U are
-evaluated exactly, so the binding cell is chosen among exact values.
+passes max(eps, b) + slack, b the binding margin so far: the partial max
+is a lower bound that already settles the cell (the cut-off test of
+interval branch and bound, after Hansen and Walster) and can never bind.
+Only the level that sets the first binding cell evaluates its stopped
+leaves again, in one exact batch of those whose bound could still undercut
+that level's exact leaves, so the binding cell is chosen among exact values.
 
 On failed and inconclusive records, ``min_over_grid`` and ``grid_step`` are
 the value and covering diameter (per-axis spacing times sqrt(dim)) of the
@@ -242,6 +244,24 @@ def _min_norm_newton_step(A: np.ndarray, r: np.ndarray) -> np.ndarray:
     return delta[:, :, 0]
 
 
+def _newton_iterates(f: SystemMap, pts: np.ndarray):
+    """Yield (z, residual) for the Newton iterates from pts, pts itself (reduced) first.
+
+    Variables are a lift of the sequence, built from its wrapped consecutive
+    differences; each step is computed only when the next iterate is drawn.
+    """
+    m, d = pts.shape
+    zhat = np.empty_like(pts)
+    zhat[0] = pts[0]
+    zhat[1:] = pts[0] + np.cumsum(wrap_to_half(pts[1:] - pts[:-1]), axis=0)
+    while True:
+        z = reduce_to_unit(zhat)
+        r = wrap_to_half(z[1:] - f.forward(z[:-1]))
+        yield z, float(np.sqrt((r * r).sum(axis=1)).max())
+        A = np.asarray(f.differential(z[:-1]), dtype=float).reshape(m - 1, d, d)
+        zhat = zhat + _min_norm_newton_step(A, r)
+
+
 def shadow_solve_newton(f: SystemMap, po: PseudoOrbit, tol: float = 1e-10, max_iter: int = 20) -> NewtonShadowResult:
     """Newton iteration on the orbit-sequence space.
 
@@ -254,20 +274,9 @@ def shadow_solve_newton(f: SystemMap, po: PseudoOrbit, tol: float = 1e-10, max_i
     it as inconclusive.
     """
     pts = po.as_array()
-    m, d = pts.shape
-    zhat = np.empty_like(pts)
-    zhat[0] = pts[0]
-    steps = wrap_to_half(pts[1:] - pts[:-1])
-    zhat[1:] = pts[0] + np.cumsum(steps, axis=0)
-
-    for iterations in range(max(max_iter, 0) + 1):
-        z = reduce_to_unit(zhat)
-        r = wrap_to_half(z[1:] - f.forward(z[:-1]))
-        residual = float(np.sqrt((r * r).sum(axis=1)).max())
+    for iterations, (z, residual) in enumerate(_newton_iterates(f, pts)):
         if residual <= tol or iterations >= max_iter:
             break
-        A = np.asarray(f.differential(z[:-1]), dtype=float).reshape(m - 1, d, d)
-        zhat = zhat + _min_norm_newton_step(A, r)
 
     achieved = float(dist_array(z, pts).max())
     return NewtonShadowResult(
@@ -490,20 +499,23 @@ def _cover(objective, dim: int, G: int, eps: float, lip, threads: int, counters:
 
     ``stops`` says that the objective takes a ``stop`` keyword (see
     ``_fold_objective``).  Lattice points are then evaluated with stop =
-    max(eps, U) + slack, U the least exact leaf margin so far (eps before
-    there is one), so a value above stop may be a lower bound; such a point
-    is still a certified leaf, since its margin exceeds eps.  At the end of
-    each level, the leaves whose lower-bound margin is at most U are
-    evaluated exactly, least bound first, in doubling blocks, until the
-    least remaining bound exceeds U; the binding cell is then chosen among
-    exact values.  Qualifying, unresolved and carried values are exact.
+    max(eps, b) + slack, b the binding margin of the coarser levels (eps
+    before there is one), so a value above stop may be a lower bound; such
+    a point is still a certified leaf, since its margin exceeds eps, and
+    once there is a binding cell it can never bind, since its margin exceeds
+    b.  So only the level that sets the first binding cell re-evaluates: one
+    call without stop on its stopped leaves whose lower-bound margin is at
+    most U, the least exact leaf margin of that level (inf if none); the
+    binding cell is then chosen among exact values.  Qualifying, unresolved
+    and carried values are exact.
     """
     levels = [G]
     while levels[0] % 2 == 0:
         levels.insert(0, levels[0] // 2)
+    # The fitting test is monotone in g, so the fitting levels are a suffix of the list.
     fits = [g for g in levels
             if lip is not None and lip * (math.sqrt(dim) / g) / 2.0 < math.sqrt(dim) / 2.0 - eps]
-    levels = levels[levels.index(fits[0]):] if fits else [G]
+    levels = fits or [G]
     offs = np.stack(np.meshgrid(*[[-1, 0, 1]] * dim, indexing="ij"), axis=-1).reshape(-1, dim)
     idx = np.arange(levels[0] ** dim)
     vals, new = np.empty(len(idx)), np.ones(len(idx), dtype=bool)
@@ -532,17 +544,11 @@ def _cover(objective, dim: int, G: int, eps: float, lip, threads: int, counters:
         last = len(qual) > 0 or g == G or not unresolved.any()
         leaf = np.ones(len(idx), dtype=bool) if last else ~unresolved
         if leaf.any():
-            U = min(binding[0] if binding else math.inf,
-                    float((vals[leaf & ~low] - slack).min(initial=math.inf)))
-            order = np.flatnonzero(leaf & low)
-            order = order[np.argsort(vals[order], kind="stable")]
-            size = 1
-            while len(order) and vals[order[0]] - slack <= U:
-                take = min(size, int(np.searchsorted(vals[order] - slack, U, side="right")))
-                block, order = order[:take], order[take:]
-                vals[block] = objective(lattice_points(g, dim, idx=idx[block]))
-                U = min(U, float((vals[block] - slack).min()))
-                size *= 2
+            if binding is None:
+                U = float((vals[leaf & ~low] - slack).min(initial=math.inf))
+                redo = np.flatnonzero(low & (vals - slack <= U))  # stopped points are all leaves
+                if len(redo):
+                    vals[redo] = objective(lattice_points(g, dim, idx=idx[redo]))
             i = int(np.argmin(np.where(leaf, vals, np.inf)))
             if binding is None or vals[i] - slack < binding[0]:
                 binding = (vals[i] - slack, float(vals[i]), cover, int(idx[i]))
@@ -607,7 +613,9 @@ def _search(objective, dim: int, eps: float, grid_step: float, candidates, lip_b
 def _solver_candidate(driver: SystemMap, targets: np.ndarray, delta_hint: float, counters: dict):
     """Yield ("newton solver", point) when Newton finds a driver orbit near the targets.
 
-    A generator, so Newton runs only if the candidate pass gets this far.
+    A generator, so Newton runs only if the candidate pass gets this far, and
+    the polish (("newton polish", point), non-affine drivers only) only if
+    the solver's point misses.
     """
     try:
         po = PseudoOrbit.checked(driver, targets, max(delta_hint * 1.01 + 1e-12, 2 * TRUE_ORBIT_DELTA))
@@ -615,8 +623,31 @@ def _solver_candidate(driver: SystemMap, targets: np.ndarray, delta_hint: float,
         return
     res = shadow_solve_newton(driver, po, tol=1e-9, max_iter=30)
     counters["newton_iterations"] = counters.get("newton_iterations", 0) + res.iterations
-    if res.converged:
-        yield "newton solver", res.points[po.horizon]
+    if not res.converged:
+        return
+    yield "newton solver", res.points[po.horizon]
+    if driver.linear_part is not None:
+        return  # an affine driver's Newton step is exact, so there is nothing to polish
+    polished = _polish(driver, res, counters)
+    if polished is not None:
+        yield "newton polish", polished[po.horizon]
+
+
+def _polish(driver: SystemMap, res: NewtonShadowResult, counters: dict):
+    """The last further Newton iterate while the residual at least halves, or None if none does.
+
+    The solver stops at its tolerance, but a hyperbolic driver stretches the
+    residual left at the middle index over N steps each way, so a witness
+    can miss eps that a residual nearer roundoff would carry.
+    """
+    iterates = _newton_iterates(driver, res.points)
+    next(iterates)  # res.points themselves
+    best, last = None, res.residual
+    for z, residual in iterates:
+        counters["newton_iterations"] += 1
+        if not (last > 0 and residual <= last / 2):
+            return best
+        best, last = z, residual
 
 
 def _run_check(property_name: str, f: SystemMap, m: MethodSpec, x, eps: float,

@@ -14,7 +14,7 @@ row with two methods (each inverse witness seeds the set checks), a zero drift
 on the rotation in the dichotomy and in the gallery, and a drift-inverse run
 whose 2*eps is too wide for an anchor separation.  The checks run with
 ``--timings`` and together cover all four properties, all three outcomes,
-witnesses from the anchor, Newton, the grid and refinement,
+witnesses from the anchor, Newton, the Newton polish, the grid and refinement,
 a raw ``random:`` method (also as the pseudo-orbit of a direct check), both
 the circle and the torus, and every derived map constructor: translation
 drifts, the block drift, and shear-sin and translation perturbations.  The
@@ -27,7 +27,11 @@ shear-sin perturbation of the cat at N=40): its 262,144 points run as four
 chunks on the sweep's thread pool.  Two checks decide in the candidate pass
 with a Newton witness after the anchor misses: a long horizon (the shear-sin
 perturbation of the shear at N=300) and a set-mode property (orbital, on the
-shear-sin perturbation of the cat).
+shear-sin perturbation of the cat).  One decides with the polished Newton
+witness (``check-inverse-cat-perturbed-polish``, the shear-sin perturbation
+of size 0.01 of the cat at N=30): the solver's point stops at a residual near
+1e-12, which the cat stretches past eps over 30 steps each way, and further
+Newton steps while the residual at least halves bring it near roundoff.
 
 Every failed record carries a covering certificate.  Four checks end
 inconclusive, and their records name the reason.  One has reason "grid": the
@@ -122,6 +126,10 @@ CASES = {
     "check-orbital-cat-perturbed-newton": ["check", "orbital", "--system", "cat",
                                            "--method", "perturb:shear-sin:0.001",
                                            "--x", "0.2,0.3", "--eps", "0.1", "--N", "30"],
+    "check-inverse-cat-perturbed-polish": ["check", "inverse", "--system", "cat",
+                                           "--method", "perturb:shear-sin:0.01:0",
+                                           "--x", "0.2,0.3", "--eps", "0.1", "--N", "30",
+                                           "--grid", "64"],
 }
 
 

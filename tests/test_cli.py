@@ -223,6 +223,21 @@ def test_check_tracked_exits_zero(capsys):
     assert "timings" not in record
 
 
+@pytest.mark.parametrize("seed", range(4))
+def test_check_polished_newton_witness_tracks_on_the_cat(seed, capsys):
+    # The solver's point misses eps: the cat stretches its residual near 1e-12
+    # over 30 steps each way.  Further Newton steps bring it near roundoff.
+    rc, out, _ = run_cli(
+        ["check", "inverse", "--system", "cat", "--method", f"perturb:shear-sin:0.01:{seed}",
+         "--x", "0.2,0.3", "--eps", "0.1", "--N", "30", "--grid", "64", "--threads", "1"],
+        capsys,
+    )
+    assert rc == 0
+    record = json.loads(out)
+    assert record["outcome"] == "tracked"
+    assert record["note"] == "witness from newton polish"
+
+
 def test_check_certified_failure_exits_three(capsys):
     rc, out, _ = run_cli(
         ["check", "inverse", "--system", "shear", "--method", "translate:0.01",
@@ -542,6 +557,27 @@ def test_experiment_inconsistent_exits_five(monkeypatch, capsys):
     rc, out, _ = run_cli(["experiment", "drift-weak"], capsys)
     assert rc == 5
     assert json.loads(out)["conclusion"] == "inconsistent"
+
+
+@pytest.mark.parametrize("delta", ["0.007", "0.01", "0.015"])
+def test_gallery_cat_row_with_four_methods_is_consistent(delta, capsys):
+    rc, out, _ = run_cli(["experiment", "property-gallery", "--include", "cat",
+                          "--n-methods", "4", "--delta", delta, "--threads", "1"], capsys)
+    assert rc == 0
+    assert json.loads(out)["conclusion"] == "consistent"
+
+
+def test_main_builds_the_parser_once(monkeypatch, capsys):
+    built, build = [], cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or build())
+    cli._parser.cache_clear()
+    try:
+        for _ in range(2):
+            rc, out, _ = run_cli(["experiment", "property-gallery", "--include", ""], capsys)
+            assert rc == 0 and json.loads(out)["verdicts"] == []
+    finally:
+        cli._parser.cache_clear()
+    assert built == [1]
 
 
 def test_experiment_empty_include_runs_nothing(capsys):

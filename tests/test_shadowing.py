@@ -749,14 +749,15 @@ def _oracle_cover(objective, dim, G, eps, lip):
     """The covering written out cell by cell with scalar calls.
 
     Returns (witness or None, its value, binding value, binding cover, points
-    evaluated), where a point k/g of one level is reused as 2k/(2g).
+    evaluated, the number of levels evaluated up to the one that set the
+    first binding cell), where a point k/g of one level is reused as 2k/(2g).
     """
     levels = [G >> j for j in range(G.bit_length()) if G % (1 << j) == 0][::-1]
     start = next((g for g in levels
                   if lip * (math.sqrt(dim) / g) / 2.0 < math.sqrt(dim) / 2.0 - eps), G)
     cells = sorted(itertools.product(range(start), repeat=dim))
-    values, binding, evaluated = {}, None, 0
-    for g in levels[levels.index(start):]:
+    values, binding, evaluated, first = {}, None, 0, None
+    for level, g in enumerate(levels[levels.index(start):], 1):
         cover, known = math.sqrt(dim) / g, {tuple(2 * a for a in k): v for k, v in values.items()}
         values = {k: known[k] if k in known else float(objective(np.array([k]) / g)[0])
                   for k in cells}
@@ -767,14 +768,15 @@ def _oracle_cover(objective, dim, G, eps, lip):
         for k in cells if last else settled:
             if binding is None or values[k] - lip * cover / 2.0 < binding[0]:
                 binding = (values[k] - lip * cover / 2.0, values[k], cover)
+        first = first or (binding and level)
         if qual:
-            return np.array(qual[0]) / g, values[qual[0]], binding[1], binding[2], evaluated
+            return np.array(qual[0]) / g, values[qual[0]], binding[1], binding[2], evaluated, first
         if last:
             break
         values = {k: values[k] for k in cells if k not in settled}
         cells = sorted({tuple((2 * a + o) % (2 * g) for a, o in zip(k, off))
                         for k in values for off in itertools.product((-1, 0, 1), repeat=dim)})
-    return None, None, binding[1], binding[2], evaluated
+    return None, None, binding[1], binding[2], evaluated, first
 
 
 @pytest.mark.parametrize("lip", [1.0, 4.0])
@@ -784,7 +786,7 @@ def test_cover_matches_a_cell_by_cell_oracle(dim, G, seed, lip):
     objective, _, eps = _cone(dim, 1000 * G + seed)
     counters = {}
     hit, value, cover = _cover(objective, dim, G, eps, lip, 1, counters)
-    point, achieved, o_value, o_cover, evaluated = _oracle_cover(objective, dim, G, eps, lip)
+    point, achieved, o_value, o_cover, evaluated, _ = _oracle_cover(objective, dim, G, eps, lip)
     assert (value, cover, counters["grid_points"]) == (o_value, o_cover, evaluated)
     if point is not None:
         assert np.array_equal(hit[0], point) and hit[1] == achieved
@@ -847,15 +849,32 @@ def test_cover_is_the_same_with_and_without_stopping(dim, G, seed, lip):
 
 
 def test_stopping_settles_points_and_re_evaluates_few():
-    """Over all the cone cases above, points do stop, and few are evaluated twice."""
+    """Over all the cone cases above, points do stop, and few are evaluated twice.
+
+    Each covering re-evaluates in at most one exact call before refinement,
+    made right after the lattice call of the level that set the first
+    binding cell: at every later level a stopped point's margin exceeds the
+    binding margin, so it can never bind.
+    """
     stopped = again = total = 0
     for (dim, G), seed, lip in itertools.product(_COVER_GRIDS, range(10), (1.0, 4.0)):
         objective, eps, bounded, exact, count = _stopping_cone(dim, 1000 * G + seed)
+        calls = []  # in order: True for a lattice call (with stop), False for an exact one
+
+        def logged(ys, stop=None):
+            calls.append(stop is not None)
+            return objective(ys, stop=stop)
+
         counters = {}
-        _cover(objective, dim, G, eps, lip, 1, counters, stops=True)
+        _cover(logged, dim, G, eps, lip, 1, counters, stops=True)
         stopped += count[0]
         again += len(_re_evaluated(exact, counters))
         total += counters["grid_points"]
+        refined = shadowing.REFINE_LEVELS if "refinement_points" in counters else 0
+        exact_at = [n for n, lattice in enumerate(calls[:len(calls) - refined]) if not lattice]
+        if exact_at:
+            first = _oracle_cover(_cone(dim, 1000 * G + seed)[0], dim, G, eps, lip)[5]
+            assert exact_at == [first]
     assert stopped > total // 10
     assert 0 < again < stopped
 

@@ -21,7 +21,7 @@ from typing import Callable
 import numpy as np
 
 from .geometry import TorusPoint, _check_finite, dist_array, reduce_to_unit
-from .systems import ConstructionError, SystemMap, c1_distance
+from .systems import ConstructionError, SystemMap, _method_gap
 
 __all__ = [
     "PseudoOrbit",
@@ -191,18 +191,20 @@ class MethodSpec:
 
 
 def method_from_map(f: SystemMap, g: SystemMap, N: int) -> MethodSpec:
-    """Method induced by iterating g, with delta = measured C1 gap plus a 5% margin.
+    """Method induced by iterating g, with delta = the C1 gap from f plus a 5% margin.
 
-    The C1 estimate is a grid lower bound, so the margin (and an absolute floor
-    of 1e-9 for the g = f case, where only roundtrip roundoff remains) keeps
+    The gap comes from how g was built (``systems._method_gap``): in closed
+    form for f itself, drifts, rotations and perturbations of an affine f,
+    where float evaluation exceeds it only by roundoff.  Other pairs fall back
+    to a grid estimate, a lower bound.  The margin (and an absolute floor of
+    1e-9 for the g = f case, where only roundtrip roundoff remains) keeps
     every evaluation validating strictly.
     """
     if f.dim != g.dim:
         raise ValueError(f"dimension mismatch: {f.dim} vs {g.dim}")
     if N < 1:
         raise ValueError("N must be at least 1")
-    d1 = c1_distance(f, g, samples=128)
-    delta = max(d1 * 1.05, 1e-9)
+    delta = max(_method_gap(f, g) * 1.05, 1e-9)
     return MethodSpec(
         kind="induced",
         target=f,

@@ -35,7 +35,8 @@ the value and covering diameter (per-axis spacing times sqrt(dim)) of the
 binding cell, the final cell of least margin, so the record alone restates
 the certificate inequality or shows where it fails.  The ``grid_points``
 counter counts lattice points evaluated.  Without a Lipschitz bound the
-covering is one sweep of the requested lattice.
+covering is one sweep of the requested lattice, coarsened to at most
+UNBOUNDED_GRID_CAP points (RAW_GRID_CAP for a raw method), with a note.
 
 Objectives fold consecutive orbit steps in blocks, with one distance call
 per block and exact max/min reductions, so the blocking changes no value.
@@ -82,6 +83,10 @@ LIP_CAP = 25.0
 # Raw (callable) methods are evaluated point by point in Python; grids are
 # deterministically coarsened to at most this many points for them.
 RAW_GRID_CAP = 20000
+# Without a Lipschitz bound the covering is one sweep of the whole lattice,
+# which no finer grid can turn into a certificate; it is coarsened to at most
+# this many points (1024 per axis on the torus) so that its arrays stay small.
+UNBOUNDED_GRID_CAP = 1024 ** 2
 # Local refinement around the grid minimum: REFINE_LEVELS nested grids of
 # 2 * REFINE_FACTOR + 1 points per axis, each REFINE_FACTOR times finer.
 REFINE_LEVELS = 2
@@ -593,8 +598,9 @@ def _search(objective, dim: int, eps: float, grid_step: float, candidates, lip_b
     grid = {}
     if hit is None:
         G = max(1, int(round(1.0 / grid_step)))
-        cap = int(RAW_GRID_CAP ** (1.0 / dim)) if raw else G
-        coarsened = f"grid coarsened to {cap} per axis for a raw method; " if G > cap else ""
+        cap = G if lip_bound is not None else int((RAW_GRID_CAP if raw else UNBOUNDED_GRID_CAP) ** (1.0 / dim))
+        why = "for a raw method" if raw else "without a Lipschitz bound"
+        coarsened = f"grid coarsened to {cap} per axis {why}; " if G > cap else ""
         G = min(G, cap)
         hit, gmin, cover = _cover(objective, dim, G, eps, lip_bound, threads, counters, stops)
         grid = {"min_over_grid": gmin, "grid_step": cover}

@@ -12,6 +12,11 @@ other map is built by ``_compose``, the one place that knows how maps compose:
 forward is outer after inner, backward runs the inverses in reverse order, the
 differential follows the chain rule, and the Lipschitz bounds and linear parts
 multiply.  A drift is ``translate(delta) o f`` and a perturbation is ``f o tau``.
+Either is one composition away from f, so its descriptor fixes its C0/C1 gap
+to f in closed form: a drift moves every point by delta and keeps the
+differential, and a perturbation of an affine f with linear part A moves f(x)
+by A(tau(x) - x).  ``_method_gap`` reads that gap off the descriptors and
+samples with ``c1_distance`` only for pairs it cannot read.
 
 Volume preservation is measured as ``| |det Df| - 1 |`` so that
 orientation-reversing automorphisms (det = -1) count as measure-preserving.
@@ -337,6 +342,11 @@ def make_translation_method_map(base: SystemMap, delta: float, block=None) -> Sy
                     f"translate-block({delta:.12g},{block})", descriptor)
 
 
+def _shift_vector(delta: float, angle: float | None) -> np.ndarray:
+    """The shift of a translation perturbation: delta along ``angle``, or along the circle (None)."""
+    return np.array([delta]) if angle is None else delta * np.array([math.cos(angle), math.sin(angle)])
+
+
 def make_conservative_perturbation(base: SystemMap, delta: float, mode: str, seed: int | None = None) -> SystemMap:
     """Perturb ``base`` by an exactly volume-preserving pre-composition.
 
@@ -363,11 +373,9 @@ def make_conservative_perturbation(base: SystemMap, delta: float, mode: str, see
     elif mode == "translation":
         if base.dim == 2:
             angle = float(rng.random()) * 2.0 * math.pi if rng is not None else 0.0
-            v = delta * np.array([math.cos(angle), math.sin(angle)])
         else:
             angle = None
-            v = np.array([delta])
-        tau = _translation(v)
+        tau = _translation(_shift_vector(delta, angle))
         descriptor["angle"] = angle
     else:
         raise ConstructionError(f"unknown perturbation mode {mode!r}")
@@ -392,7 +400,9 @@ def c1_distance(f: SystemMap, g: SystemMap, samples: int = 256) -> float:
     The gap is the larger of the sup of pointwise quotient distances and the
     sup of spectral norms of the Jacobian difference; both sups are taken over
     a per-axis lattice of at least ``samples`` points (dyadically rounded, so
-    the estimate is monotone in ``samples``).
+    the estimate is monotone in ``samples``).  Methods built by this module
+    get their gap from ``_method_gap`` instead; sampling is the fallback for
+    pairs whose descriptors do not fix it.
     """
     if f.dim != g.dim:
         raise ValueError(f"dimension mismatch: {f.dim} vs {g.dim}")
@@ -401,6 +411,40 @@ def c1_distance(f: SystemMap, g: SystemMap, samples: int = 256) -> float:
     dd = np.asarray(f.differential(pts), dtype=float) - np.asarray(g.differential(pts), dtype=float)
     c1 = float(spectral_norm_batch(dd).max())
     return max(c0, c1)
+
+
+def _method_gap(f: SystemMap, g: SystemMap) -> float:
+    """The C1 gap between ``f`` and a method map ``g``, from how g was built.
+
+    Read off the descriptors, for the maps this module builds from f:
+    0 for f itself; delta for the drift translate(delta) o f, which keeps the
+    differential; the wrapped angle difference between two rotations; and
+    for a perturbation f o tau of an affine f with linear part A, 2*pi*delta
+    * |A e_a| for the sine shear on axis a (the C0 part is delta * |A e_a|)
+    and the torus norm of A v for the translation by v.  Wrapping only
+    shortens a torus distance, so each value is an upper bound, and each is
+    attained.  Every other pair, and any map without a descriptor, gets the
+    grid estimate ``c1_distance(f, g, samples=128)``.
+    """
+    if g is f:
+        return 0.0
+    fd, gd = f.descriptor, g.descriptor
+    if fd:
+        if gd == fd:
+            return 0.0
+        kind = gd.get("kind")
+        if kind == "rotation" and fd.get("kind") == "rotation":
+            return float(dist_array([gd["theta"]], [fd["theta"]]))
+        if gd.get("base") == fd:
+            if kind == "translate":
+                return gd["delta"]
+            if kind == "perturbation" and f.linear_part is not None:
+                A = f.linear_part.astype(float)
+                if gd["mode"] == "shear-sin":
+                    return 2.0 * math.pi * gd["delta"] * math.hypot(*A[:, gd["axis"]])
+                shift = A @ _shift_vector(gd["delta"], gd["angle"])
+                return float(dist_array(shift, np.zeros_like(shift)))
+    return c1_distance(f, g, samples=128)
 
 
 def volume_defect(f: SystemMap, samples: int = 128) -> float:

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from shadowlab import cli, orbits, systems
 from shadowlab.geometry import TorusPoint, torus_dist
 from shadowlab.orbits import (
     TRUE_ORBIT_DELTA,
@@ -22,11 +23,16 @@ from shadowlab.orbits import (
     random_method,
 )
 from shadowlab.systems import (
+    CAT_MATRIX,
     GOLDEN_ROTATION,
     cat_map,
     circle_identity,
+    library_maps,
+    make_conservative_perturbation,
+    make_linear,
     make_rotation,
     make_translation_method_map,
+    map_from_descriptor,
     shear_map,
     torus_identity,
 )
@@ -159,9 +165,58 @@ def test_method_from_map_delta_law():
     g = make_translation_method_map(f, 0.01)
     m = method_from_map(f, g, 10)
     assert m.is_induced
-    assert m.delta == pytest.approx(0.01 * 1.05, rel=1e-9)
+    assert m.delta == 0.01 * 1.05  # the drift's gap is its delta, read off how g was built
     trivial = method_from_map(f, f, 10)
     assert trivial.delta == 1e-9  # absolute floor for the g = f case
+
+
+def test_method_from_map_reads_library_gaps_without_sampling(monkeypatch):
+    """Every method a library constructor or a method spec builds gets its delta unsampled."""
+    def boom(*args, **kwargs):
+        raise AssertionError("sampled the gap of a library method")
+
+    for mod in (systems, orbits):
+        if hasattr(mod, "c1_distance"):
+            monkeypatch.setattr(mod, "c1_distance", boom)
+    for g in library_maps():
+        f = map_from_descriptor(g.descriptor["base"]) if "base" in g.descriptor else g
+        method_from_map(f, g, 5).evaluate((0.25,) * g.dim)
+    cat, golden = cat_map(), make_rotation(GOLDEN_ROTATION)
+    assert method_from_map(cat, cat_map(), 5).delta == 1e-9  # equal descriptors
+    for spec in ("same", "translate:0.01", "perturb:shear-sin:0.001:7", "perturb:translation:0.001:3",
+                 '{"kind": "perturbation", "mode": "shear-sin", "delta": 0.002, "seed": 1,'
+                 ' "base": {"kind": "linear", "matrix": [[2, 1], [1, 1]]}}'):
+        cli.parse_method_spec(spec, cat, 5, 0).evaluate((0.25, 0.5))
+    for spec in ("rotation:+0.01", "rotation:0.3", "translate:0.01", "perturb:translation:0.01"):
+        cli.parse_method_spec(spec, golden, 5, 0).evaluate((0.25,))
+    g = make_conservative_perturbation(cat, 1e-3, "shear-sin", seed=7)
+    column = np.asarray(CAT_MATRIX, dtype=float)[:, g.descriptor["axis"]]
+    assert method_from_map(cat, g, 5).delta == 2.0 * math.pi * 1e-3 * math.hypot(*column) * 1.05
+    assert method_from_map(golden, make_rotation(0.25), 5).delta == (GOLDEN_ROTATION - 0.25) * 1.05
+
+
+def test_method_from_map_samples_what_it_cannot_read(monkeypatch):
+    """A block drift, a linear method and maps on another base keep the sampled delta bit for bit."""
+    sampled = []
+    c1_distance = systems.c1_distance
+
+    def spy(f, g, samples=256):
+        sampled.append(samples)
+        return c1_distance(f, g, samples)
+
+    monkeypatch.setattr(systems, "c1_distance", spy)
+    cat, shear, ident = cat_map(), shear_map(), torus_identity()
+    wobbly = make_conservative_perturbation(cat, 1e-3, "shear-sin", seed=2)  # not affine
+    pairs = [
+        (ident, make_translation_method_map(ident, 0.01, block=-1)),
+        (cat, make_linear([[1, 1], [1, 0]])),
+        (cat, make_translation_method_map(shear, 0.01)),
+        (cat, make_conservative_perturbation(shear, 1e-3, "shear-sin", seed=1)),
+        (wobbly, make_conservative_perturbation(wobbly, 1e-3, "translation", seed=1)),
+    ]
+    for f, g in pairs:
+        assert method_from_map(f, g, 5).delta == max(c1_distance(f, g, samples=128) * 1.05, 1e-9)
+    assert sampled == [128] * len(pairs)
 
 
 def test_induced_method_output_validates_and_anchors():

@@ -658,6 +658,26 @@ def test_inconclusive_past_the_lipschitz_cap():
     assert v.note == "no usable Lipschitz bound at this horizon"
 
 
+def test_unbounded_sweep_is_coarsened_to_the_cap(monkeypatch):
+    """Without a bound an induced driver's one-sweep covering is capped like a raw method's."""
+    f = cat_map()
+    m = method_from_map(f, make_conservative_perturbation(f, 0.001, "shear-sin", seed=0), 40)
+    monkeypatch.setattr(shadowing, "UNBOUNDED_GRID_CAP", 16 ** 2)
+    counters = {}
+    v = check_inverse_shadowing(f, m, (0.2, 0.3), 0.1, 40, grid_step=1 / 64, counters=counters)
+    assert v.outcome == "inconclusive"
+    assert v.reason == "no-lipschitz"
+    assert counters["grid_points"] == 16 ** 2
+    assert v.grid_step == math.sqrt(2) / 16
+    assert v.note == ("grid coarsened to 16 per axis without a Lipschitz bound; "
+                      "no usable Lipschitz bound at this horizon")
+    # at or below the cap the requested lattice is swept as before
+    counters = {}
+    v = check_inverse_shadowing(f, m, (0.2, 0.3), 0.1, 40, grid_step=1 / 16, counters=counters)
+    assert counters["grid_points"] == 16 ** 2
+    assert v.note == "no usable Lipschitz bound at this horizon"
+
+
 def test_direct_shadowing_tracks_raw_noise():
     f = cat_map()
     v = check_direct_shadowing(f, random_method(f, 1e-3, 0), (0.2, 0.3), 0.1, 20)

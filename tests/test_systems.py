@@ -30,6 +30,7 @@ from shadowlab.systems import (
     torus_identity,
     volume_defect,
 )
+from shadowlab.systems import _method_gap
 
 
 def fd_jacobian(f: SystemMap, x, h: float = 1e-6) -> np.ndarray:
@@ -340,3 +341,32 @@ def test_c1_distance_sees_jacobian_gap():
 def test_c1_distance_dimension_mismatch():
     with pytest.raises(ValueError):
         c1_distance(cat_map(), circle_identity())
+
+
+# ---------------------------------------------------------------------------
+# Closed-form method gaps
+# ---------------------------------------------------------------------------
+
+def _library_methods(f: SystemMap, delta: float, seeds):
+    """The methods the library builds from ``f`` at size ``delta``."""
+    if f.dim == 1:
+        yield make_rotation(f.descriptor["theta"] + delta)
+    yield make_translation_method_map(f, delta)
+    for seed in seeds:
+        if f.dim == 2:
+            yield make_conservative_perturbation(f, delta, "shear-sin", seed=seed)
+        yield make_conservative_perturbation(f, delta, "translation", seed=seed)
+
+
+@pytest.mark.parametrize("base", [cat_map, shear_map, lambda: make_linear([[1, 1], [1, 0]]),
+                                  lambda: make_rotation(GOLDEN_ROTATION)],
+                         ids=["cat", "shear", "fibonacci", "golden"])
+@pytest.mark.parametrize("delta", [1e-3, 0.01, 0.05])
+def test_method_gap_is_a_tight_upper_bound(base, delta):
+    """The closed form bounds a fine grid estimate from above, and that estimate nearly reaches it."""
+    f = base()
+    for g in _library_methods(f, delta, (None, 3, 17)):
+        gap = _method_gap(f, g)
+        sampled = c1_distance(f, g, samples=512)
+        assert sampled <= gap * (1 + 1e-9), g.label
+        assert gap <= sampled * (1 + 1e-3), g.label

@@ -7,6 +7,11 @@ which is what the array kernels below implement; the three-translates-per-axis
 enumeration is kept as the reference in the test suite.  This module is the
 only place that knows the per-axis wrap formulas: ``v - floor(v)`` for points
 and ``d - rint(d)`` for differences.
+
+Kernels: ``reduce_to_unit`` and ``wrap_to_half`` for coordinates,
+``sq_dist_array`` and ``dist_array`` for distances, ``sq_dist_bounds`` and
+``bound_cells`` for a table that encloses the squared distance from any point
+of a cell to a target set, and ``lattice_points`` for lattices.
 """
 
 from __future__ import annotations
@@ -22,8 +27,18 @@ __all__ = [
     "wrap_to_half",
     "sq_dist_array",
     "dist_array",
+    "sq_dist_bounds",
+    "bound_cells",
     "lattice_points",
 ]
+
+# Cells per axis of a ``sq_dist_bounds`` table; a power of two, so that a
+# coordinate times BOUND_CELLS is exact and so is the cell it falls in.
+BOUND_CELLS = 128
+# Outward rounding of the table: an absolute term per axis, in units of
+# (1 + |target coordinate|), and a relative factor on each squared sum.
+_BOUND_ABS = 2.0 ** -50
+_BOUND_REL = 2.0 ** -50
 
 
 def reduce_to_unit(values):
@@ -86,6 +101,65 @@ def sq_dist_array(a, b):
 def dist_array(a, b):
     """Quotient distance between coordinate arrays: the square root of :func:`sq_dist_array`."""
     return np.sqrt(sq_dist_array(a, b))
+
+
+def sq_dist_bounds(targets, block: int) -> tuple[np.ndarray, np.ndarray]:
+    """(lo, hi) enclosing min over ``targets`` of ``sq_dist_array`` on every cell.
+
+    The circle or torus is cut into BOUND_CELLS cells per axis, numbered as
+    ``bound_cells`` numbers them.  For every point x of cell c, lo[c] <=
+    min over t of sq_dist_array(x, t) <= hi[c], with the float value the
+    kernel computes.  One more entry, lo = 0 and hi = inf, stands for points
+    outside [0, 1).
+
+    Per axis, the wrapped distance w is 1-Lipschitz, so on a cell [a, b] of
+    width h it lies within (w(a) + w(b) -+ h) / 2, and below 1/2.  Each axis
+    bound is widened by _BOUND_ABS (1 + |t|), which covers the rounding of
+    the kernel's difference and of the bound's own arithmetic; each squared
+    sum is then scaled by 1 -+ _BOUND_REL, which covers the rounding of the
+    squares and the sum.  The cells are filled in row blocks of at most
+    ``block`` cells, so no temporary holds more than block * targets values.
+    """
+    T = np.asarray(targets, dtype=float)
+    H, dim = BOUND_CELLS, T.shape[-1]
+    edges = np.arange(H + 1)[:, None] / H
+    lo_ax, hi_ax = [], []
+    for k in range(dim):
+        w = edges - T[:, k]
+        w = np.abs(w - np.rint(w))  # (H + 1, targets): the wrapped distance at each cell edge
+        mid, pad = (w[:-1] + w[1:]) / 2, 1.0 / (2 * H) + _BOUND_ABS * (1.0 + np.abs(T[:, k]))
+        lo_ax.append(np.square(np.maximum(mid - pad, 0.0)))
+        hi_ax.append(np.square(np.minimum(mid + pad, 0.5)))
+    if dim == 1:
+        lo, hi = lo_ax[0].min(axis=1), hi_ax[0].min(axis=1)
+    else:
+        lo, hi = np.empty(H * H), np.empty(H * H)
+        rows = max(1, block // H)
+        for r in range(0, H, rows):
+            cells = slice(r * H, min(r + rows, H) * H)
+            lo[cells] = (lo_ax[0][r:r + rows, None, :] + lo_ax[1][None, :, :]).min(axis=2).ravel()
+            hi[cells] = (hi_ax[0][r:r + rows, None, :] + hi_ax[1][None, :, :]).min(axis=2).ravel()
+    return np.append(lo * (1.0 - _BOUND_REL), 0.0), np.append(hi * (1.0 + _BOUND_REL), np.inf)
+
+
+def bound_cells(points) -> np.ndarray:
+    """Flat ``sq_dist_bounds`` cell of each point; the last axis holds components.
+
+    Cell (i, j) is i * BOUND_CELLS + j, with i = floor(x * BOUND_CELLS) on the
+    first axis.  A point outside [0, 1) (or not finite) gets the extra cell
+    BOUND_CELLS ** dim.
+    """
+    P = np.asarray(points, dtype=float) * BOUND_CELLS
+    inside = None
+    if not (P.min(initial=0.0) >= 0 and P.max(initial=0.0) < BOUND_CELLS):  # NaN fails both tests
+        inside = ((P >= 0) & (P < BOUND_CELLS)).all(axis=-1)
+        P = np.where(inside[..., None], P, 0.0)
+    c = P.astype(np.int32)  # truncation is floor here, and int32 casts fastest
+    flat = c[..., 0]
+    for k in range(1, P.shape[-1]):
+        flat *= BOUND_CELLS
+        flat += c[..., k]
+    return flat if inside is None else np.where(inside, flat, BOUND_CELLS ** P.shape[-1])
 
 
 def lattice_points(G: int, dim: int, offset: float = 0.0, idx=None) -> np.ndarray:

@@ -21,14 +21,19 @@ minus lipschitz_bound * (cell diameter) / 2 exceeds eps, and every other
 cell is split, down to the requested lattice; local refinement around the
 least unsettled value follows.  A certificate means every cell is settled,
 so *no* point of the continuum tracks at this horizon — failure is a finite
-proof, not sampling evidence.  In the weak and orbital modes a lattice point
-also stops folding its orbit, farthest steps first, once its running max
-passes max(eps, b) + slack, b the binding margin so far: the partial max
-is a lower bound that already settles the cell (the cut-off test of
+proof, not sampling evidence.  In the weak and orbital modes a check builds,
+on its first multi-point call, a table of lower and upper bounds on the
+squared distance from each cell of the phase space to the targets
+(``geometry.sq_dist_bounds``).  A lattice point's largest lower bound over
+its orbit steps settles it once it passes max(eps, b) + slack, b the binding
+margin so far: that bound already settles the cell (the cut-off test of
 interval branch and bound, after Hansen and Walster) and can never bind.
-Only the level that sets the first binding cell evaluates its stopped
-leaves again, in one exact batch of those whose bound could still undercut
-that level's exact leaves, so the binding cell is chosen among exact values.
+Weak mode folds the other points exactly over only the steps whose upper
+bound reaches that lower bound; orbital mode folds them in full, and stops
+them at the same threshold.  Only the level that sets the first binding cell
+evaluates its stopped leaves again, in one batch of those whose bound could
+still undercut that level's least exact leaf value, with that value as stop,
+so the binding cell is chosen among exact values.
 
 On failed and inconclusive records, ``min_over_grid`` and ``grid_step`` are
 the value and covering diameter (per-axis spacing times sqrt(dim)) of the
@@ -39,11 +44,12 @@ covering is one sweep of the requested lattice, coarsened to at most
 UNBOUNDED_GRID_CAP points (RAW_GRID_CAP for a raw method), with a note.
 
 Objectives fold consecutive orbit steps in blocks, with one distance call
-per block and exact max/min reductions, so the blocking changes no value.
-Levels are evaluated in chunks of fixed size combined by index order, so
-verdicts are byte-identical for any worker count.  A tracked witness found on
-a lattice is the lexicographically smallest qualifying point of the coarsest
-level that has one.
+per block and exact max/min reductions, so neither the blocking nor the
+steps the bound table skips change a value.  Levels are evaluated in chunks
+of fixed size combined by index order, so verdicts are byte-identical for
+any worker count.  A tracked witness found on a lattice is the
+lexicographically smallest qualifying point of the coarsest level that has
+one.
 """
 
 from __future__ import annotations
@@ -51,13 +57,15 @@ from __future__ import annotations
 import itertools
 import math
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
 
-from .geometry import TorusPoint, dist_array, lattice_points, reduce_to_unit, sq_dist_array, wrap_to_half
+from .geometry import (TorusPoint, bound_cells, dist_array, lattice_points, reduce_to_unit, sq_dist_array,
+                       sq_dist_bounds, wrap_to_half)
 from .orbits import TRUE_ORBIT_DELTA, MethodSpec, PseudoOrbit, _as_coords, _orbit_steps, orbit_segment
 from .systems import LinearAutomorphism, SystemMap, spectral_norm
 
@@ -94,7 +102,9 @@ REFINE_FACTOR = 8
 # Set-mode objectives hold all 2N+1 positions of the points they fold; folding
 # blocks of this many points bounds that memory (1.7 MB at N = 25).  A fold
 # takes up to STEP_BLOCK consecutive steps at once, fewer where they would
-# pass this many point-steps (point-step-targets in the set modes).
+# pass this many point-steps (point-step-targets in the set modes); the exact
+# steps of a bounded set fold and the rows of its bound table are taken in
+# blocks of at most this many pairs or cells against all targets.
 FOLD_BLOCK = 2048
 STEP_BLOCK = 32
 
@@ -366,37 +376,86 @@ def _fold_objective(targets: np.ndarray, steps, n: int, mode: str,
 
 
 def _objective_core(g: SystemMap, targets: np.ndarray, ys: np.ndarray, N: int, mode: str,
-                    stop: float | None = None) -> np.ndarray:
+                    stop: float | None = None, bounds=None) -> np.ndarray:
     """The objective of ys; with ``stop``, a value above stop may be a lower bound.
 
     ``targets`` is ``_fold_targets``' output for this N and mode.  One point
     walks its orbit lazily in orbit order (index N, then forward, then
     backward), so with ``stop`` a point that misses stops walking within one
-    step block past stop.  Set modes fold several points in blocks of
-    FOLD_BLOCK, farthest steps first (|k| = N, N-1, ..., 0), where the orbits
-    of a drifting method stray most, so a settled point leaves the fold
-    early; pointwise mode folds in orbit order.
+    step block past stop; pointwise mode folds every point that way.  Set
+    modes fold several points in blocks of FOLD_BLOCK with ``_set_fold``,
+    which bounds each position's distance to the targets from the
+    ``sq_dist_bounds`` table; ``bounds`` returns that table (it is built
+    here when None).
     """
     scalar = ys.ndim == 1
     Y = ys[None, :] if scalar else ys
     if mode == "pointwise" or len(Y) == 1:
         sq = _fold_objective(targets, _orbit_steps(g, Y, N), len(Y), mode, stop)
     else:
-        sq = np.concatenate([_fold_objective(targets, _farthest_first(g, B, N), len(B), mode, stop)
+        table = bounds() if bounds is not None else sq_dist_bounds(targets, FOLD_BLOCK)
+        sq = np.concatenate([_set_fold(g, targets, B, N, mode, stop, table)
                              for B in np.split(Y, range(FOLD_BLOCK, len(Y), FOLD_BLOCK))])
     out = np.sqrt(sq)
     return float(out[0]) if scalar else out
 
 
-def _farthest_first(g: SystemMap, y: np.ndarray, N: int):
-    """(i, g^(i-N)(y)) for |i - N| = N, N-1, ..., 0; every position is computed first."""
-    pos = np.empty((2 * N + 1,) + y.shape)
-    for i, z in _orbit_steps(g, y, N):
+def _set_fold(g: SystemMap, targets: np.ndarray, Y: np.ndarray, N: int, mode: str,
+              stop: float | None, table) -> np.ndarray:
+    """Squared set-mode objective of the points Y, exact where ``_fold_objective`` is.
+
+    Every position is computed first and looked up in ``table`` = (lo, hi):
+    step k's squared distance m_k to the targets lies in [lo_k, hi_k], so
+    L = max_k lo_k is a lower bound of the value max_k m_k.  With ``stop``,
+    a point with sqrt(L) > stop is settled and its result is L.  In weak mode
+    the others fold exactly, one step block at a time, only the steps with
+    hi_k >= r, r their running max (at least L): a skipped step has m_k <=
+    hi_k < r, so it cannot set the max, and the result is bit for bit the
+    full fold's.  In orbital mode they go through ``_fold_objective``,
+    farthest steps first, since the reverse inclusion needs every step.
+    """
+    pos = np.empty((2 * N + 1,) + Y.shape)
+    for i, z in _orbit_steps(g, Y, N):
         pos[i] = z
-    for k in range(N, 0, -1):
-        yield N + k, pos[N + k]
-        yield N - k, pos[N - k]
-    yield N, pos[N]
+    lo, hi = table
+    cells = np.empty(pos.shape[:2], dtype=np.int32)
+    for s in range(0, 2 * N + 1, STEP_BLOCK):
+        cells[s:s + STEP_BLOCK] = bound_cells(pos[s:s + STEP_BLOCK])
+    out = np.take(lo, cells).max(axis=0)
+    todo = np.arange(len(Y)) if stop is None else np.flatnonzero(np.sqrt(out) <= stop)
+    if not len(todo):
+        return out
+    if mode == "orbital":
+        del cells  # free them before the fold, which needs every step for the reverse inclusion
+        P = pos if len(todo) == len(Y) else pos[:, todo]
+        order = sorted(range(2 * N + 1), key=lambda i: -abs(i - N))
+        out[todo] = _fold_objective(targets, ((i, P[i]) for i in order), len(todo), mode, stop)
+        return out
+    for s in range(0, 2 * N + 1, STEP_BLOCK):
+        # this block's steps that can still set a max, as (point, step) pairs grouped by point
+        points, steps = np.nonzero((np.take(hi, cells[s:s + STEP_BLOCK, todo]) >= out[todo]).T)
+        if not len(points):
+            continue
+        Z = pos[s + steps, todo[points]]
+        m = np.concatenate([sq_dist_array(Z[c:c + FOLD_BLOCK, None, :], targets).min(axis=1)
+                            for c in range(0, len(Z), FOLD_BLOCK)])
+        first = np.flatnonzero(np.r_[True, points[1:] != points[:-1]])
+        rows = todo[points[first]]
+        out[rows] = np.maximum(out[rows], np.maximum.reduceat(m, first))
+    return out
+
+
+def _once(build):
+    """A function returning build(), called on its first call only and shared by every thread."""
+    lock, built = threading.Lock(), []
+
+    def get():
+        with lock:
+            if not built:
+                built.append(build())
+        return built[0]
+
+    return get
 
 
 def tracking_objective(g: SystemMap, targets, ys, N: int):
@@ -509,10 +568,12 @@ def _cover(objective, dim: int, G: int, eps: float, lip, threads: int, counters:
     a point is still a certified leaf, since its margin exceeds eps, and
     once there is a binding cell it can never bind, since its margin exceeds
     b.  So only the level that sets the first binding cell re-evaluates: one
-    call without stop on its stopped leaves whose lower-bound margin is at
-    most U, the least exact leaf margin of that level (inf if none); the
-    binding cell is then chosen among exact values.  Qualifying, unresolved
-    and carried values are exact.
+    call with stop = Uv on its stopped leaves whose lower bound is at most
+    Uv, the least exact leaf value of that level.  If the level has no exact
+    leaf, the stopped leaf of least bound is evaluated exactly first and its
+    value is Uv.  A leaf still above Uv after that call cannot bind, and
+    every value at or below Uv is exact, so the binding cell is chosen among
+    exact values.  Qualifying, unresolved and carried values are exact.
     """
     levels = [G]
     while levels[0] % 2 == 0:
@@ -549,11 +610,15 @@ def _cover(objective, dim: int, G: int, eps: float, lip, threads: int, counters:
         last = len(qual) > 0 or g == G or not unresolved.any()
         leaf = np.ones(len(idx), dtype=bool) if last else ~unresolved
         if leaf.any():
-            if binding is None:
-                U = float((vals[leaf & ~low] - slack).min(initial=math.inf))
-                redo = np.flatnonzero(low & (vals - slack <= U))  # stopped points are all leaves
+            if binding is None and low.any():  # stopped points are all leaves
+                if not (leaf & ~low).any():
+                    j = int(np.argmin(np.where(low, vals, np.inf)))
+                    vals[j] = objective(lattice_points(g, dim, idx=idx[j:j + 1]))[0]
+                    low[j] = False
+                Uv = float(vals[leaf & ~low].min())
+                redo = np.flatnonzero(low & (vals <= Uv))
                 if len(redo):
-                    vals[redo] = objective(lattice_points(g, dim, idx=idx[redo]))
+                    vals[redo] = objective(lattice_points(g, dim, idx=idx[redo]), stop=Uv)
             i = int(np.argmin(np.where(leaf, vals, np.inf)))
             if binding is None or vals[i] - slack < binding[0]:
                 binding = (vals[i] - slack, float(vals[i]), cover, int(idx[i]))
@@ -686,7 +751,8 @@ def _run_check(property_name: str, f: SystemMap, m: MethodSpec, x, eps: float,
             return np.sqrt(_fold_objective(T, enumerate(orbits), len(ys), mode, stop))
         lip = None
     else:
-        objective = partial(_objective_core, driver, T, N=N, mode=mode)
+        objective = partial(_objective_core, driver, T, N=N, mode=mode,
+                            bounds=_once(partial(sq_dist_bounds, T, FOLD_BLOCK)))
         candidates = itertools.chain(candidates, _solver_candidate(driver, targets, m.delta, counters))
         lip = horizon_lipschitz_bound(driver, N)
 

@@ -11,11 +11,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from shadowlab.geometry import (
+    BOUND_CELLS,
     TorusPoint,
+    bound_cells,
     dist_array,
     lattice_points,
     reduce_to_unit,
     sq_dist_array,
+    sq_dist_bounds,
     torus_dist,
     wrap_to_half,
 )
@@ -257,3 +260,60 @@ def test_lattice_points_match_the_meshgrid_in_ij_order(G, offset):
     assert np.array_equal(lattice_points(G, 2, offset), np.stack([g0.ravel(), g1.ravel()], axis=1))
     assert np.array_equal(lattice_points(G, 1, offset), ax[:, None])
     assert np.array_equal(lattice_points(G, 2, offset, idx=[3, G + 1]), [[ax[0], ax[3]], [ax[1], ax[1]]])
+
+
+# ---------------------------------------------------------------------------
+# The per-cell bound table
+# ---------------------------------------------------------------------------
+
+def _bound_test_points(rng, targets, dim):
+    """Random points, points on cell edges k/H, 1 ulp below 1.0, and on (and 1 ulp off) the targets."""
+    H = BOUND_CELLS
+    below_one = np.nextafter(1.0, 0.0)
+    edges = rng.integers(0, H, (400, dim)) / H
+    mixed = rng.random((400, dim))
+    mixed[:200, 0] = edges[:200, 0]
+    mixed[200:, -1] = edges[200:, -1]
+    last = rng.random((50, dim))
+    last[:, rng.integers(dim)] = below_one
+    on = targets - np.floor(targets)
+    on = on[np.all(on < 1.0, axis=1)]
+    near = np.concatenate([np.nextafter(on, 0.0), np.nextafter(on, 1.0)])
+    pts = np.concatenate([rng.random((600, dim)), edges, mixed, last, np.full((1, dim), below_one), on, near])
+    return pts[np.all((pts >= 0.0) & (pts < 1.0), axis=1)]
+
+
+@pytest.mark.parametrize("lifted", [False, True])
+@pytest.mark.parametrize("n", [1, 2, 51, 601])
+@pytest.mark.parametrize("dim", [1, 2])
+def test_sq_dist_bounds_enclose_the_float_minimum(dim, n, lifted):
+    """lo <= min over targets of sq_dist_array <= hi at every point of every cell, bit for bit."""
+    H = BOUND_CELLS
+    rng = np.random.default_rng(1000 * n + 10 * dim + lifted)
+    targets = rng.random((n, dim))
+    targets[: n // 3] = rng.integers(0, H, (n // 3, dim)) / H  # targets on cell edges
+    if lifted:  # targets given as lifts: the bounds must cover the rounding of larger differences
+        targets = targets + rng.integers(-3, 4, (n, dim))
+    lo, hi = sq_dist_bounds(targets, block=2048)
+    assert lo.shape == hi.shape == (H ** dim + 1,)
+    pts = _bound_test_points(rng, targets, dim)
+    cells = bound_cells(pts)
+    assert (cells < H ** dim).all()
+    exact = sq_dist_array(pts[:, None, :], targets).min(axis=1)
+    assert (lo[cells] <= exact).all()
+    assert (exact <= hi[cells]).all()
+    # the table is tight: on a cell of side 1/H, hi - lo is at most dim / H (plus the rounding)
+    assert (hi[:-1] - lo[:-1]).max() <= dim / H * (1 + 1e-9)
+
+
+def test_bound_cells_numbers_cells_in_ij_order_and_sends_outsiders_to_the_extra_cell():
+    H = BOUND_CELLS
+    below_one = np.nextafter(1.0, 0.0)
+    pts = np.array([[0.0, 0.0], [1 / H, 0.0], [0.0, 1 / H], [below_one, below_one], [0.5, np.nextafter(0.5, 0)]])
+    assert bound_cells(pts).tolist() == [0, H, 1, H * H - 1, (H // 2) * H + H // 2 - 1]
+    assert bound_cells(np.array([[0.25], [below_one]])).tolist() == [H // 4, H - 1]
+    outside = np.array([[1.0, 0.5], [-1e-300, 0.5], [0.5, np.nan], [0.5, np.inf], [0.2, 0.3]])
+    assert bound_cells(outside).tolist() == [H * H] * 4 + [int(0.2 * H) * H + int(0.3 * H)]
+    lo, hi = sq_dist_bounds(np.array([[0.2, 0.3]]), block=2048)
+    assert (lo[-1], hi[-1]) == (0.0, math.inf)
+

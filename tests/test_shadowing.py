@@ -46,7 +46,7 @@ from shadowlab import (
     weak_objective,
 )
 from shadowlab import cli, shadowing
-from shadowlab.geometry import lattice_points, sq_dist_array
+from shadowlab.geometry import lattice_points, sq_dist_array, sq_dist_bounds
 from shadowlab.orbits import MethodSpec, _orbit_steps
 from shadowlab.shadowing import _cover, _min_norm_newton_step
 
@@ -381,6 +381,27 @@ def _reference_fold(g, targets, ys, N, mode):
     return np.sqrt(run)
 
 
+def _assert_matches_reference_fold(g, targets, ys, N, mode, quantiles):
+    """_objective_core against _reference_fold: exact with stop None, the stop contract with stops.
+
+    With a stop at each quantile of the exact values, a value at or below stop
+    is exact bit for bit and one above it is a lower bound of the exact value.
+    """
+    exact = _reference_fold(g, targets, ys, N, mode)
+    T = shadowing._fold_targets(targets, N, mode)
+    assert np.array_equal(shadowing._objective_core(g, T, ys, N, mode), exact)
+    for stop in quantiles(exact):
+        value = shadowing._objective_core(g, T, ys, N, mode, stop=stop)
+        kept = value <= stop
+        assert np.array_equal(kept, exact <= stop)
+        assert np.array_equal(value[kept], exact[kept])
+        assert (value[~kept] <= exact[~kept]).all()
+
+
+def _quarter_stops(exact):
+    return list(np.quantile(exact, [0.05, 0.3, 0.6, 0.95]))
+
+
 # The targets lie on a shear orbit of period 32, so the set modes compare
 # with at most 32 distinct targets and FOLD_BLOCK + 1 points stay cheap at
 # N = 300; a step block holds 1, 21 or STEP_BLOCK steps across the cases.
@@ -389,19 +410,110 @@ def _reference_fold(g, targets, ys, N, mode):
 @pytest.mark.parametrize("mode", ["pointwise", "weak", "orbital"])
 def test_objective_core_matches_a_per_step_reference_fold(mode, n, N):
     f, m = _newton_long_method(N)
-    g = m.source
     targets = orbit_segment(f, np.array([1 / 32, 5 / 16]), N).as_array()
     ys = np.random.default_rng(1000 * n + N).random((n, 2))
-    exact = _reference_fold(g, targets, ys, N, mode)
-    T = shadowing._fold_targets(targets, N, mode)
-    assert np.array_equal(shadowing._objective_core(g, T, ys, N, mode), exact)
-    q = float(np.quantile(exact, 0.3))
-    for stop in (q, q / 2):
-        value = shadowing._objective_core(g, T, ys, N, mode, stop=stop)
-        kept = value <= stop
-        assert np.array_equal(kept, exact <= stop)
-        assert np.array_equal(value[kept], exact[kept])
-        assert (value[~kept] <= exact[~kept]).all()
+
+    def stops(exact):
+        q = float(np.quantile(exact, 0.3))
+        return [q, q / 2]
+
+    _assert_matches_reference_fold(m.source, targets, ys, N, mode, stops)
+
+
+# The golden rotation's orbit has 2N + 1 distinct points; half the candidates
+# sit on lattice points k/64, which lie on the edges of the bound table's cells.
+@pytest.mark.parametrize("N,n", [(1, shadowing.FOLD_BLOCK + 1), (25, 3), (25, shadowing.FOLD_BLOCK + 1),
+                                 (300, 1), (300, 64)])
+@pytest.mark.parametrize("mode", ["weak", "orbital"])
+def test_objective_core_matches_a_per_step_reference_fold_on_the_circle(mode, N, n):
+    f = make_rotation(GOLDEN_ROTATION)
+    g = make_translation_method_map(f, 0.01)
+    targets = orbit_segment(f, np.array([0.3]), N).as_array()
+    rng = np.random.default_rng(7 * n + N)
+    ys = np.concatenate([rng.random((n - n // 2, 1)), rng.integers(0, 64, (n // 2, 1)) / 64])
+    _assert_matches_reference_fold(g, targets, ys, N, mode, _quarter_stops)
+
+
+# A non-periodic anchor of the shear at N = 300, so the set modes compare with
+# 601 distinct targets; both methods' orbits are compared with the shear's.
+_LONG_ANCHOR = np.array([0.7621155845848191, 0.7847298237460361])
+
+
+@pytest.mark.parametrize("method", ["translate:0.01", "perturb:shear-sin:0.001:0"])
+@pytest.mark.parametrize("mode", ["weak", "orbital"])
+def test_objective_core_matches_a_per_step_reference_fold_with_601_targets(mode, method):
+    N = 300
+    f = shear_map()
+    g = cli.parse_method_spec(method, f, N, 0).source
+    targets = orbit_segment(f, _LONG_ANCHOR, N).as_array()
+    assert len(shadowing._fold_targets(targets, N, mode)) == 2 * N + 1
+    rng = np.random.default_rng(601)
+    ys = np.concatenate([rng.random((32, 2)), lattice_points(64, 2, idx=rng.integers(0, 64 ** 2, 32))])
+    ys[:4] += [[3.0, -2.0]]  # lifts outside [0, 1): their first position gets no cell bound
+    _assert_matches_reference_fold(g, targets, ys, N, mode, _quarter_stops)
+
+
+def test_set_fold_of_one_block_with_601_targets_stays_below_its_memory_bound():
+    """Building the table and folding one FOLD_BLOCK block in weak mode, traced by tracemalloc.
+
+    With B = FOLD_BLOCK points, N = 300 and T = 601 targets the fold holds
+    the positions, P = (2N+1) * B * dim * 8 bytes, and their table cells,
+    C = (2N+1) * B * 4.  On top of those, a step block of pairs needs at most
+    S = STEP_BLOCK * B * 64 bytes (masks, pair indices, gathered positions),
+    and ``sq_dist_array`` on one fold block of pairs at most three arrays of
+    F = FOLD_BLOCK * T * 8 bytes.  The table is built first, with at most two
+    such arrays.  So the peak stays below P + C + S + 3F, 58.3 MB; a table
+    built as one (H, H, T) array alone takes 78.8 MB.  The drifting method
+    keeps the fold short: only the farthest steps of each point are folded.
+    """
+    import tracemalloc
+
+    N, B = 300, shadowing.FOLD_BLOCK
+    f = shear_map()
+    g = make_translation_method_map(f, 0.01)
+    T = shadowing._fold_targets(orbit_segment(f, _LONG_ANCHOR, N).as_array(), N, "weak")
+    ys = np.random.default_rng(2).random((B, 2))
+    steps = 2 * N + 1
+    bound = steps * B * 2 * 8 + steps * B * 4 + shadowing.STEP_BLOCK * B * 64 + 3 * B * len(T) * 8
+    tracemalloc.start()
+    try:
+        shadowing._objective_core(g, T, ys, N, "weak")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(T) == 601 and bound < 58.4e6
+    assert peak < bound
+
+
+def test_weak_check_whose_anchor_tracks_never_builds_the_table(monkeypatch):
+    def no_table(*args, **kwargs):
+        raise AssertionError("the bound table was built")
+
+    f = shear_map()
+    m = method_from_map(f, make_translation_method_map(f, 0.01), 25)
+    monkeypatch.setattr(shadowing, "sq_dist_bounds", no_table)
+    counters = {}
+    v = check_weak_inverse(f, m, (0.2, 0.3), eps=0.5, N=25, grid_step=1 / 128, threads=2, counters=counters)
+    assert v.outcome == "tracked" and v.note == "witness from anchor"
+    assert counters == {"candidate_evaluations": 1}
+
+
+@pytest.mark.parametrize("prop", ["weak", "orbital"])
+def test_a_covering_check_builds_the_table_once(monkeypatch, prop):
+    built = []
+
+    def counted(*args, **kwargs):
+        built.append(len(args[0]))
+        return sq_dist_bounds(*args, **kwargs)
+
+    f = shear_map()
+    m = method_from_map(f, make_translation_method_map(f, 0.01), 25)
+    monkeypatch.setattr(shadowing, "sq_dist_bounds", counted)
+    check = check_weak_inverse if prop == "weak" else check_orbital_inverse
+    counters = {}
+    v = check(f, m, (0.2, 0.3), eps=0.1, N=25, grid_step=1 / 128, threads=2, counters=counters)
+    assert v.outcome == "failed" and counters["grid_points"] > 0
+    assert len(built) == 1
 
 
 def test_missing_anchor_stops_walking_and_the_newton_witness_walks_its_orbit():
@@ -820,32 +932,56 @@ def _stopping_cone(dim, seed):
     A point's value is the max of three steps, 0.6, 0.85 and 1 times the cone
     value, which equals the cone value bit for bit.  With ``stop``, a point
     leaves at the first step whose running max exceeds stop and returns that
-    partial max.  Also returns the batches evaluated with stop, those
-    evaluated without, and a count of the points that stopped.
+    partial max.  Also returns the cone itself, the log of calls as
+    (points, stop, values) in call order, and a count of the points that
+    stopped.
     """
     cone, _, eps = _cone(dim, seed)
-    bounded, exact, stopped = [], [], [0]
+    calls, stopped = [], [0]
 
     def objective(ys, stop=None):
-        (exact if stop is None else bounded).append(np.array(ys))
         value = cone(ys)
-        if stop is None:
-            return value
-        run = np.zeros(len(value))
-        active = np.ones(len(value), dtype=bool)
-        for w in (0.6, 0.85, 1.0):
-            run[active] = np.maximum(run[active], w * value[active])
-            active &= run <= stop
-        stopped[0] += int((run < value).sum())
-        return run
+        if stop is not None:
+            exact = value
+            run = np.zeros(len(value))
+            active = np.ones(len(value), dtype=bool)
+            for w in (0.6, 0.85, 1.0):
+                run[active] = np.maximum(run[active], w * exact[active])
+                active &= run <= stop
+            stopped[0] += int((run < exact).sum())
+            value = run
+        calls.append((np.array(ys), stop, value))
+        return value
 
-    return objective, eps, bounded, exact, stopped
+    return objective, cone, eps, calls, stopped
 
 
-def _re_evaluated(exact, counters):
-    """Points evaluated without stop during the levels: all but the trailing refinement batches."""
-    points = np.concatenate(exact) if exact else np.empty((0, 1))
-    return points[:len(points) - counters.get("refinement_points", 0)]
+def _classify(calls, counters):
+    """Split a covering's logged calls: (lattice calls, re-evaluations).
+
+    A lattice call is a call with stop that brings a point the previous one
+    did not evaluate (a level evaluates only points new to it).  A
+    re-evaluation is any other call before the trailing refinement calls:
+    a call with stop on points of the previous lattice call, or an exact
+    call.  Each re-evaluation is (number of lattice calls before it, points,
+    stop, values).
+    """
+    refined = shadowing.REFINE_LEVELS if "refinement_points" in counters else 0
+    lattice, again = [], []
+    for ys, stop, value in calls[:len(calls) - refined]:
+        seen = {tuple(p) for p in lattice[-1][0]} if lattice else set()
+        if stop is not None and not {tuple(p) for p in ys} <= seen:
+            lattice.append((ys, value))
+        else:
+            again.append((len(lattice), ys, stop, value))
+    return lattice, again
+
+
+def _levels_from(dim, G, eps, lip):
+    """The covering's levels, coarse to fine, from the first one it evaluates."""
+    levels = [G >> j for j in range(G.bit_length()) if G % (1 << j) == 0][::-1]
+    fits = [g for g in levels if lip * (math.sqrt(dim) / g) / 2.0 < math.sqrt(dim) / 2.0 - eps]
+    return fits or [G]
 
 
 # The covering's "done when" test for stopping: same hit, binding cell and work counters.
@@ -854,7 +990,7 @@ def _re_evaluated(exact, counters):
 @pytest.mark.parametrize("seed", range(10))
 def test_cover_is_the_same_with_and_without_stopping(dim, G, seed, lip):
     cone, _, eps = _cone(dim, 1000 * G + seed)
-    objective, _, bounded, exact, _ = _stopping_cone(dim, 1000 * G + seed)
+    objective, exact_of, _, calls, _ = _stopping_cone(dim, 1000 * G + seed)
     plain, stopping = {}, {}
     hit, value, cover = _cover(cone, dim, G, eps, lip, 1, plain)
     s_hit, s_value, s_cover = _cover(objective, dim, G, eps, lip, 1, stopping, stops=True)
@@ -862,41 +998,53 @@ def test_cover_is_the_same_with_and_without_stopping(dim, G, seed, lip):
     assert (hit is None) == (s_hit is None)
     if hit is not None:
         assert np.array_equal(hit[0], s_hit[0]) and hit[1:] == s_hit[1:]
-    # every lattice point is evaluated once with stop; re-evaluations add no new point
-    lattice = np.concatenate(bounded)
-    assert len(lattice) == plain["grid_points"]
-    assert {tuple(p) for p in _re_evaluated(exact, stopping)} <= {tuple(p) for p in lattice}
+    # every lattice point is evaluated once in a lattice call; re-evaluations add no new point
+    lattice, again = _classify(calls, stopping)
+    points = np.concatenate([ys for ys, _ in lattice])
+    assert len(points) == plain["grid_points"] == len(np.unique(points, axis=0))
+    for _, ys, _, _ in again:
+        assert {tuple(p) for p in ys} <= {tuple(p) for p in points}
+    # every leaf that could bind has an exact value: a point whose last value
+    # is a lower bound has a margin no less than the binding margin
+    last = {}  # point -> (last value returned, slack of its level)
+    for (ys, values), g in zip(lattice, _levels_from(dim, G, eps, lip)):
+        last.update({tuple(p): (v, lip * (math.sqrt(dim) / g) / 2.0) for p, v in zip(ys, values)})
+    for _, ys, _, values in again:
+        last.update({tuple(p): (v, last[tuple(p)][1]) for p, v in zip(ys, values)})
+    margin = s_value - lip * s_cover / 2.0
+    for p, (v, slack) in last.items():
+        exact = float(exact_of(np.array([p]))[0])
+        assert v <= exact
+        if v < exact:
+            assert v - slack >= margin
 
 
 def test_stopping_settles_points_and_re_evaluates_few():
     """Over all the cone cases above, points do stop, and few are evaluated twice.
 
-    Each covering re-evaluates in at most one exact call before refinement,
+    Each covering re-evaluates in at most one batch with stop before
+    refinement, preceded at most by one exact call on a single point, both
     made right after the lattice call of the level that set the first
     binding cell: at every later level a stopped point's margin exceeds the
     binding margin, so it can never bind.
     """
-    stopped = again = total = 0
+    stopped = again_points = total = 0
     for (dim, G), seed, lip in itertools.product(_COVER_GRIDS, range(10), (1.0, 4.0)):
-        objective, eps, bounded, exact, count = _stopping_cone(dim, 1000 * G + seed)
-        calls = []  # in order: True for a lattice call (with stop), False for an exact one
-
-        def logged(ys, stop=None):
-            calls.append(stop is not None)
-            return objective(ys, stop=stop)
-
+        objective, _, eps, calls, count = _stopping_cone(dim, 1000 * G + seed)
         counters = {}
-        _cover(logged, dim, G, eps, lip, 1, counters, stops=True)
+        _cover(objective, dim, G, eps, lip, 1, counters, stops=True)
         stopped += count[0]
-        again += len(_re_evaluated(exact, counters))
         total += counters["grid_points"]
-        refined = shadowing.REFINE_LEVELS if "refinement_points" in counters else 0
-        exact_at = [n for n, lattice in enumerate(calls[:len(calls) - refined]) if not lattice]
-        if exact_at:
+        _, again = _classify(calls, counters)
+        again_points += sum(len(ys) for _, ys, _, _ in again)
+        if again:
             first = _oracle_cover(_cone(dim, 1000 * G + seed)[0], dim, G, eps, lip)[5]
-            assert exact_at == [first]
+            assert {at for at, _, _, _ in again} == {first}
+            kinds = [stop is not None for _, _, stop, _ in again]
+            assert kinds in ([True], [False], [False, True])
+            assert all(len(ys) == 1 for _, ys, stop, _ in again if stop is None)
     assert stopped > total // 10
-    assert 0 < again < stopped
+    assert 0 < again_points < stopped
 
 
 @pytest.mark.parametrize("dim,G", _COVER_GRIDS)

@@ -11,29 +11,33 @@ The existential quantifier "there is y" is realized in three stages, which
 caller-provided seeds, then the Newton solver's output, computed only if
 those miss, then, for a non-affine driver, that output polished by further
 Newton steps), a covering, and a certifier that, when nothing tracked,
-issues a Lipschitz covering certificate or says why none holds.  A
-candidate walks its orbit lazily, in orbit order, with stop = eps: a hit
-gets its exact value, and a candidate that misses stops walking within one
-step block past eps, since a lower bound above eps settles it.  The covering
-walks nested dyadic lattices from coarse to fine (branch and bound after
-Piyavskii and Shubert): a lattice point's cell is settled once its value
-minus lipschitz_bound * (cell diameter) / 2 exceeds eps, and every other
-cell is split, down to the requested lattice; local refinement around the
-least unsettled value follows.  A certificate means every cell is settled,
-so *no* point of the continuum tracks at this horizon — failure is a finite
-proof, not sampling evidence.  In the weak and orbital modes a check builds,
-on its first multi-point call, a table of lower and upper bounds on the
-squared distance from each cell of the phase space to the targets
-(``geometry.sq_dist_bounds``).  A lattice point's largest lower bound over
-its orbit steps settles it once it passes max(eps, b) + slack, b the binding
-margin so far: that bound already settles the cell (the cut-off test of
-interval branch and bound, after Hansen and Walster) and can never bind.
-Weak mode folds the other points exactly over only the steps whose upper
-bound reaches that lower bound; orbital mode folds them in full, and stops
-them at the same threshold.  Only the level that sets the first binding cell
-evaluates its stopped leaves again, in one batch of those whose bound could
-still undercut that level's least exact leaf value, with that value as stop,
-so the binding cell is chosen among exact values.
+issues a Lipschitz covering certificate or says why none holds.  Every
+objective takes a stop: a value at or below it is exact, and one above it
+may be a lower bound.  A candidate is evaluated with stop = eps: a hit
+gets its exact value, and a candidate that misses quits its lazy,
+orbit-order walk within one step block past eps, since a lower bound above
+eps settles it.  The covering walks nested dyadic lattices from coarse to
+fine (branch and bound after Piyavskii and Shubert): a lattice point's cell
+is settled once its value minus lipschitz_bound * (cell diameter) / 2
+exceeds eps, and every other cell is split, down to the requested lattice;
+local refinement around the least unsettled value follows.  A certificate
+means every cell is settled, so *no* point of the continuum tracks at this
+horizon — failure is a finite proof, not sampling evidence.  Lattice points
+are evaluated with stop = max(eps, b) + slack, b the binding margin so far
+(no stop without a Lipschitz bound): a value above it already settles its
+cell and can never bind (the cut-off test of interval branch and bound,
+after Hansen and Walster).  A pointwise block of lattice points ends its
+walk once every point has passed stop.  In the weak and orbital modes a
+check builds, on its first multi-point call, a table of lower and upper
+bounds on the squared distance from each cell of the phase space to the
+targets (``geometry.sq_dist_bounds``).  A point whose largest lower bound
+over its orbit steps passes stop is settled by that bound; the others fold
+the weak value exactly over only the steps whose upper bound reaches their
+running max, and in orbital mode those still at or below stop then fold the
+reverse inclusion over every step.  Only the level that sets the first
+binding cell evaluates its leaves above stop again, in one batch of those
+whose value could still undercut that level's least exact leaf value, with
+that value as stop, so the binding cell is chosen among exact values.
 
 On failed and inconclusive records, ``min_over_grid`` and ``grid_step`` are
 the value and covering diameter (per-axis spacing times sqrt(dim)) of the
@@ -94,6 +98,7 @@ RAW_GRID_CAP = 20000
 # Without a Lipschitz bound the covering is one sweep of the whole lattice,
 # which no finer grid can turn into a certificate; it is coarsened to at most
 # this many points (1024 per axis on the torus) so that its arrays stay small.
+# A bounded covering whose first level would exceed it is refused.
 UNBOUNDED_GRID_CAP = 1024 ** 2
 # Local refinement around the grid minimum: REFINE_LEVELS nested grids of
 # 2 * REFINE_FACTOR + 1 points per axis, each REFINE_FACTOR times finer.
@@ -316,7 +321,7 @@ def _fold_targets(targets, N: int, mode: str) -> np.ndarray:
 
 
 def _fold_objective(targets: np.ndarray, steps, n: int, mode: str,
-                    stop: float | None = None) -> np.ndarray:
+                    stop: float = math.inf) -> np.ndarray:
     """Squared objective of n candidates, folded over their orbit positions.
 
     ``steps`` yields (i, z): z holds the candidates' positions (n, dim) at
@@ -327,28 +332,24 @@ def _fold_objective(targets: np.ndarray, steps, n: int, mode: str,
     folded in blocks of up to STEP_BLOCK steps, fewer where the block would
     pass FOLD_BLOCK point-steps (point-step-targets in the set modes), but
     at least one: one ``sq_dist_array`` call per block, reduced by max (and
-    min over the block's steps).  max and min are
-    exact and the distance is elementwise, so neither the blocks nor the
-    order of the steps change a value.
+    min over the block's steps).  max and min are exact and the distance is
+    elementwise, so neither the blocks nor the order of the steps change a
+    value.
 
-    ``stop`` None folds every step of every candidate.  Otherwise a candidate
-    leaves the fold at the end of the first block after which its running
-    max exceeds stop (compared as a distance): it is settled, and its result
-    is that running max, a lower bound of its value with sqrt(result) > stop.
-    In orbital mode it skips the reverse inclusion, since the forward fold is
-    already a lower bound.  A candidate that never exceeds stop gets its
-    value bit for bit.  Once no candidate is left the fold returns, and a
-    lazy ``steps`` computes no further positions.
+    A value at or below ``stop`` is exact; one above it may be a lower bound.
+    The fold ends at the end of the first block after which every
+    candidate's running max exceeds stop (compared as a distance), and a lazy
+    ``steps`` computes no further positions: the results are those running
+    maxes, lower bounds of the values (in orbital mode the reverse inclusion
+    is skipped).  Otherwise every step is folded and every value is exact.
     """
     width = n if mode == "pointwise" else n * len(targets)
     size = max(1, min(STEP_BLOCK, FOLD_BLOCK // width))
     steps = iter(steps)
-    out = np.empty(n)
-    run = np.zeros(n)  # running max of the candidates still folding
+    run = np.zeros(n)
     rmin = np.full((n, len(targets)), np.inf) if mode == "orbital" else None
-    act = slice(None)  # a view of every candidate until the first one stops
     while block := list(itertools.islice(steps, size)):
-        Z = np.stack([z[act] for _, z in block])  # (steps, candidates, dim)
+        Z = np.stack([z for _, z in block])  # (steps, candidates, dim)
         if mode == "pointwise":
             T = targets[[i for i, _ in block]]
             np.maximum(run, sq_dist_array(Z, T[:, None, :]).max(axis=0), out=run)
@@ -359,31 +360,21 @@ def _fold_objective(targets: np.ndarray, steps, n: int, mode: str,
                 for Dk in D:
                     np.minimum(rmin, Dk, out=rmin)
             del D  # free the (steps, candidates, targets) block before the next one
-        if stop is not None:
-            keep = np.sqrt(run) <= stop
-            if not keep.all():
-                rows = np.arange(n)[act]
-                out[rows[~keep]] = run[~keep]
-                if not keep.any():
-                    return out  # nothing left to fold, so a lazy ``steps`` walks no further
-                act, run = rows[keep], run[keep]
-                if rmin is not None:
-                    rmin = rmin[keep]
+        if math.sqrt(run.min()) > stop:
+            return run
     if rmin is not None:
         np.maximum(run, rmin.max(axis=1), out=run)
-    out[act] = run
-    return out
+    return run
 
 
 def _objective_core(g: SystemMap, targets: np.ndarray, ys: np.ndarray, N: int, mode: str,
-                    stop: float | None = None, bounds=None) -> np.ndarray:
-    """The objective of ys; with ``stop``, a value above stop may be a lower bound.
+                    stop: float = math.inf, bounds=None) -> np.ndarray:
+    """The objective of ys: a value at or below ``stop`` is exact, one above it may be a lower bound.
 
-    ``targets`` is ``_fold_targets``' output for this N and mode.  One point
-    walks its orbit lazily in orbit order (index N, then forward, then
-    backward), so with ``stop`` a point that misses stops walking within one
-    step block past stop; pointwise mode folds every point that way.  Set
-    modes fold several points in blocks of FOLD_BLOCK with ``_set_fold``,
+    ``targets`` is ``_fold_targets``' output for this N and mode.  One point,
+    and every pointwise block of points, walks its orbit lazily in orbit
+    order (index N, then forward, then backward) with ``_fold_objective``.
+    Set modes fold several points in blocks of FOLD_BLOCK with ``_set_fold``,
     which bounds each position's distance to the targets from the
     ``sq_dist_bounds`` table; ``bounds`` returns that table (it is built
     here when None).
@@ -401,18 +392,21 @@ def _objective_core(g: SystemMap, targets: np.ndarray, ys: np.ndarray, N: int, m
 
 
 def _set_fold(g: SystemMap, targets: np.ndarray, Y: np.ndarray, N: int, mode: str,
-              stop: float | None, table) -> np.ndarray:
-    """Squared set-mode objective of the points Y, exact where ``_fold_objective`` is.
+              stop: float, table) -> np.ndarray:
+    """Squared set-mode objective of the points Y; a value at or below stop is exact.
 
     Every position is computed first and looked up in ``table`` = (lo, hi):
     step k's squared distance m_k to the targets lies in [lo_k, hi_k], so
-    L = max_k lo_k is a lower bound of the value max_k m_k.  With ``stop``,
-    a point with sqrt(L) > stop is settled and its result is L.  In weak mode
-    the others fold exactly, one step block at a time, only the steps with
+    L = max_k lo_k is a lower bound of the weak value max_k m_k.  A point
+    with sqrt(L) > stop is settled and its result is L.  The others fold the
+    weak value exactly, one step block at a time, only over the steps with
     hi_k >= r, r their running max (at least L): a skipped step has m_k <=
     hi_k < r, so it cannot set the max, and the result is bit for bit the
-    full fold's.  In orbital mode they go through ``_fold_objective``,
-    farthest steps first, since the reverse inclusion needs every step.
+    full fold's.  In orbital mode the points whose weak value is still at
+    most stop then fold the reverse inclusion over every step: a running
+    minimum of each target's distance, whose max over the targets joins
+    their value.  Its blocks follow ``_fold_objective``'s, so it holds the
+    (points, targets) minimum and, at most, one step's distances.
     """
     pos = np.empty((2 * N + 1,) + Y.shape)
     for i, z in _orbit_steps(g, Y, N):
@@ -422,15 +416,7 @@ def _set_fold(g: SystemMap, targets: np.ndarray, Y: np.ndarray, N: int, mode: st
     for s in range(0, 2 * N + 1, STEP_BLOCK):
         cells[s:s + STEP_BLOCK] = bound_cells(pos[s:s + STEP_BLOCK])
     out = np.take(lo, cells).max(axis=0)
-    todo = np.arange(len(Y)) if stop is None else np.flatnonzero(np.sqrt(out) <= stop)
-    if not len(todo):
-        return out
-    if mode == "orbital":
-        del cells  # free them before the fold, which needs every step for the reverse inclusion
-        P = pos if len(todo) == len(Y) else pos[:, todo]
-        order = sorted(range(2 * N + 1), key=lambda i: -abs(i - N))
-        out[todo] = _fold_objective(targets, ((i, P[i]) for i in order), len(todo), mode, stop)
-        return out
+    todo = np.flatnonzero(np.sqrt(out) <= stop)
     for s in range(0, 2 * N + 1, STEP_BLOCK):
         # this block's steps that can still set a max, as (point, step) pairs grouped by point
         points, steps = np.nonzero((np.take(hi, cells[s:s + STEP_BLOCK, todo]) >= out[todo]).T)
@@ -442,6 +428,15 @@ def _set_fold(g: SystemMap, targets: np.ndarray, Y: np.ndarray, N: int, mode: st
         first = np.flatnonzero(np.r_[True, points[1:] != points[:-1]])
         rows = todo[points[first]]
         out[rows] = np.maximum(out[rows], np.maximum.reduceat(m, first))
+    todo = todo[np.sqrt(out[todo]) <= stop]
+    if mode == "weak" or not len(todo):
+        return out
+    del cells  # free them before the reverse inclusion
+    rmin = np.full((len(todo), len(targets)), np.inf)
+    size = max(1, min(STEP_BLOCK, FOLD_BLOCK // rmin.size))
+    for s in range(0, 2 * N + 1, size):
+        np.minimum(rmin, sq_dist_array(pos[s:s + size, todo][:, :, None, :], targets).min(axis=0), out=rmin)
+    out[todo] = np.maximum(out[todo], rmin.max(axis=1))
     return out
 
 
@@ -531,7 +526,7 @@ def _refine(objective, center: np.ndarray, step: float):
 
 
 def _candidate_pass(objective, candidates, eps: float, counters: dict):
-    """(point, value, note) of the first candidate below eps, or None; stops drawing at the hit.
+    """(point, value, note) of the first candidate below eps, or None; draws no candidate past the hit.
 
     Each candidate is evaluated with stop = eps: a miss only needs a value
     above eps, which may be a lower bound, and a hit's value is exact.
@@ -544,8 +539,7 @@ def _candidate_pass(objective, candidates, eps: float, counters: dict):
     return None
 
 
-def _cover(objective, dim: int, G: int, eps: float, lip, threads: int, counters: dict,
-           stops: bool = False):
+def _cover(objective, dim: int, G: int, eps: float, lip, threads: int, counters: dict):
     """Coarse-to-fine covering over nested dyadic lattices, then refinement.
 
     Returns (hit or None, binding value, binding covering diameter).  With
@@ -559,21 +553,24 @@ def _cover(objective, dim: int, G: int, eps: float, lip, threads: int, counters:
     has one, else the refinement's best point around the least unresolved
     value at level G.  The binding cell is the leaf of least margin (ties go
     to the coarser level, then the lower index); the points of the last level
-    evaluated are all leaves.
+    evaluated are all leaves.  A first level of more than UNBOUNDED_GRID_CAP
+    points raises ValueError before anything is allocated.
 
-    ``stops`` says that the objective takes a ``stop`` keyword (see
-    ``_fold_objective``).  Lattice points are then evaluated with stop =
-    max(eps, b) + slack, b the binding margin of the coarser levels (eps
-    before there is one), so a value above stop may be a lower bound; such
-    a point is still a certified leaf, since its margin exceeds eps, and
-    once there is a binding cell it can never bind, since its margin exceeds
-    b.  So only the level that sets the first binding cell re-evaluates: one
-    call with stop = Uv on its stopped leaves whose lower bound is at most
-    Uv, the least exact leaf value of that level.  If the level has no exact
-    leaf, the stopped leaf of least bound is evaluated exactly first and its
-    value is Uv.  A leaf still above Uv after that call cannot bind, and
-    every value at or below Uv is exact, so the binding cell is chosen among
-    exact values.  Qualifying, unresolved and carried values are exact.
+    The objective takes ``stop``: a value at or below stop is exact, one
+    above it may be a lower bound (``_fold_objective``).  Lattice points are
+    evaluated with stop = max(eps, b) + slack, b the binding margin of the
+    coarser levels (eps before there is one); without a bound stop is
+    infinite, since every point of that one sweep is a leaf that could
+    bind.  A value above stop is still a certified leaf, since its margin
+    exceeds eps, and once there is a binding cell it can never bind, since
+    its margin exceeds b.  So only the level that sets the first binding
+    cell re-evaluates: one call with stop = Uv on its leaves above stop
+    whose value is at most Uv, the least value at or below stop of that
+    level's leaves.  If it has none, its leaf of least value is evaluated
+    exactly first and that value is Uv.  A leaf still above Uv after that
+    call cannot bind, and every value at or below Uv is exact, so the
+    binding cell is chosen among exact values.  Qualifying, unresolved and
+    carried values are exact.
     """
     levels = [G]
     while levels[0] % 2 == 0:
@@ -582,6 +579,9 @@ def _cover(objective, dim: int, G: int, eps: float, lip, threads: int, counters:
     fits = [g for g in levels
             if lip is not None and lip * (math.sqrt(dim) / g) / 2.0 < math.sqrt(dim) / 2.0 - eps]
     levels = fits or [G]
+    if levels[0] ** dim > UNBOUNDED_GRID_CAP:
+        raise ValueError(f"grid {G} per axis is too fine: its first covering level has "
+                         f"{levels[0]}**{dim} points, more than {UNBOUNDED_GRID_CAP}")
     offs = np.stack(np.meshgrid(*[[-1, 0, 1]] * dim, indexing="ij"), axis=-1).reshape(-1, dim)
     idx = np.arange(levels[0] ** dim)
     vals, new = np.empty(len(idx)), np.ones(len(idx), dtype=bool)
@@ -590,11 +590,10 @@ def _cover(objective, dim: int, G: int, eps: float, lip, threads: int, counters:
         todo = idx[new]
         cover = math.sqrt(dim) / g
         slack = 0.0 if lip is None else lip * cover / 2.0
-        stop = (eps if binding is None else max(eps, binding[0])) + slack
-        lattice = partial(objective, stop=stop) if stops else objective
+        stop = math.inf if lip is None else (eps if binding is None else max(eps, binding[0])) + slack
 
         def eval_chunk(start: int):
-            return lattice(lattice_points(g, dim, idx=todo[start:start + GRID_CHUNK]))
+            return objective(lattice_points(g, dim, idx=todo[start:start + GRID_CHUNK]), stop=stop)
 
         starts = range(0, len(todo), GRID_CHUNK)
         if threads <= 1 or len(starts) <= 1:
@@ -604,7 +603,7 @@ def _cover(objective, dim: int, G: int, eps: float, lip, threads: int, counters:
                 parts = list(pool.map(eval_chunk, starts))
         vals[new] = np.concatenate(parts)
         counters["grid_points"] = counters.get("grid_points", 0) + len(todo)
-        low = new & (vals > stop) if stops else np.zeros_like(new)  # values that may be lower bounds
+        low = new & (vals > stop)  # values that may be lower bounds
         unresolved = np.ones(len(idx), dtype=bool) if lip is None else vals - slack <= eps
         qual = np.flatnonzero(vals < eps)
         last = len(qual) > 0 or g == G or not unresolved.any()
@@ -657,7 +656,7 @@ def _certify(gmin: float, cover: float, lip, eps: float):
 
 
 def _search(objective, dim: int, eps: float, grid_step: float, candidates, lip_bound,
-            threads: int, counters: dict, raw: bool = False, stops: bool = False):
+            threads: int, counters: dict, raw: bool = False):
     """Candidate pass, then covering, then certificate. Returns verdict fields."""
     hit = _candidate_pass(objective, candidates, eps, counters)
     grid = {}
@@ -667,7 +666,7 @@ def _search(objective, dim: int, eps: float, grid_step: float, candidates, lip_b
         why = "for a raw method" if raw else "without a Lipschitz bound"
         coarsened = f"grid coarsened to {cap} per axis {why}; " if G > cap else ""
         G = min(G, cap)
-        hit, gmin, cover = _cover(objective, dim, G, eps, lip_bound, threads, counters, stops)
+        hit, gmin, cover = _cover(objective, dim, G, eps, lip_bound, threads, counters)
         grid = {"min_over_grid": gmin, "grid_step": cover}
         if hit is None:
             outcome, note = _certify(gmin, cover, lip_bound, eps)
@@ -707,7 +706,7 @@ def _solver_candidate(driver: SystemMap, targets: np.ndarray, delta_hint: float,
 def _polish(driver: SystemMap, res: NewtonShadowResult, counters: dict):
     """The last further Newton iterate while the residual at least halves, or None if none does.
 
-    The solver stops at its tolerance, but a hyperbolic driver stretches the
+    The solver ends at its tolerance, but a hyperbolic driver stretches the
     residual left at the middle index over N steps each way, so a witness
     can miss eps that a residual nearer roundoff would carry.
     """
@@ -746,7 +745,7 @@ def _run_check(property_name: str, f: SystemMap, m: MethodSpec, x, eps: float,
     candidates = [("anchor", x0)] + [("seed", _as_coords(s, f.dim, "seed")) for s in seeds]
     T = _fold_targets(targets, N, mode)
     if driver is None:
-        def objective(ys, stop=None):
+        def objective(ys, stop=math.inf):
             orbits = np.stack([m.evaluate(y, N).as_array() for y in ys], axis=1)
             return np.sqrt(_fold_objective(T, enumerate(orbits), len(ys), mode, stop))
         lip = None
@@ -756,10 +755,8 @@ def _run_check(property_name: str, f: SystemMap, m: MethodSpec, x, eps: float,
         candidates = itertools.chain(candidates, _solver_candidate(driver, targets, m.delta, counters))
         lip = horizon_lipschitz_bound(driver, N)
 
-    # Only the set modes stop settled points: the pointwise kernel is so cheap
-    # that the gathers of a shrinking active set cost more than they save.
     fields = _search(objective, f.dim, eps, grid_step, candidates, lip, workers, counters,
-                     raw=driver is None, stops=driver is not None and mode != "pointwise")
+                     raw=driver is None)
     return ShadowVerdict(
         property_name=property_name,
         epsilon=float(eps),

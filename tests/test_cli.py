@@ -428,6 +428,8 @@ def test_bad_point_exits_two_naming_the_problem(x, message, capsys):
          "--x", "0,0", "--eps", "0.1", "--N", "5"],
         ["check", "weak", "--system", "cat", "--method", "same",
          "--x", "nan,0.3", "--eps", "0.1", "--N", "5"],
+        ["check", "inverse", "--system", "shear", "--method", "translate:0.01",
+         "--x", "0.2,0.3", "--eps", "0.1", "--N", "25", "--grid", "1000001"],
     ],
 )
 def test_spec_errors_exit_two_with_message(argv, capsys):

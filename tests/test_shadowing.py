@@ -347,15 +347,57 @@ def test_objective_with_stop_is_exact_or_a_lower_bound_above_stop(mode):
     ys = lattice_points(64, 2)
     exact = shadowing._objective_core(g, targets, ys, 25, mode)
     assert np.array_equal(exact, shadowing._objective_core(g, targets, ys, 25, mode, stop=math.inf))
-    lowered = 0
-    for stop in np.quantile(exact, [0.05, 0.3, 0.6, 0.95]):
-        value = shadowing._objective_core(g, targets, ys, 25, mode, stop=stop)
+
+    def lowered_by(stop, value, exact):
         kept = value <= stop
         assert np.array_equal(value[kept], exact[kept])
         assert (value[~kept] <= exact[~kept]).all()
         assert np.array_equal(kept, exact <= stop)
-        lowered += int((value < exact).sum())
+        return int((value < exact).sum())
+
+    lowered = 0
+    for stop in np.quantile(exact, [0.05, 0.3, 0.6, 0.95]):
+        lowered += lowered_by(stop, shadowing._objective_core(g, targets, ys, 25, mode, stop=stop), exact)
+        if mode == "pointwise":  # a pointwise block ends early only once all its points have passed stop
+            one = np.array([shadowing._objective_core(g, targets, y, 25, mode, stop=stop) for y in ys[::16]])
+            lowered += lowered_by(stop, one, exact[::16])
     assert lowered > 0
+
+
+@pytest.mark.parametrize("mode", ["pointwise", "weak", "orbital"])
+def test_fold_ends_only_once_every_candidate_has_passed_stop(mode):
+    """All or nothing: a fold with one candidate at or below stop is exact for every candidate.
+
+    With a stop below every candidate's max over the first step block, the
+    fold returns those maxes and draws no step past that block.
+    """
+    N = 25
+    sh = shear_map()
+    g = make_translation_method_map(sh, 0.01)
+    x = np.array([0.2, 0.3])
+    T = shadowing._fold_targets(orbit_segment(sh, x, N).as_array(), N, mode)
+    ys = np.concatenate([x[None, :], np.random.default_rng(5).random((7, 2))])
+    drawn = []
+
+    def steps():
+        for i, z in _orbit_steps(g, ys, N):
+            drawn.append(i)
+            yield i, z
+
+    exact = shadowing._fold_objective(T, steps(), len(ys), mode)
+    assert len(drawn) == 2 * N + 1
+    stop = float(np.sqrt(exact[0]))  # the anchor never passes it; the others do
+    assert (np.sqrt(exact[1:]) > stop).all()
+    assert np.array_equal(shadowing._fold_objective(T, _orbit_steps(g, ys, N), len(ys), mode, stop), exact)
+    width = len(ys) if mode == "pointwise" else len(ys) * len(T)
+    size = max(1, min(shadowing.STEP_BLOCK, shadowing.FOLD_BLOCK // width))
+    assert size < 2 * N + 1
+    first = list(itertools.islice(_orbit_steps(g, ys, N), size))
+    reached = shadowing._fold_objective(T, first, len(ys), "weak" if mode == "orbital" else mode)
+    drawn.clear()
+    low = shadowing._fold_objective(T, steps(), len(ys), mode, float(np.sqrt(reached.min())) / 2)
+    assert len(drawn) == size
+    assert np.array_equal(low, reached) and (low <= exact).all()
 
 
 def _newton_long_method(N):
@@ -454,7 +496,7 @@ def test_objective_core_matches_a_per_step_reference_fold_with_601_targets(mode,
 
 
 def test_set_fold_of_one_block_with_601_targets_stays_below_its_memory_bound():
-    """Building the table and folding one FOLD_BLOCK block in weak mode, traced by tracemalloc.
+    """Building the table and folding one FOLD_BLOCK block, traced by tracemalloc.
 
     With B = FOLD_BLOCK points, N = 300 and T = 601 targets the fold holds
     the positions, P = (2N+1) * B * dim * 8 bytes, and their table cells,
@@ -462,27 +504,32 @@ def test_set_fold_of_one_block_with_601_targets_stays_below_its_memory_bound():
     S = STEP_BLOCK * B * 64 bytes (masks, pair indices, gathered positions),
     and ``sq_dist_array`` on one fold block of pairs at most three arrays of
     F = FOLD_BLOCK * T * 8 bytes.  The table is built first, with at most two
-    such arrays.  So the peak stays below P + C + S + 3F, 58.3 MB; a table
+    such arrays.  So weak mode stays below P + C + S + 3F, 58.3 MB; a table
     built as one (H, H, T) array alone takes 78.8 MB.  The drifting method
-    keeps the fold short: only the farthest steps of each point are folded.
+    keeps that fold short: only the farthest steps of each point are folded.
+    Orbital mode then frees the cells and folds the reverse inclusion over
+    every step: a (B, T) running minimum, F bytes, and one step's distances,
+    at most 3F.  So it stays below P + S + max(C, F) + 3F, 63.3 MB.
     """
     import tracemalloc
 
     N, B = 300, shadowing.FOLD_BLOCK
     f = shear_map()
     g = make_translation_method_map(f, 0.01)
-    T = shadowing._fold_targets(orbit_segment(f, _LONG_ANCHOR, N).as_array(), N, "weak")
     ys = np.random.default_rng(2).random((B, 2))
     steps = 2 * N + 1
-    bound = steps * B * 2 * 8 + steps * B * 4 + shadowing.STEP_BLOCK * B * 64 + 3 * B * len(T) * 8
-    tracemalloc.start()
-    try:
-        shadowing._objective_core(g, T, ys, N, "weak")
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert len(T) == 601 and bound < 58.4e6
-    assert peak < bound
+    for mode, limit in (("weak", 58.4e6), ("orbital", 63.3e6)):
+        T = shadowing._fold_targets(orbit_segment(f, _LONG_ANCHOR, N).as_array(), N, mode)
+        P, C, S, F = steps * B * 2 * 8, steps * B * 4, shadowing.STEP_BLOCK * B * 64, B * len(T) * 8
+        bound = P + S + 3 * F + (C if mode == "weak" else max(C, F))
+        tracemalloc.start()
+        try:
+            shadowing._objective_core(g, T, ys, N, mode)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(T) == 601 and bound < limit
+        assert peak < bound, mode
 
 
 def test_weak_check_whose_anchor_tracks_never_builds_the_table(monkeypatch):
@@ -832,7 +879,7 @@ def _cone(dim, seed):
     eps = float(rng.uniform(0.02, 0.3))
     seen = []
 
-    def objective(ys):
+    def objective(ys, stop=math.inf):
         seen.append(np.array(ys))
         return floor + dist_array(ys, zstar)
 
@@ -852,7 +899,13 @@ def test_cover_is_complete_and_sound_on_a_cone(dim, G, seed, lip):
     seen.clear()
     counters = {}
     hit, value, cover = _cover(objective, dim, G, eps, lip, 1, counters)
-    lattice = np.concatenate(seen)[:counters["grid_points"]]
+    bringing, known = [], set()  # the calls that bring new points; a re-evaluation brings none
+    for ys in seen:
+        points = {tuple(p) for p in ys}
+        if not points <= known:
+            bringing.append(ys)
+        known |= points
+    lattice = np.concatenate(bringing)[:counters["grid_points"]]
     # each point is evaluated at most once, and every level's lattice lies in the finest one
     assert len(np.unique(lattice, axis=0)) == len(lattice)
     assert np.allclose(lattice * G, np.round(lattice * G), rtol=0, atol=1e-9)
@@ -993,7 +1046,7 @@ def test_cover_is_the_same_with_and_without_stopping(dim, G, seed, lip):
     objective, exact_of, _, calls, _ = _stopping_cone(dim, 1000 * G + seed)
     plain, stopping = {}, {}
     hit, value, cover = _cover(cone, dim, G, eps, lip, 1, plain)
-    s_hit, s_value, s_cover = _cover(objective, dim, G, eps, lip, 1, stopping, stops=True)
+    s_hit, s_value, s_cover = _cover(objective, dim, G, eps, lip, 1, stopping)
     assert (s_value, s_cover, stopping) == (value, cover, plain)
     assert (hit is None) == (s_hit is None)
     if hit is not None:
@@ -1032,7 +1085,7 @@ def test_stopping_settles_points_and_re_evaluates_few():
     for (dim, G), seed, lip in itertools.product(_COVER_GRIDS, range(10), (1.0, 4.0)):
         objective, _, eps, calls, count = _stopping_cone(dim, 1000 * G + seed)
         counters = {}
-        _cover(objective, dim, G, eps, lip, 1, counters, stops=True)
+        _cover(objective, dim, G, eps, lip, 1, counters)
         stopped += count[0]
         total += counters["grid_points"]
         _, again = _classify(calls, counters)
@@ -1045,6 +1098,14 @@ def test_stopping_settles_points_and_re_evaluates_few():
             assert all(len(ys) == 1 for _, ys, stop, _ in again if stop is None)
     assert stopped > total // 10
     assert 0 < again_points < stopped
+
+
+@pytest.mark.parametrize("G, lip", [(1000001, 1.0), (2 ** 20, 1e12)], ids=["odd", "no-level-fits"])
+def test_cover_refuses_a_first_level_past_the_cap_before_evaluating(G, lip):
+    objective, seen, _ = _cone(2, 0)
+    with pytest.raises(ValueError, match=f"grid {G} per axis is too fine"):
+        _cover(objective, 2, G, 0.1, lip, 1, {})
+    assert seen == []
 
 
 @pytest.mark.parametrize("dim,G", _COVER_GRIDS)

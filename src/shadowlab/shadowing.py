@@ -34,10 +34,12 @@ targets (``geometry.sq_dist_bounds``).  A point whose largest lower bound
 over its orbit steps passes stop is settled by that bound; the others fold
 the weak value exactly over only the steps whose upper bound reaches their
 running max, and in orbital mode those still at or below stop then fold the
-reverse inclusion over every step.  Only the level that sets the first
-binding cell evaluates its leaves above stop again, in one batch of those
-whose value could still undercut that level's least exact leaf value, with
-that value as stop, so the binding cell is chosen among exact values.
+reverse inclusion, each only until every target lies within its weak value
+of some position, as from then on its weak value is its value.  Only the
+level that sets the first binding cell evaluates its leaves above stop
+again, in one batch of those whose value could still undercut that level's
+least exact leaf value, with that value as stop, so the binding cell is
+chosen among exact values.
 
 On failed and inconclusive records, ``min_over_grid`` and ``grid_step`` are
 the value and covering diameter (per-axis spacing times sqrt(dim)) of the
@@ -403,10 +405,13 @@ def _set_fold(g: SystemMap, targets: np.ndarray, Y: np.ndarray, N: int, mode: st
     hi_k >= r, r their running max (at least L): a skipped step has m_k <=
     hi_k < r, so it cannot set the max, and the result is bit for bit the
     full fold's.  In orbital mode the points whose weak value is still at
-    most stop then fold the reverse inclusion over every step: a running
-    minimum of each target's distance, whose max over the targets joins
-    their value.  Its blocks follow ``_fold_objective``'s, so it holds the
-    (points, targets) minimum and, at most, one step's distances.
+    most stop then fold the reverse inclusion: a running minimum of each
+    target's distance, whose max over the targets joins their value.  A
+    point leaves after the step block where every minimum is at or below
+    its weak value, which is then its value bit for bit, as minima only
+    fall.  Its blocks follow ``_fold_objective``'s, so it holds the (points,
+    targets) minimum, shrunk in place to the live rows, and one step's
+    distances.
     """
     pos = np.empty((2 * N + 1,) + Y.shape)
     for i, z in _orbit_steps(g, Y, N):
@@ -436,6 +441,13 @@ def _set_fold(g: SystemMap, targets: np.ndarray, Y: np.ndarray, N: int, mode: st
     size = max(1, min(STEP_BLOCK, FOLD_BLOCK // rmin.size))
     for s in range(0, 2 * N + 1, size):
         np.minimum(rmin, sq_dist_array(pos[s:s + size, todo][:, :, None, :], targets).min(axis=0), out=rmin)
+        live = rmin.max(axis=1) > out[todo]
+        todo = todo[live]
+        if not len(todo):
+            return out
+        if len(todo) < len(live):  # shrink in place: no second (points, targets) array outlives the step
+            rmin[:len(todo)] = rmin[live]
+            rmin = rmin[:len(todo)]
     out[todo] = np.maximum(out[todo], rmin.max(axis=1))
     return out
 
@@ -554,7 +566,8 @@ def _cover(objective, dim: int, G: int, eps: float, lip, threads: int, counters:
     value at level G.  The binding cell is the leaf of least margin (ties go
     to the coarser level, then the lower index); the points of the last level
     evaluated are all leaves.  A first level of more than UNBOUNDED_GRID_CAP
-    points raises ValueError before anything is allocated.
+    points raises ValueError before anything is allocated: a grid is refused
+    only when a covering would walk it, never by a check a candidate settles.
 
     The objective takes ``stop``: a value at or below stop is exact, one
     above it may be a lower bound (``_fold_objective``).  Lattice points are
@@ -657,7 +670,10 @@ def _certify(gmin: float, cover: float, lip, eps: float):
 
 def _search(objective, dim: int, eps: float, grid_step: float, candidates, lip_bound,
             threads: int, counters: dict, raw: bool = False):
-    """Candidate pass, then covering, then certificate. Returns verdict fields."""
+    """Candidate pass, then covering, then certificate. Returns verdict fields.
+
+    A grid too fine for ``_cover`` is refused only if no candidate tracks.
+    """
     hit = _candidate_pass(objective, candidates, eps, counters)
     grid = {}
     if hit is None:

@@ -52,8 +52,6 @@ __all__ = [
     "map_from_descriptor",
     "library_maps",
     "spectral_norm",
-    "spectral_norm_batch",
-    "det_batch",
     "GOLDEN_ROTATION",
     "CAT_MATRIX",
     "SHEAR_MATRIX",
@@ -78,10 +76,10 @@ def spectral_norm(M) -> float:
     M = np.asarray(M, dtype=float)
     if M.shape not in ((1, 1), (2, 2)):
         raise ValueError(f"expected a 1x1 or 2x2 matrix, got shape {M.shape}")
-    return float(spectral_norm_batch(M))
+    return float(_spectral_norm_batch(M))
 
 
-def spectral_norm_batch(M) -> np.ndarray:
+def _spectral_norm_batch(M) -> np.ndarray:
     """Spectral norms over a stack (..., n, n) with n = 1 or 2."""
     M = np.asarray(M, dtype=float)
     n = M.shape[-1]
@@ -93,14 +91,6 @@ def spectral_norm_batch(M) -> np.ndarray:
     det = a * d - b * c
     disc = np.maximum(s * s - 4.0 * det * det, 0.0)
     return np.sqrt(0.5 * (s + np.sqrt(disc)))
-
-
-def det_batch(M) -> np.ndarray:
-    """Determinants over a stack (..., n, n) with n = 1 or 2."""
-    M = np.asarray(M, dtype=float)
-    if M.shape[-1] == 1:
-        return M[..., 0, 0]
-    return M[..., 0, 0] * M[..., 1, 1] - M[..., 0, 1] * M[..., 1, 0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -160,6 +150,13 @@ class SystemMap:
         return f"SystemMap({self.label!r}, dim={self.dim})"
 
 
+def _volume_defect_at(f: SystemMap, pts: np.ndarray):
+    """Largest deviation of |det Df| from 1 at the points ``pts`` (dim 1 or 2)."""
+    M = np.asarray(f.differential(pts), dtype=float)
+    det = M[..., 0, 0] if M.shape[-1] == 1 else M[..., 0, 0] * M[..., 1, 1] - M[..., 0, 1] * M[..., 1, 0]
+    return np.max(np.abs(np.abs(det) - 1.0))
+
+
 def _construction_check(m: SystemMap):
     # offset lattice so probes avoid the special orbits sitting on rationals;
     # every test is "not <= tol" so that a NaN defect fails it
@@ -168,7 +165,7 @@ def _construction_check(m: SystemMap):
         rt = dist_array(second(first(pts)), pts).max()
         if not rt <= _ROUNDTRIP_TOL:
             raise ConstructionError(f"{m.label}: {name} roundtrip defect {rt:.3e} exceeds {_ROUNDTRIP_TOL:.0e}")
-    defect = np.max(np.abs(np.abs(det_batch(m.differential(pts))) - 1.0))
+    defect = _volume_defect_at(m, pts)
     if not defect <= _VOLUME_TOL:
         raise ConstructionError(f"{m.label}: volume defect {defect:.3e} exceeds {_VOLUME_TOL:.0e}")
     return m
@@ -409,7 +406,7 @@ def c1_distance(f: SystemMap, g: SystemMap, samples: int = 256) -> float:
     pts = lattice_points(_dyadic(samples), f.dim)
     c0 = float(dist_array(f.forward(pts), g.forward(pts)).max())
     dd = np.asarray(f.differential(pts), dtype=float) - np.asarray(g.differential(pts), dtype=float)
-    c1 = float(spectral_norm_batch(dd).max())
+    c1 = float(_spectral_norm_batch(dd).max())
     return max(c0, c1)
 
 
@@ -449,8 +446,7 @@ def _method_gap(f: SystemMap, g: SystemMap) -> float:
 
 def volume_defect(f: SystemMap, samples: int = 128) -> float:
     """Largest deviation of |det Df| from 1 over a per-axis sample lattice."""
-    pts = lattice_points(_dyadic(samples), f.dim)
-    return float(np.max(np.abs(np.abs(det_batch(f.differential(pts))) - 1.0)))
+    return float(_volume_defect_at(f, lattice_points(_dyadic(samples), f.dim)))
 
 
 def map_to_descriptor(m: SystemMap) -> dict:

@@ -438,6 +438,19 @@ def test_spec_errors_exit_two_with_message(argv, capsys):
     assert err.startswith("shadowlab: error:")
 
 
+@pytest.mark.parametrize("eps, code", [("0.5", 0), ("0.1", 2)])
+def test_a_grid_past_the_cap_is_refused_only_when_the_covering_would_walk_it(eps, code, capsys):
+    """At eps 0.5 a candidate tracks and the grid is never looked at; at 0.1 the covering refuses it."""
+    rc, out, err = run_cli(["check", "inverse", "--system", "shear", "--method", "translate:0.01",
+                            "--x", "0.2,0.3", "--eps", eps, "--N", "25", "--grid", "1000001"], capsys)
+    assert rc == code
+    if code == 0:
+        rec = json.loads(out)
+        assert rec["outcome"] == "tracked" and "grid" not in rec["note"]
+    else:
+        assert err.startswith("shadowlab: error: grid 1000001 per axis is too fine")
+
+
 def run_fresh_check(args, cwd):
     """``shadowlab check ARGS`` in a fresh interpreter, so numpy warnings reach stderr as a user sees them."""
     env = dict(os.environ)

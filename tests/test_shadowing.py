@@ -495,6 +495,63 @@ def test_objective_core_matches_a_per_step_reference_fold_with_601_targets(mode,
     _assert_matches_reference_fold(g, targets, ys, N, mode, _quarter_stops)
 
 
+def test_objective_core_matches_a_per_step_reference_fold_where_the_reverse_inclusion_sets_the_value():
+    """A method orbit spanning 0.05 of the circle against a golden-rotation orbit spread over all of it.
+
+    Some target lies far from every method position, so every point's
+    reverse value exceeds its weak value, no point leaves the reverse
+    inclusion early, and its fold runs over every step.
+    """
+    N = 25
+    g = make_translation_method_map(circle_identity(), 0.001)
+    targets = orbit_segment(make_rotation(GOLDEN_ROTATION), np.array([0.3]), N).as_array()
+    ys = np.random.default_rng(26).random((shadowing.FOLD_BLOCK + 1, 1))
+    weak, orbital = (_reference_fold(g, targets, ys, N, mode) for mode in ("weak", "orbital"))
+    assert (orbital > weak).all()
+    _assert_matches_reference_fold(g, targets, ys, N, "orbital", _quarter_stops)
+
+
+def test_orbital_check_stops_the_reverse_inclusion_once_it_cannot_raise_the_value(monkeypatch):
+    """A sweep-set orbital check (seed 0), with the reverse inclusion's distance elements counted.
+
+    The points that reach the reverse inclusion are those whose weak value is
+    at or below stop, found by folding the same points in weak mode.  Folding
+    every step would compute (2N+1) * targets elements for each of them; a
+    point leaves once every target lies within its weak value.
+    """
+    N = 25
+    f = shear_map()
+    m = method_from_map(f, make_translation_method_map(f, 0.01), N)
+    fold, dist = shadowing._set_fold, shadowing.sq_dist_array
+    counts = {"points": 0, "elements": 0}
+    mode_now = []
+
+    def counted_fold(g, targets, Y, N, mode, stop, table):
+        if mode == "orbital":
+            weak = fold(g, targets, Y, N, "weak", stop, table)
+            counts["points"] += int((np.sqrt(weak) <= stop).sum())
+            counts["full"] = (2 * N + 1) * len(targets)
+        mode_now.append(mode)
+        try:
+            return fold(g, targets, Y, N, mode, stop, table)
+        finally:
+            mode_now.pop()
+
+    def counted_dist(a, b):
+        d = dist(a, b)
+        if mode_now == ["orbital"] and np.ndim(a) == 4:  # the reverse inclusion's (steps, points, targets)
+            counts["elements"] += d.size
+        return d
+
+    monkeypatch.setattr(shadowing, "_set_fold", counted_fold)
+    monkeypatch.setattr(shadowing, "sq_dist_array", counted_dist)
+    x = (0.8646777328161376, 0.5735598523880991)
+    v = check_orbital_inverse(f, m, x, eps=0.1, N=N, grid_step=1 / 128, threads=1)
+    assert v.outcome == "failed"
+    assert counts["points"] > 1000 and counts["full"] == (2 * N + 1) ** 2
+    assert 5 * counts["elements"] <= counts["points"] * counts["full"]
+
+
 def test_set_fold_of_one_block_with_601_targets_stays_below_its_memory_bound():
     """Building the table and folding one FOLD_BLOCK block, traced by tracemalloc.
 
@@ -507,9 +564,12 @@ def test_set_fold_of_one_block_with_601_targets_stays_below_its_memory_bound():
     such arrays.  So weak mode stays below P + C + S + 3F, 58.3 MB; a table
     built as one (H, H, T) array alone takes 78.8 MB.  The drifting method
     keeps that fold short: only the farthest steps of each point are folded.
-    Orbital mode then frees the cells and folds the reverse inclusion over
-    every step: a (B, T) running minimum, F bytes, and one step's distances,
-    at most 3F.  So it stays below P + S + max(C, F) + 3F, 63.3 MB.
+    Orbital mode then frees the cells and folds the reverse inclusion one
+    step at a time: a (B, T) running minimum, F bytes, and one step's
+    distances, at most 3F.  A point whose targets all lie within its weak
+    value drops out, and the live rows move to the front of the minimum
+    through one copy of them, at most F, taken after that step's distances
+    are freed.  So it stays below P + S + max(C, F) + 3F, 63.3 MB.
     """
     import tracemalloc
 

@@ -8,7 +8,8 @@ enumeration is kept as the reference in the test suite.  This module is the
 only place that knows the per-axis wrap formulas: ``v - floor(v)`` for points
 and ``d - rint(d)`` for differences.
 
-Kernels: ``reduce_to_unit`` and ``wrap_to_half`` for coordinates,
+Kernels: ``reduce_to_unit`` and ``wrap_to_half`` for coordinate arrays,
+``reduce_coord`` for one Python float,
 ``sq_dist_array`` and ``dist_array`` for distances, ``sq_dist_bounds`` and
 ``bound_cells`` for a table that encloses the squared distance from any point
 of a cell to a target set, and ``lattice_points`` for lattices.
@@ -24,6 +25,7 @@ __all__ = [
     "TorusPoint",
     "torus_dist",
     "reduce_to_unit",
+    "reduce_coord",
     "wrap_to_half",
     "sq_dist_array",
     "dist_array",
@@ -54,6 +56,18 @@ def reduce_to_unit(values):
     return r
 
 
+def reduce_coord(v: float) -> float:
+    """``reduce_to_unit`` of one Python float, bit for bit.
+
+    ``v % 1.0`` is the exact fmod(v, 1), plus 1.0 when that is negative, so
+    it rounds the real number v - floor(v) once, as ``v - floor(v)`` does.
+    It gives +0.0 for an integer v and NaN for a non-finite one, as the
+    array kernel does, and the same fix-up follows.
+    """
+    r = v % 1.0
+    return 0.0 if r == 1.0 else r
+
+
 def _check_finite(arr: np.ndarray, role: str) -> None:
     """ValueError naming the first non-finite point of ``arr`` (one point, or one per row).
 
@@ -82,14 +96,17 @@ def sq_dist_array(a, b):
     Works one axis at a time.  ``d - rint(d)`` is the signed distance from the
     lift difference d to the nearest integer and is exact in float for every
     finite d, so the operands need no reduction and the (m, t) matrix no
-    remainder.  The squares are summed in axis order.
+    remainder.  The squares are summed in axis order.  ``rint`` rounds into
+    one buffer that every axis reuses.
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
-    sq = None
+    sq = buf = None
     for k in range(a.shape[-1]):
         d = a[..., k] - b[..., k]
-        d -= np.rint(d)
+        if buf is None:
+            buf = np.empty_like(d)
+        d -= np.rint(d, out=buf)
         d *= d
         if sq is None:
             sq = d

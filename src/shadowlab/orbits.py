@@ -10,6 +10,12 @@ the CSV text of ``orbit_csv_text``.
 
 Bi-infinite sequences are truncated at an explicit horizon N.  Every verdict
 built on top of these objects is a finite-horizon statement and says so.
+
+Orbits are walked one map step at a time by ``_orbit_steps``.  A batch of
+points steps as a numpy array; one point steps as a tuple of Python floats
+when its map has one-point actions (``SystemMap.point_forward``), which
+repeat the array actions' roundings and so give the same positions bit for
+bit, at about a tenth of the cost of a one-row array step.
 """
 
 from __future__ import annotations
@@ -52,15 +58,25 @@ def _as_coords(x, dim: int, role: str = "anchor") -> np.ndarray:
 
 
 def _orbit_steps(g: SystemMap, y: np.ndarray, N: int):
-    """(i, g^(i-N)(y)) for every orbit index i, one map step at a time."""
+    """(i, g^(i-N)(y)) for every orbit index i, one map step at a time.
+
+    ``y`` is one point, of shape (dim,) or (1, dim), or a batch (n, dim).
+    One point of a map with one-point actions walks as a tuple of Python
+    floats through ``point_forward`` / ``point_backward``, whose steps equal
+    the array steps bit for bit and cost about a tenth as much; everything
+    else walks as arrays of y's shape through ``forward`` / ``backward``.
+    """
+    fwd, bwd = g.forward, g.backward
+    if y.size == g.dim and g.point_forward is not None:
+        fwd, bwd, y = g.point_forward, g.point_backward, tuple(y.ravel().tolist())
     yield N, y
     z = y
     for k in range(1, N + 1):
-        z = g.forward(z)
+        z = fwd(z)
         yield N + k, z
     z = y
     for k in range(1, N + 1):
-        z = g.backward(z)
+        z = bwd(z)
         yield N - k, z
 
 

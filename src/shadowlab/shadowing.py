@@ -326,8 +326,9 @@ def _fold_objective(targets: np.ndarray, steps, n: int, mode: str,
                     stop: float = math.inf) -> np.ndarray:
     """Squared objective of n candidates, folded over their orbit positions.
 
-    ``steps`` yields (i, z): z holds the candidates' positions (n, dim) at
-    orbit index i, where index N is the anchor.  "pointwise" compares z with
+    ``steps`` yields (i, z): z holds the candidates' positions at orbit
+    index i, where index N is the anchor, as an (n, dim) array or, for one
+    candidate, a tuple (``_orbit_steps``).  "pointwise" compares z with
     targets[i], the index-matched target; in the set modes ``targets`` holds
     the distinct targets (``_fold_targets``), "weak" compares z with that set,
     and "orbital" also folds the reverse inclusion.  Consecutive steps are
@@ -351,7 +352,7 @@ def _fold_objective(targets: np.ndarray, steps, n: int, mode: str,
     run = np.zeros(n)
     rmin = np.full((n, len(targets)), np.inf) if mode == "orbital" else None
     while block := list(itertools.islice(steps, size)):
-        Z = np.stack([z for _, z in block])  # (steps, candidates, dim)
+        Z = np.array([z for _, z in block], dtype=float).reshape(len(block), n, -1)  # (steps, candidates, dim)
         if mode == "pointwise":
             T = targets[[i for i, _ in block]]
             np.maximum(run, sq_dist_array(Z, T[:, None, :]).max(axis=0), out=run)
@@ -375,7 +376,8 @@ def _objective_core(g: SystemMap, targets: np.ndarray, ys: np.ndarray, N: int, m
 
     ``targets`` is ``_fold_targets``' output for this N and mode.  One point,
     and every pointwise block of points, walks its orbit lazily in orbit
-    order (index N, then forward, then backward) with ``_fold_objective``.
+    order (index N, then forward, then backward) with ``_fold_objective``;
+    one point walks in Python floats where its map allows (``_orbit_steps``).
     Set modes fold several points in blocks of FOLD_BLOCK with ``_set_fold``,
     which bounds each position's distance to the targets from the
     ``sq_dist_bounds`` table; ``bounds`` returns that table (it is built

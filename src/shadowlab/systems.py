@@ -7,12 +7,19 @@ roundtrip and volume defect on a probe grid) so that an object that exists is
 also a valid conservative system.
 
 Three primitives write out their own actions: toral automorphisms, the
-translation x -> x + v (a circle rotation is one), and a sine shear.  Every
-other map is built by ``_compose``, the one place that knows how maps compose:
-forward is outer after inner, backward runs the inverses in reverse order, the
-differential follows the chain rule, and the Lipschitz bounds and linear parts
-multiply.  A drift is ``translate(delta) o f`` and a perturbation is ``f o tau``.
-Either is one composition away from f, so its descriptor fixes its C0/C1 gap
+translation x -> x + v (a circle rotation is one), and a sine shear.  Each
+also acts on one point given as a tuple of Python floats, with the same
+roundings as its array action, so a one-point orbit walks without numpy's
+per-call cost and with the array walk's bits.  An automorphism has that
+action only when every entry of its matrix (and so of its inverse) is 0
+or +-2^k: then every product a*x is exact, and a matrix row rounds once, as
+``x @ M.T`` does, fused multiply-add or not.  Every other map is built by
+``_compose``, the one place that knows how maps compose: forward is outer
+after inner, backward runs the inverses in reverse order, the differential
+follows the chain rule, the Lipschitz bounds and linear parts multiply, and
+a one-point action exists when both parts have one.  A drift is
+``translate(delta) o f`` and a perturbation is ``f o tau``.  Either is one
+composition away from f, so its descriptor fixes its C0/C1 gap
 to f in closed form: a drift moves every point by delta and keeps the
 differential, and a perturbation of an affine f with linear part A moves f(x)
 by A(tau(x) - x).  ``_method_gap`` reads that gap off the descriptors and
@@ -32,7 +39,7 @@ from typing import Callable
 
 import numpy as np
 
-from .geometry import dist_array, lattice_points, reduce_to_unit
+from .geometry import dist_array, lattice_points, reduce_coord, reduce_to_unit
 
 __all__ = [
     "ConstructionError",
@@ -133,7 +140,10 @@ class SystemMap:
     of shape (..., dim, dim).  ``lip_forward`` / ``lip_backward`` are declared
     upper bounds for the Lipschitz constant of a single application (exact for
     affine maps).  ``linear_part`` is the constant integer linear part when the
-    map is affine, else None.
+    map is affine, else None.  ``point_forward`` / ``point_backward`` act on
+    one point given as a tuple of Python floats and return a tuple equal bit
+    for bit to the array action's row, or are None where float arithmetic on
+    one point could round differently from the array action.
     """
 
     label: str
@@ -145,6 +155,8 @@ class SystemMap:
     lip_backward: float = field(repr=False, default=1.0)
     descriptor: dict = field(repr=False, default_factory=dict)
     linear_part: np.ndarray | None = field(repr=False, default=None)
+    point_forward: Callable[[tuple], tuple] | None = field(repr=False, default=None)
+    point_backward: Callable[[tuple], tuple] | None = field(repr=False, default=None)
 
     def __repr__(self):
         return f"SystemMap({self.label!r}, dim={self.dim})"
@@ -176,6 +188,22 @@ def _constant_differential(x, M: np.ndarray):
     return np.broadcast_to(M, np.shape(x)[:-1] + M.shape)
 
 
+def _exact_products(M) -> bool:
+    """Is every entry of the integer matrix M 0 or +-2^k, so that each product a*x of a float is exact?"""
+    return all(v & (v - 1) == 0 for v in (abs(int(e)) for e in np.ravel(M)))
+
+
+def _point_act(M: np.ndarray):
+    """One-point ``x @ M.T`` reduced, for a 2x2 M with ``_exact_products``: 0.0 + a*x0 + b*x1 per row."""
+    (a, b), (c, d) = M.tolist()
+
+    def act(p):
+        x0, x1 = p
+        return reduce_coord(0.0 + a * x0 + b * x1), reduce_coord(0.0 + c * x0 + d * x1)
+
+    return act
+
+
 def make_linear(A, label: str | None = None) -> SystemMap:
     """Toral automorphism x -> A x (mod 1) for an integer 2x2 matrix with |det| = 1."""
     aut = A if isinstance(A, LinearAutomorphism) else LinearAutomorphism(A)
@@ -184,6 +212,8 @@ def make_linear(A, label: str | None = None) -> SystemMap:
 
     def act(x, M):
         return reduce_to_unit(np.asarray(x, dtype=float) @ M.T)
+
+    exact = _exact_products(aut.matrix)  # the inverse has the same entries, up to sign and place
 
     if label is None:
         r = aut.matrix
@@ -198,6 +228,8 @@ def make_linear(A, label: str | None = None) -> SystemMap:
         lip_backward=spectral_norm(Ainv),
         descriptor={"kind": "linear", "matrix": [[int(v) for v in row] for row in aut.matrix]},
         linear_part=aut.matrix.copy(),
+        point_forward=_point_act(Af) if exact else None,
+        point_backward=_point_act(Ainv) if exact else None,
     )
     return _construction_check(m)
 
@@ -209,6 +241,14 @@ def _translation(v) -> SystemMap:
     def shift(x, sign):
         return reduce_to_unit(np.asarray(x, dtype=float) + sign * v)
 
+    def shift_point(sign):
+        sv = (sign * v).tolist()
+
+        def act(p):
+            return tuple([reduce_coord(c + s) for c, s in zip(p, sv)])
+
+        return act
+
     return SystemMap(
         label="translation",
         dim=v.size,
@@ -216,6 +256,8 @@ def _translation(v) -> SystemMap:
         backward=partial(shift, sign=-1.0),
         differential=partial(_constant_differential, M=np.eye(v.size)),
         linear_part=np.eye(v.size, dtype=np.int64),
+        point_forward=shift_point(1.0),
+        point_backward=shift_point(-1.0),
     )
 
 
@@ -231,6 +273,16 @@ def _sine_shear(delta: float, axis: int, phase: float) -> SystemMap:
         out = np.array(x, dtype=float)
         out[..., axis] += sign * delta * np.sin(2.0 * math.pi * (out[..., other] + phase))
         return reduce_to_unit(out)
+
+    def shift_point(sign):
+        step, two_pi = sign * delta, 2.0 * math.pi
+
+        def act(p):  # numpy's sin, so that its bits are the array action's
+            q = list(p)
+            q[axis] += step * float(np.sin(two_pi * (q[other] + phase)))
+            return reduce_coord(q[0]), reduce_coord(q[1])
+
+        return act
 
     def diff(x):
         x = np.asarray(x, dtype=float)
@@ -249,15 +301,29 @@ def _sine_shear(delta: float, axis: int, phase: float) -> SystemMap:
         differential=diff,
         lip_forward=factor,
         lip_backward=factor,
+        point_forward=shift_point(1.0),
+        point_backward=shift_point(-1.0),
     )
 
 
 def _compose(outer: SystemMap, inner: SystemMap, label: str, descriptor: dict) -> SystemMap:
     """The checked composition ``outer o inner``: the only place that composes maps.
 
-    The parts' actions are looked up at call time, so a wrapper installed on
-    a part's ``forward`` or ``backward`` after construction is still used.
+    The parts' array actions are looked up at call time, so a wrapper
+    installed on a part's ``forward`` or ``backward`` after construction is
+    still used by array steps.  The one-point actions are bound here, and
+    exist only when both parts have them.
     """
+    pf = pb = None
+    if outer.point_forward is not None and inner.point_forward is not None:
+        out_f, out_b = outer.point_forward, outer.point_backward
+        in_f, in_b = inner.point_forward, inner.point_backward
+
+        def pf(p):
+            return out_f(in_f(p))
+
+        def pb(p):
+            return in_b(out_b(p))
 
     def fwd(x):
         return outer.forward(inner.forward(x))
@@ -279,6 +345,8 @@ def _compose(outer: SystemMap, inner: SystemMap, label: str, descriptor: dict) -
         descriptor=descriptor,
         linear_part=(None if outer.linear_part is None or inner.linear_part is None
                      else outer.linear_part @ inner.linear_part),
+        point_forward=pf,
+        point_backward=pb,
     )
     return _construction_check(m)
 

@@ -16,6 +16,7 @@ from shadowlab.geometry import (
     bound_cells,
     dist_array,
     lattice_points,
+    reduce_coord,
     reduce_to_unit,
     sq_dist_array,
     sq_dist_bounds,
@@ -111,6 +112,16 @@ def test_reduce_and_wrap_match_the_remainder_formulas_bitwise():
     r = reduce_to_unit(x)
     assert np.all((r >= 0.0) & (r < 1.0))
     assert np.array_equal(bits(reduce_to_unit(-0.0)), bits(0.0))
+
+
+def test_reduce_coord_is_reduce_to_unit_bit_for_bit():
+    x = np.concatenate([_lifts(), [np.nan, np.inf, -np.inf]])
+    one = np.array([reduce_coord(v) for v in x.tolist()])
+    with np.errstate(invalid="ignore"):  # inf - floor(inf)
+        ref = reduce_to_unit(x)
+    assert np.array_equal(bits(one[:-3]), bits(ref[:-3]))
+    assert np.isnan(one[-3:]).all() and np.isnan(ref[-3:]).all()
+    assert all(type(reduce_coord(v)) is float for v in (-0.0, -1e-18, 2.5))
 
 
 def test_nan_stays_nan_through_the_kernels():

@@ -70,6 +70,50 @@ def test_cat_segment_steps_forward_and_back():
     assert torus_dist(TorusPoint.from_array(f.forward(po.point(-1).as_array())), po.point(0)) <= 1e-12
 
 
+def _array_walk(g, y, N):
+    """Positions -N..N of the points y (n, dim) by the array actions, one step at a time."""
+    out = np.empty((2 * N + 1,) + y.shape)
+    out[N] = y
+    for act, sign in ((g.forward, 1), (g.backward, -1)):
+        z = y
+        for k in range(1, N + 1):
+            z = act(z)
+            out[N + sign * k] = z
+    return out
+
+
+@pytest.mark.parametrize("idx", range(len(library_maps())))
+def test_one_point_walk_equals_the_array_walk_bit_for_bit(idx):
+    """Every library map walks one point in floats, and each step is the array step's row exactly.
+
+    Compared with a one-row array walk and with the rows of a 2048-point
+    batch, 300 steps each way.
+    """
+    g, N = library_maps()[idx], 300
+    assert g.point_forward is not None and g.point_backward is not None
+    ys = np.random.default_rng(100 + idx).random((2048, g.dim))
+    batch = _array_walk(g, ys, N)
+    for r in range(0, len(ys), 64):
+        walk = dict(orbits._orbit_steps(g, ys[r], N))
+        assert all(type(walk[i]) is tuple for i in walk)
+        one = np.array([walk[i] for i in range(2 * N + 1)])
+        assert one.tobytes() == _array_walk(g, ys[r:r + 1], N)[:, 0].tobytes()
+        assert one.tobytes() == np.ascontiguousarray(batch[:, r]).tobytes()
+        assert dict(orbits._orbit_steps(g, ys[r:r + 1], N)) == walk
+
+
+def test_a_matrix_with_inexact_products_keeps_the_array_walk():
+    """An entry that is neither 0 nor +-2^k can round a row alone differently from a batch."""
+    f = cli.parse_system_spec("linear:5,8,3,5")
+    for g in (f, cli.parse_method_spec("translate:0.001", f, 20, 0).source):
+        assert g.point_forward is None and g.point_backward is None
+        y = np.array([0.2, 0.3])
+        steps = list(orbits._orbit_steps(g, y, 3))
+        assert all(isinstance(z, np.ndarray) and z.shape == y.shape for _, z in steps)
+    assert make_linear([[1, -4], [0, 1]]).point_backward is not None
+    assert make_linear([[2, 3], [1, 2]]).point_backward is None
+
+
 def test_orbit_segment_rejects_bad_horizon():
     with pytest.raises(ValueError):
         orbit_segment(cat_map(), (0.0, 0.0), 0)

@@ -406,12 +406,25 @@ def _newton_long_method(N):
     return f, cli.parse_method_spec("perturb:shear-sin:0.001:0", f, N, 0)
 
 
+def _array_steps(g, ys, N):
+    """(i, positions of ys) in orbit order, by the array actions alone, for any number of points."""
+    yield N, ys
+    for act, sign in ((g.forward, 1), (g.backward, -1)):
+        z = ys
+        for k in range(1, N + 1):
+            z = act(z)
+            yield N + sign * k, z
+
+
 def _reference_fold(g, targets, ys, N, mode):
-    """The objective with one sq_dist_array call per orbit step, in orbit order."""
+    """The objective with one sq_dist_array call per orbit step, in orbit order.
+
+    It walks by the array actions, so for one point it checks the one-point walk as well.
+    """
     uniq = np.unique(targets, axis=0)
     run = np.zeros(len(ys))
     rmin = np.full((len(ys), len(uniq)), np.inf)
-    for i, z in _orbit_steps(g, ys, N):
+    for i, z in _array_steps(g, ys, N):
         if mode == "pointwise":
             run = np.maximum(run, sq_dist_array(z, targets[i]))
         else:
@@ -624,16 +637,26 @@ def test_a_covering_check_builds_the_table_once(monkeypatch, prop):
 
 
 def test_missing_anchor_stops_walking_and_the_newton_witness_walks_its_orbit():
-    """The golden check-inverse-shear-sin-long case, with the driver's steps counted."""
+    """The golden check-inverse-shear-sin-long case, with the driver's steps counted.
+
+    One-point walks step through ``point_forward`` / ``point_backward`` and
+    batches through ``forward`` / ``backward``, so all four are counted.
+    """
     N = 300
     f, m = _newton_long_method(N)
     driver = m.source
+    assert driver.point_forward is not None
     points = []  # points per map step, in call order
     for attr in ("forward", "backward"):
         def counted(z, act=getattr(driver, attr)):
             points.append(len(np.atleast_2d(z)))
             return act(z)
         object.__setattr__(driver, attr, counted)
+    for attr in ("point_forward", "point_backward"):
+        def counted_point(p, act=getattr(driver, attr)):
+            points.append(1)
+            return act(p)
+        object.__setattr__(driver, attr, counted_point)
     counters = {}
     x = (0.7621155845848191, 0.7847298237460361)
     v = check_inverse_shadowing(f, m, x, eps=0.1, N=N, grid_step=1 / 64, threads=1, counters=counters)

@@ -143,7 +143,9 @@ class SystemMap:
     map is affine, else None.  ``point_forward`` / ``point_backward`` act on
     one point given as a tuple of Python floats and return a tuple equal bit
     for bit to the array action's row, or are None where float arithmetic on
-    one point could round differently from the array action.
+    one point could round differently from the array action.  One-point
+    walks use them in place of ``forward`` / ``backward``, so a copy that
+    replaces the array actions must replace or clear them too.
     """
 
     label: str

@@ -12,11 +12,15 @@ Kernels: ``reduce_to_unit`` and ``wrap_to_half`` for coordinate arrays,
 ``reduce_coord`` for one Python float,
 ``sq_dist_array`` and ``dist_array`` for distances, ``sq_dist_bounds`` and
 ``bound_cells`` for a table that encloses the squared distance from any point
-of a cell to a target set, and ``lattice_points`` for lattices.
+of a cell to a target set, and ``lattice_points`` for lattices.  The table
+groups the targets by exact first coordinate: rounded addition is monotone,
+so a group's second-axis bounds can be reduced before they are added, with
+the per-target table's bits.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,11 +52,14 @@ def reduce_to_unit(values):
 
     Idempotent.  ``v - floor(v)`` rounds to exactly ``1.0`` for tiny negative
     ``v``; the fix-up maps that to ``0.0`` in place.  It tests ``== 1.0`` so that
-    NaN stays NaN instead of passing for a valid coordinate.
+    NaN stays NaN instead of passing for a valid coordinate, and it runs only
+    when the largest value is not below 1.0, which a NaN also fails.
     """
     v = np.asarray(values, dtype=float)
-    r = np.asarray(v - np.floor(v))  # an array even for one coordinate, so putmask can write to it
-    np.putmask(r, r == 1.0, 0.0)
+    r = np.floor(v, out=np.empty_like(v))  # an array even for one coordinate, so putmask can write to it
+    np.subtract(v, r, out=r)
+    if r.size and not r.max() < 1.0:
+        np.putmask(r, r == 1.0, 0.0)
     return r
 
 
@@ -134,28 +141,41 @@ def sq_dist_bounds(targets, block: int) -> tuple[np.ndarray, np.ndarray]:
     bound is widened by _BOUND_ABS (1 + |t|), which covers the rounding of
     the kernel's difference and of the bound's own arithmetic; each squared
     sum is then scaled by 1 -+ _BOUND_REL, which covers the rounding of the
-    squares and the sum.  The cells are filled in row blocks of at most
-    ``block`` cells, so no temporary holds more than block * targets values.
+    squares and the sum.
+
+    On the torus the targets are grouped by their exact first coordinate,
+    which alone fixes a target's first-axis bounds a.  Rounded addition is
+    monotone, so within a group min over t of fl(a + b_t) = fl(a + min b_t):
+    the second-axis bounds are reduced per group first, bit for bit the
+    per-target table at a cost of groups * cells.  A shear orbit, whose map
+    fixes the first coordinate, is one group.  The cells are filled in row
+    blocks of at most ``block`` cells, so no temporary holds more than block
+    * groups values.
     """
     T = np.asarray(targets, dtype=float)
     H, dim = BOUND_CELLS, T.shape[-1]
     edges = np.arange(H + 1)[:, None] / H
-    lo_ax, hi_ax = [], []
-    for k in range(dim):
-        w = edges - T[:, k]
+
+    def axis_bounds(t):
+        """(lo, hi) of shape (H, len(t)): squared bounds of one axis per target coordinate t."""
+        w = edges - t
         w = np.abs(w - np.rint(w))  # (H + 1, targets): the wrapped distance at each cell edge
-        mid, pad = (w[:-1] + w[1:]) / 2, 1.0 / (2 * H) + _BOUND_ABS * (1.0 + np.abs(T[:, k]))
-        lo_ax.append(np.square(np.maximum(mid - pad, 0.0)))
-        hi_ax.append(np.square(np.minimum(mid + pad, 0.5)))
+        mid, pad = (w[:-1] + w[1:]) / 2, 1.0 / (2 * H) + _BOUND_ABS * (1.0 + np.abs(t))
+        return np.square(np.maximum(mid - pad, 0.0)), np.square(np.minimum(mid + pad, 0.5))
+
     if dim == 1:
-        lo, hi = lo_ax[0].min(axis=1), hi_ax[0].min(axis=1)
+        lo, hi = (b.min(axis=1) for b in axis_bounds(T[:, 0]))
     else:
+        T = T[np.argsort(T[:, 0])]
+        starts = np.flatnonzero(np.r_[True, T[1:, 0] != T[:-1, 0]])  # the first target of each group
+        ax0 = axis_bounds(T[starts, 0])
+        ax1 = [np.minimum.reduceat(b, starts, axis=1) for b in axis_bounds(T[:, 1])]
         lo, hi = np.empty(H * H), np.empty(H * H)
         rows = max(1, block // H)
         for r in range(0, H, rows):
             cells = slice(r * H, min(r + rows, H) * H)
-            lo[cells] = (lo_ax[0][r:r + rows, None, :] + lo_ax[1][None, :, :]).min(axis=2).ravel()
-            hi[cells] = (hi_ax[0][r:r + rows, None, :] + hi_ax[1][None, :, :]).min(axis=2).ravel()
+            for out, a, b in zip((lo, hi), ax0, ax1):
+                out[cells] = (a[r:r + rows, None, :] + b[None, :, :]).min(axis=2).ravel()
     return np.append(lo * (1.0 - _BOUND_REL), 0.0), np.append(hi * (1.0 + _BOUND_REL), np.inf)
 
 
@@ -205,7 +225,14 @@ class TorusPoint:
     coords: tuple[float, ...]
 
     def __post_init__(self):
-        arr = np.atleast_1d(np.asarray(self.coords, dtype=float))
+        c = self.coords
+        # one or two finite numbers take Python floats, with reduce_to_unit's bits
+        if isinstance(c, tuple) and len(c) in (1, 2) and all(isinstance(v, (float, int)) for v in c):
+            c = [float(v) for v in c]
+            if all(map(math.isfinite, c)):
+                object.__setattr__(self, "coords", tuple([reduce_coord(v) for v in c]))
+                return
+        arr = np.atleast_1d(np.asarray(c, dtype=float))
         _check_finite(arr, "point")
         arr = reduce_to_unit(arr)
         if arr.ndim != 1 or arr.size not in (1, 2):

@@ -645,7 +645,8 @@ def _cover(objective, dim: int, G: int, eps: float, lip, threads: int, counters:
         pvals = vals[unresolved]
         kids = 2 * np.stack(np.unravel_index(idx[unresolved], (g,) * dim), axis=-1)[:, None, :] + offs
         fine = (2 * g,) * dim
-        idx = np.unique(np.ravel_multi_index(tuple(np.moveaxis(kids % (2 * g), -1, 0)), fine))
+        idx = np.sort(np.ravel_multi_index(tuple(np.moveaxis(kids % (2 * g), -1, 0)), fine), axis=None)
+        idx = idx[np.r_[True, idx[1:] != idx[:-1]]]  # np.unique's result; its hash table costs more
         new = (np.stack(np.unravel_index(idx, fine), axis=-1) % 2 == 1).any(axis=1)
         vals = np.empty(len(idx))
         # The even children are exactly 2k for the unresolved parents k, one each

@@ -212,10 +212,18 @@ def make_linear(A, label: str | None = None) -> SystemMap:
     Af = aut.matrix.astype(float)
     Ainv = aut.inverse_matrix().astype(float)
 
-    def act(x, M):
-        return reduce_to_unit(np.asarray(x, dtype=float) @ M.T)
+    def act(x, MT):
+        return reduce_to_unit(np.asarray(x, dtype=float) @ MT)
 
     exact = _exact_products(aut.matrix)  # the inverse has the same entries, up to sign and place
+
+    def transposed(M):
+        # A matmul on the view M.T takes about three times as long as on a
+        # contiguous copy.  With exact products each output rounds once, so
+        # the order BLAS sums in cannot matter but for the sign of a zero,
+        # which reduce_to_unit clears.  Other matrices keep the view: their
+        # batch bits depend on the BLAS kernel.
+        return np.ascontiguousarray(M.T) if exact else M.T
 
     if label is None:
         r = aut.matrix
@@ -223,8 +231,8 @@ def make_linear(A, label: str | None = None) -> SystemMap:
     m = SystemMap(
         label=label,
         dim=2,
-        forward=partial(act, M=Af),
-        backward=partial(act, M=Ainv),
+        forward=partial(act, MT=transposed(Af)),
+        backward=partial(act, MT=transposed(Ainv)),
         differential=partial(_constant_differential, M=Af),
         lip_forward=spectral_norm(Af),
         lip_backward=spectral_norm(Ainv),
@@ -240,26 +248,33 @@ def _translation(v) -> SystemMap:
     """The translation x -> x + v (mod 1): linear part I and a unit differential."""
     v = np.asarray(v, dtype=float)
 
-    def shift(x, sign):
-        return reduce_to_unit(np.asarray(x, dtype=float) + sign * v)
-
-    def shift_point(sign):
+    def actions(sign):
+        """The array and one-point actions of x -> x + sign*v."""
         sv = (sign * v).tolist()
 
-        def act(p):
+        def shift(x):
+            # Column by column, the same addition as x + sign*v per element: a
+            # broadcast (n, dim) + (dim,) add runs a length-dim inner loop n times.
+            out = np.array(x, dtype=float)
+            for k, s in enumerate(sv):
+                out[..., k] += s
+            return reduce_to_unit(out)
+
+        def shift_point(p):
             return tuple([reduce_coord(c + s) for c, s in zip(p, sv)])
 
-        return act
+        return shift, shift_point
 
+    (fwd, point_fwd), (bwd, point_bwd) = actions(1.0), actions(-1.0)
     return SystemMap(
         label="translation",
         dim=v.size,
-        forward=partial(shift, sign=1.0),
-        backward=partial(shift, sign=-1.0),
+        forward=fwd,
+        backward=bwd,
         differential=partial(_constant_differential, M=np.eye(v.size)),
         linear_part=np.eye(v.size, dtype=np.int64),
-        point_forward=shift_point(1.0),
-        point_backward=shift_point(-1.0),
+        point_forward=point_fwd,
+        point_backward=point_bwd,
     )
 
 

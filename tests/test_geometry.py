@@ -23,6 +23,7 @@ from shadowlab.geometry import (
     torus_dist,
     wrap_to_half,
 )
+from shadowlab.systems import shear_map
 
 
 def brute_force_dist(a, b):
@@ -60,6 +61,20 @@ def test_reduce_is_idempotent():
     x = rng.uniform(-5, 5, size=100)
     once = reduce_to_unit(x)
     assert np.array_equal(once, reduce_to_unit(once))
+
+
+def test_reduce_to_unit_on_empty_zero_d_and_edge_inputs():
+    assert reduce_to_unit(np.empty((0, 2))).shape == (0, 2)
+    assert reduce_to_unit([]).shape == (0,)
+    for v, want in ((-1e-18, 0.0), (-0.0, 0.0), (2.25, 0.25)):
+        r = reduce_to_unit(v)
+        assert isinstance(r, np.ndarray) and r.shape == () and bits(r) == bits(want)
+    assert np.isnan(reduce_to_unit(np.nan))
+    # a NaN must not hide a 1.0 that still needs the fix-up
+    out = reduce_to_unit(np.array([np.nan, -1e-18, -0.0, 0.5]))
+    assert np.isnan(out[0]) and bits(out[1:]).tolist() == bits([0.0, 0.0, 0.5]).tolist()
+    x = np.array([0.25, -1e-18])
+    assert reduce_to_unit(x) is not x and x.tolist() == [0.25, -1e-18]  # a new array; the input is kept
 
 
 def test_wrap_to_half_window():
@@ -235,6 +250,32 @@ def test_torus_point_rejects_non_finite_coordinates(bad):
         TorusPoint((bad, 0.1))
 
 
+def test_torus_point_coordinates_are_reduce_to_unit_bit_for_bit():
+    lifts = _lifts()
+    pairs = np.stack([lifts, np.roll(lifts, 7)], axis=1)
+    for row in pairs[::5].tolist():
+        p = TorusPoint(tuple(row))
+        assert all(type(c) is float for c in p.coords)
+        assert bits(p.coords).tolist() == bits(reduce_to_unit(row)).tolist()
+    assert TorusPoint((np.float64(1.25), 3)).coords == (0.25, 0.0)
+    for other in ([1.25, -0.5], np.array([1.25, -0.5]), (np.float32(1.25), -0.5)):
+        assert TorusPoint(other).coords == (0.25, 0.5)
+    assert TorusPoint(1.25).coords == (0.25,)
+
+
+@pytest.mark.parametrize("coords, want", [
+    ((0.1, 0.2, 0.3), "phase space is 1- or 2-dimensional, got coords of shape (3,)"),
+    ((), "phase space is 1- or 2-dimensional, got coords of shape (0,)"),
+    (((0.1, 0.2),), "phase space is 1- or 2-dimensional, got coords of shape (1, 2)"),
+    ((math.inf,), "point coordinates must be finite, got [inf]"),
+    ((0.1, -math.inf), "point coordinates must be finite, got [0.1, -inf]"),
+    ((math.nan, 0.1, 0.2), "point coordinates must be finite, got [nan, 0.1, 0.2]"),
+])
+def test_torus_point_error_texts(coords, want):
+    with pytest.raises(ValueError, match=f"^{re.escape(want)}$"):
+        TorusPoint(coords)
+
+
 def test_dimension_mismatch_rejected():
     with pytest.raises(ValueError):
         torus_dist(TorusPoint((0.1,)), TorusPoint((0.1, 0.2)))
@@ -328,3 +369,67 @@ def test_bound_cells_numbers_cells_in_ij_order_and_sends_outsiders_to_the_extra_
     lo, hi = sq_dist_bounds(np.array([[0.2, 0.3]]), block=2048)
     assert (lo[-1], hi[-1]) == (0.0, math.inf)
 
+
+def _per_target_bounds(targets, block):
+    """``sq_dist_bounds`` as one column per target, with no grouping: the reference for the grouped table."""
+    T = np.asarray(targets, dtype=float)
+    H, dim = BOUND_CELLS, T.shape[-1]
+    edges = np.arange(H + 1)[:, None] / H
+    lo_ax, hi_ax = [], []
+    for k in range(dim):
+        w = edges - T[:, k]
+        w = np.abs(w - np.rint(w))
+        mid, pad = (w[:-1] + w[1:]) / 2, 1.0 / (2 * H) + 2.0 ** -50 * (1.0 + np.abs(T[:, k]))
+        lo_ax.append(np.square(np.maximum(mid - pad, 0.0)))
+        hi_ax.append(np.square(np.minimum(mid + pad, 0.5)))
+    if dim == 1:
+        lo, hi = lo_ax[0].min(axis=1), hi_ax[0].min(axis=1)
+    else:
+        lo, hi = np.empty(H * H), np.empty(H * H)
+        rows = max(1, block // H)
+        for r in range(0, H, rows):
+            cells = slice(r * H, min(r + rows, H) * H)
+            lo[cells] = (lo_ax[0][r:r + rows, None, :] + lo_ax[1][None, :, :]).min(axis=2).ravel()
+            hi[cells] = (hi_ax[0][r:r + rows, None, :] + hi_ax[1][None, :, :]).min(axis=2).ravel()
+    return np.append(lo * (1.0 - 2.0 ** -50), 0.0), np.append(hi * (1.0 + 2.0 ** -50), np.inf)
+
+
+def _shear_orbit(x, N):
+    f = shear_map()
+    out = [np.array(x, dtype=float)]
+    for _ in range(N):
+        out.append(f.forward(out[-1]))
+    back = [np.array(x, dtype=float)]
+    for _ in range(N):
+        back.append(f.backward(back[-1]))
+    return np.array(back[:0:-1] + out)
+
+
+def _grouping_targets():
+    rng = np.random.default_rng(23)
+    H = BOUND_CELLS
+    mixed = rng.random((51, 2))
+    mixed[:, 0] = rng.choice([0.0, -0.0, 0.3, 1 / H, np.nextafter(0.3, 1.0)], 51)
+    mixed[::4, 1] = rng.integers(0, H, 13) / H
+    one = np.column_stack([np.full(51, 0.37), rng.random(51)])
+    return {
+        "one group": one,
+        "mixed groups": mixed,
+        "all distinct": rng.random((51, 2)),
+        "lifted": mixed + rng.integers(-3, 4, (51, 2)),
+        "one group, lifted": one + np.column_stack([np.zeros(51), rng.integers(-3, 4, 51)]),
+        "shear orbit N=300": _shear_orbit([math.sqrt(2.0) - 1.0, 0.3], 300),
+        "circle": rng.random((51, 1)),
+    }
+
+
+@pytest.mark.parametrize("block", [2048, 1000, 1])
+@pytest.mark.parametrize("case", list(_grouping_targets()))
+def test_grouped_bound_table_equals_the_per_target_table_bit_for_bit(case, block):
+    """Grouping targets by first coordinate changes no bit of lo or hi."""
+    targets = _grouping_targets()[case]
+    if case == "shear orbit N=300":
+        assert len(np.unique(targets, axis=0)) == 601 and len(np.unique(targets[:, 0])) == 1
+    got, want = sq_dist_bounds(targets, block), _per_target_bounds(targets, block)
+    for g, w in zip(got, want):
+        assert g.tobytes() == w.tobytes()

@@ -6,7 +6,7 @@ import re
 import numpy as np
 import pytest
 
-from shadowlab.geometry import TorusPoint, dist_array
+from shadowlab.geometry import TorusPoint, dist_array, reduce_to_unit
 from shadowlab.hyperbolicity import anosov_certificate_linear
 from shadowlab.systems import (
     CAT_MATRIX,
@@ -370,3 +370,81 @@ def test_method_gap_is_a_tight_upper_bound(base, delta):
         sampled = c1_distance(f, g, samples=512)
         assert sampled <= gap * (1 + 1e-9), g.label
         assert gap <= sampled * (1 + 1e-3), g.label
+
+
+# ---------------------------------------------------------------------------
+# Array actions against the formulas they were tuned from
+# ---------------------------------------------------------------------------
+
+def _old_linear(M):
+    M = np.asarray(M, dtype=float)
+    return lambda x: reduce_to_unit(np.asarray(x, dtype=float) @ M.T)
+
+
+def _old_shift(v, sign):
+    v = np.asarray(v, dtype=float)
+    return lambda x: reduce_to_unit(np.asarray(x, dtype=float) + sign * v)
+
+
+def _old_sine_shear(delta, axis, phase, sign):
+    def act(x):
+        out = np.array(x, dtype=float)
+        out[..., axis] += sign * delta * np.sin(2.0 * math.pi * (out[..., 1 - axis] + phase))
+        return reduce_to_unit(out)
+    return act
+
+
+def _reference_actions(d: dict, dim: int):
+    """(forward, backward) of the map ``d`` describes, composed from the untuned formulas."""
+    kind = d["kind"]
+    if kind == "linear":
+        aut = LinearAutomorphism(d["matrix"])
+        return _old_linear(aut.matrix), _old_linear(aut.inverse_matrix())
+    if kind == "rotation":
+        return _old_shift([d["theta"]], 1.0), _old_shift([d["theta"]], -1.0)
+    if kind in ("translate", "translate-block"):
+        base = d["base"] if kind == "translate" else {"kind": "linear", "matrix": [[1, 0], [0, d["block"]]]}
+        (bf, bb), off = _reference_actions(base, dim), np.eye(dim)[0] * d["delta"]
+        out_f, out_b = _old_shift(off, 1.0), _old_shift(off, -1.0)
+        return (lambda x: out_f(bf(x))), (lambda x: bb(out_b(x)))
+    assert kind == "perturbation"
+    bf, bb = _reference_actions(d["base"], dim)
+    if d["mode"] == "shear-sin":
+        args = (d["delta"], d["axis"], d["phase"])
+        tf, tb = _old_sine_shear(*args, 1.0), _old_sine_shear(*args, -1.0)
+    else:
+        a = d["angle"]
+        v = [d["delta"]] if a is None else d["delta"] * np.array([math.cos(a), math.sin(a)])
+        tf, tb = _old_shift(v, 1.0), _old_shift(v, -1.0)
+    return (lambda x: bf(tf(x))), (lambda x: tb(bb(x)))
+
+
+def _action_test_maps():
+    """Every library map, translate drifts of every base, both block maps, and inexact linear:5,8,3,5."""
+    inexact = make_linear([[5, 8], [3, 5]])
+    bases = [cat_map(), shear_map(), torus_identity(), make_linear([[1, 1], [1, 0]]), inexact,
+             circle_identity(), make_rotation(GOLDEN_ROTATION)]
+    drifts = [make_translation_method_map(b, delta) for b in bases for delta in (1e-3, 0.01, 0.49)]
+    blocks = [make_translation_method_map(torus_identity(), 0.01, block=b) for b in (1, -1)]
+    return library_maps() + [inexact, make_conservative_perturbation(inexact, 1e-3, "translation", seed=5)] \
+        + drifts + blocks
+
+
+def _action_test_rows(dim: int) -> np.ndarray:
+    """2048 rows: every pair of edge values (0, 1 - 2^-53, lifts just below 0, ...), then random points."""
+    edges = np.array([0.0, -0.0, np.nextafter(1.0, 0.0), -1e-18, -2.0 ** -60, -5e-324, 0.5, 1.0, -1.0])
+    grid = np.stack(np.meshgrid(*[edges] * dim, indexing="ij"), axis=-1).reshape(-1, dim)
+    rng = np.random.default_rng(2048 + dim)
+    return np.concatenate([grid, rng.random((2048 - len(grid), dim))])
+
+
+@pytest.mark.parametrize("idx", range(len(_action_test_maps())))
+def test_array_actions_equal_the_untuned_formulas_bit_for_bit(idx):
+    """forward/backward equal reduce_to_unit(x @ M.T) and reduce_to_unit(x + sign*v), composed, on every row."""
+    m = _action_test_maps()[idx]
+    x = _action_test_rows(m.dim)
+    ref_f, ref_b = _reference_actions(m.descriptor, m.dim)
+    for got, want in ((m.forward(x), ref_f(x)), (m.backward(x), ref_b(x))):
+        assert got.shape == x.shape and got.dtype == np.float64
+        assert got.tobytes() == want.tobytes(), m.label
+    assert m.forward(x[7]).tobytes() == ref_f(x[7]).tobytes()  # one point as a 1-D array

@@ -61,13 +61,7 @@ from .shadowing import (
     tracking_objective,
     weak_objective,
 )
-from .hyperbolicity import (
-    AnosovCertificate,
-    PeriodicPointRecord,
-    anosov_certificate_linear,
-    classify_periodic,
-    periodic_points_linear,
-)
+from .hyperbolicity import AnosovCertificate, anosov_certificate_linear
 from .experiments import (
     EXPERIMENTS,
     ExperimentReport,

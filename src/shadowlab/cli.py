@@ -166,7 +166,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--seed", type=int, default=0,
                         help="run seed, recorded in reports and used by seeded specs (default 0)")
     common.add_argument("--threads", type=int, default=None,
-                        help="worker threads (default: SHADOWLAB_THREADS, else all cores)")
+                        help="worker threads (default: SHADOWLAB_THREADS, else the usable cores)")
     common.add_argument("--timings", action="store_true",
                         help="add work counters to check output; wall time on the error stream")
     common.add_argument("--out", default=None, help="write the report here instead of standard output")

@@ -20,7 +20,6 @@ the per-target table's bits.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -225,14 +224,7 @@ class TorusPoint:
     coords: tuple[float, ...]
 
     def __post_init__(self):
-        c = self.coords
-        # one or two finite numbers take Python floats, with reduce_to_unit's bits
-        if isinstance(c, tuple) and len(c) in (1, 2) and all(isinstance(v, (float, int)) for v in c):
-            c = [float(v) for v in c]
-            if all(map(math.isfinite, c)):
-                object.__setattr__(self, "coords", tuple([reduce_coord(v) for v in c]))
-                return
-        arr = np.atleast_1d(np.asarray(c, dtype=float))
+        arr = np.atleast_1d(np.asarray(self.coords, dtype=float))
         _check_finite(arr, "point")
         arr = reduce_to_unit(arr)
         if arr.ndim != 1 or arr.size not in (1, 2):

@@ -126,6 +126,8 @@ def resolve_threads(threads: int | None = None) -> int:
             return max(1, int(env))
         except ValueError:
             raise ValueError(f"SHADOWLAB_THREADS must be an integer, got {env!r}") from None
+    if hasattr(os, "sched_getaffinity"):  # the CPUs this process may run on, not the host's
+        return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
 
 

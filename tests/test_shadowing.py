@@ -9,6 +9,7 @@ calculations on the affine drift construction.
 import itertools
 import json
 import math
+import os
 from functools import partial
 from pathlib import Path
 
@@ -1409,3 +1410,6 @@ def test_resolve_threads_precedence(monkeypatch):
     assert resolve_threads(2) == 2
     monkeypatch.delenv("SHADOWLAB_THREADS")
     assert resolve_threads() >= 1
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    assert resolve_threads() == 1  # an affinity mask of one CPU on a 64-CPU host

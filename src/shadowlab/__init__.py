@@ -1,4 +1,4 @@
-"""Finite-horizon tracking checks for volume-preserving maps on the circle and 2-torus.
+"""Finite-horizon tracking checks for volume-preserving maps of the n-torus (the circle is n = 1).
 
 The package turns infinite-horizon tracking notions -- direct, inverse, weak
 inverse, and orbital inverse shadowing -- into finite, decidable searches:

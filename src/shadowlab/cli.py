@@ -20,6 +20,7 @@ import argparse
 import functools
 import inspect
 import json
+import math
 import sys
 import time
 
@@ -58,9 +59,13 @@ __all__ = [
 ]
 
 _SYSTEM_HELP = ("system spec: cat | shear | identity2 | identity1 | golden | "
-                "rotation:THETA | linear:a,b,c,d | a JSON descriptor")
+                "rotation:THETA | linear:A11,A12,...,Ann (n*n integers, row by row) | a JSON descriptor")
 _METHOD_HELP = ("method spec: same | translate:DELTA | rotation:THETA | rotation:+DELTA | "
                 "perturb:MODE:DELTA[:SEED] | random:DELTA[:SEED] | a JSON map descriptor")
+
+# Deepest nesting of objects and arrays a JSON descriptor may use: building a
+# map recurses through it, two frames a level where it is copied.
+_DESCRIPTOR_DEPTH = 200
 
 _CHECKERS = {
     "direct": check_direct_shadowing,
@@ -74,11 +79,26 @@ _CHECKERS = {
 # Specs and arguments
 # ---------------------------------------------------------------------------
 
+def _load_descriptor(text: str):
+    """The JSON value of ``text``; ValueError when it nests deeper than _DESCRIPTOR_DEPTH."""
+    too_deep = f"JSON descriptor is nested too deeply: at most {_DESCRIPTOR_DEPTH} levels of objects and arrays"
+    try:
+        value = json.loads(text)
+    except RecursionError:  # deeper than json.loads itself goes
+        raise ValueError(too_deep) from None
+    depth, level = 0, [value]
+    while level := [c for c in level if isinstance(c, (dict, list))]:
+        depth, level = depth + 1, [v for c in level for v in (c.values() if isinstance(c, dict) else c)]
+    if depth > _DESCRIPTOR_DEPTH:
+        raise ValueError(f"{too_deep}, got {depth}")
+    return value
+
+
 def parse_system_spec(spec: str) -> SystemMap:
     """Build a map from a short spec string or a JSON descriptor."""
     s = spec.strip()
     if s.startswith("{"):
-        return map_from_descriptor(json.loads(s))
+        return map_from_descriptor(_load_descriptor(s))
     fixed = {
         "cat": cat_map,
         "shear": shear_map,
@@ -93,9 +113,10 @@ def parse_system_spec(spec: str) -> SystemMap:
         return make_rotation(float(s.split(":", 1)[1]))
     if s.startswith("linear:"):
         entries = [int(v) for v in s.split(":", 1)[1].split(",")]
-        if len(entries) != 4:
-            raise ValueError("linear spec needs four integers a,b,c,d")
-        return make_linear([entries[:2], entries[2:]])
+        n = math.isqrt(len(entries))
+        if n * n != len(entries):
+            raise ValueError(f"linear spec needs n*n integers, row by row, got {len(entries)}")
+        return make_linear([entries[i:i + n] for i in range(0, len(entries), n)])
     raise ValueError(f"unknown system spec {spec!r}")
 
 
@@ -108,7 +129,7 @@ def parse_method_spec(spec: str, f: SystemMap, N: int, seed: int) -> MethodSpec:
     """
     s = spec.strip()
     if s.startswith("{"):
-        return method_from_map(f, map_from_descriptor(json.loads(s)), N)
+        return method_from_map(f, map_from_descriptor(_load_descriptor(s)), N)
     if s == "same":
         return method_from_map(f, f, N)
     if s.startswith("translate:"):
@@ -142,13 +163,9 @@ def parse_method_spec(spec: str, f: SystemMap, N: int, seed: int) -> MethodSpec:
 
 def _parse_point(text: str) -> tuple[float, ...]:
     try:
-        values = tuple(float(v) for v in text.split(","))
+        return tuple(float(v) for v in text.split(","))
     except ValueError:
         raise argparse.ArgumentTypeError(f"coordinates must be numbers, got {text!r}") from None
-    if len(values) not in (1, 2):
-        raise argparse.ArgumentTypeError(
-            f"points have one or two comma-separated coordinates, got {len(values)}")
-    return values
 
 
 def _parse_rows(text: str) -> tuple[str, ...]:
@@ -158,7 +175,7 @@ def _parse_rows(text: str) -> tuple[str, ...]:
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="shadowlab",
-        description="Finite-horizon tracking checks for volume-preserving torus maps.",
+        description="Finite-horizon tracking checks for volume-preserving maps of the n-torus.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -174,7 +191,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_orbit = sub.add_parser("orbit", parents=[common], help="dump a true orbit segment as CSV")
     p_orbit.add_argument("--system", required=True, help=_SYSTEM_HELP)
     p_orbit.add_argument("--x", required=True, type=_parse_point,
-                         help="anchor point, comma-separated coordinates")
+                         help="anchor point, one comma-separated coordinate per axis of the system")
     p_orbit.add_argument("--N", required=True, type=int, help="horizon: indices -N..N")
 
     p_check = sub.add_parser("check", parents=[common], help="run one tracking property check")
@@ -183,7 +200,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_check.add_argument("--system", required=True, help=_SYSTEM_HELP)
     p_check.add_argument("--method", required=True, help=_METHOD_HELP)
     p_check.add_argument("--x", required=True, type=_parse_point,
-                         help="anchor point, comma-separated coordinates")
+                         help="anchor point, one comma-separated coordinate per axis of the system")
     p_check.add_argument("--eps", required=True, type=float, help="tracking accuracy")
     p_check.add_argument("--N", required=True, type=int, help="horizon: indices -N..N")
     p_check.add_argument("--grid", type=int, default=512,

@@ -1,8 +1,8 @@
-"""Points, the quotient metric, and lattices on the circle and 2-torus.
+"""Points, the quotient metric, and lattices on the n-torus.
 
-Phase space is the quotient [0,1)^n with n in {1, 2}.  Distances are Euclidean
-on the flat quotient: the minimum over integer translates of a lift.  Because
-the lattice is a product of unit lattices, the minimum decomposes per axis,
+Phase space is [0,1)^n, n read off the input's last axis (n = 1 is the
+circle).  Distances are Euclidean on the flat quotient: the minimum over
+integer translates of a lift.  Because the lattice is a product of unit lattices, the minimum decomposes per axis,
 which is what the array kernels below implement; the three-translates-per-axis
 enumeration is kept as the reference in the test suite.  This module is the
 only place that knows the per-axis wrap formulas: ``v - floor(v)`` for points
@@ -14,8 +14,8 @@ Kernels: ``reduce_to_unit`` and ``wrap_to_half`` for coordinate arrays,
 ``bound_cells`` for a table that encloses the squared distance from any point
 of a cell to a target set, and ``lattice_points`` for lattices.  The table
 groups the targets by exact first coordinate: rounded addition is monotone,
-so a group's second-axis bounds can be reduced before they are added, with
-the per-target table's bits.
+so a group's bounds on the other axes can be reduced before they are added,
+with the per-target table's bits.
 """
 
 from __future__ import annotations
@@ -37,8 +37,9 @@ __all__ = [
     "lattice_points",
 ]
 
-# Cells per axis of a ``sq_dist_bounds`` table; a power of two, so that a
-# coordinate times BOUND_CELLS is exact and so is the cell it falls in.
+# Cells per axis of a ``sq_dist_bounds`` table up to two axes, fewer above
+# (``_per_axis``); a power of two, so that a coordinate times it is exact and
+# so is the cell it falls in.
 BOUND_CELLS = 128
 # Outward rounding of the table: an absolute term per axis, in units of
 # (1 + |target coordinate|), and a relative factor on each squared sum.
@@ -126,33 +127,41 @@ def dist_array(a, b):
     return np.sqrt(sq_dist_array(a, b))
 
 
+def _per_axis(G: int, dim: int) -> int:
+    """Points per axis of a dyadic lattice on [0,1)^dim: the power of two G, halved until there are <= G ** 2."""
+    n = G
+    while n ** dim > G * G:
+        n //= 2
+    return n
+
+
 def sq_dist_bounds(targets, block: int) -> tuple[np.ndarray, np.ndarray]:
     """(lo, hi) enclosing min over ``targets`` of ``sq_dist_array`` on every cell.
 
-    The circle or torus is cut into BOUND_CELLS cells per axis, numbered as
-    ``bound_cells`` numbers them.  For every point x of cell c, lo[c] <=
-    min over t of sq_dist_array(x, t) <= hi[c], with the float value the
-    kernel computes.  One more entry, lo = 0 and hi = inf, stands for points
+    [0,1)^n is cut into H = _per_axis(BOUND_CELLS, n) cells per axis,
+    numbered as ``bound_cells`` numbers them.  For every point x of cell c,
+    lo[c] <= min over t of sq_dist_array(x, t) <= hi[c], with the float value
+    the kernel computes.  One more entry, lo = 0 and hi = inf, stands for points
     outside [0, 1).
 
     Per axis, the wrapped distance w is 1-Lipschitz, so on a cell [a, b] of
     width h it lies within (w(a) + w(b) -+ h) / 2, and below 1/2.  Each axis
     bound is widened by _BOUND_ABS (1 + |t|), which covers the rounding of
     the kernel's difference and of the bound's own arithmetic; each squared
-    sum is then scaled by 1 -+ _BOUND_REL, which covers the rounding of the
-    squares and the sum.
+    sum is then scaled by 1 -+ _BOUND_REL (times n // 2 above three axes),
+    which covers the rounding of the squares and the sum.
 
-    On the torus the targets are grouped by their exact first coordinate,
-    which alone fixes a target's first-axis bounds a.  Rounded addition is
-    monotone, so within a group min over t of fl(a + b_t) = fl(a + min b_t):
-    the second-axis bounds are reduced per group first, bit for bit the
-    per-target table at a cost of groups * cells.  A shear orbit, whose map
-    fixes the first coordinate, is one group.  The cells are filled in row
-    blocks of at most ``block`` cells, so no temporary holds more than block
-    * groups values.
+    The targets are grouped by their exact first coordinate, which alone
+    fixes a target's first-axis bounds a.  Rounded addition is monotone, so
+    within a group min over t of fl(a + b_t) = fl(a + min b_t), b_t the sum
+    of the other axes' bounds (0 on the circle): b is reduced per group
+    first, bit for bit the per-target table at a cost of groups * cells.  A
+    shear orbit, whose map fixes the first coordinate, is one group.  Cells
+    are filled in blocks of first-axis rows, at most ``block`` cells where a
+    row allows, so no temporary holds more than that times the groups.
     """
     T = np.asarray(targets, dtype=float)
-    H, dim = BOUND_CELLS, T.shape[-1]
+    H, dim = _per_axis(BOUND_CELLS, T.shape[-1]), T.shape[-1]
     edges = np.arange(H + 1)[:, None] / H
 
     def axis_bounds(t):
@@ -162,59 +171,63 @@ def sq_dist_bounds(targets, block: int) -> tuple[np.ndarray, np.ndarray]:
         mid, pad = (w[:-1] + w[1:]) / 2, 1.0 / (2 * H) + _BOUND_ABS * (1.0 + np.abs(t))
         return np.square(np.maximum(mid - pad, 0.0)), np.square(np.minimum(mid + pad, 0.5))
 
-    if dim == 1:
-        lo, hi = (b.min(axis=1) for b in axis_bounds(T[:, 0]))
-    else:
-        T = T[np.argsort(T[:, 0])]
-        starts = np.flatnonzero(np.r_[True, T[1:, 0] != T[:-1, 0]])  # the first target of each group
-        ax0 = axis_bounds(T[starts, 0])
-        ax1 = [np.minimum.reduceat(b, starts, axis=1) for b in axis_bounds(T[:, 1])]
-        lo, hi = np.empty(H * H), np.empty(H * H)
-        rows = max(1, block // H)
-        for r in range(0, H, rows):
-            cells = slice(r * H, min(r + rows, H) * H)
-            for out, a, b in zip((lo, hi), ax0, ax1):
-                out[cells] = (a[r:r + rows, None, :] + b[None, :, :]).min(axis=2).ravel()
-    return np.append(lo * (1.0 - _BOUND_REL), 0.0), np.append(hi * (1.0 + _BOUND_REL), np.inf)
+    T = T[np.argsort(T[:, 0])]
+    starts = np.flatnonzero(np.r_[True, T[1:, 0] != T[:-1, 0]])  # the first target of each group
+    ax0 = axis_bounds(T[starts, 0])
+    rest = (np.zeros((1, len(T))),) * 2  # (cells of the other axes, targets)
+    for k in range(1, dim):
+        rest = [(r[:, None, :] + b[None, :, :]).reshape(-1, len(T)) for r, b in zip(rest, axis_bounds(T[:, k]))]
+    rest = [np.minimum.reduceat(b, starts, axis=1) for b in rest]
+    R = len(rest[0])  # cells per first-axis row
+    lo, hi = np.empty(H * R), np.empty(H * R)
+    rows = max(1, block // R)
+    for r in range(0, H, rows):
+        cells = slice(r * R, min(r + rows, H) * R)
+        for out, a, b in zip((lo, hi), ax0, rest):
+            out[cells] = (a[r:r + rows, None, :] + b[None, :, :]).min(axis=2).ravel()
+    rel = _BOUND_REL * max(1, dim // 2)
+    return np.append(lo * (1.0 - rel), 0.0), np.append(hi * (1.0 + rel), np.inf)
 
 
 def bound_cells(points) -> np.ndarray:
     """Flat ``sq_dist_bounds`` cell of each point; the last axis holds components.
 
-    Cell (i, j) is i * BOUND_CELLS + j, with i = floor(x * BOUND_CELLS) on the
-    first axis.  A point outside [0, 1) (or not finite) gets the extra cell
-    BOUND_CELLS ** dim.
+    With H cells per axis, cell (i_0, ..., i_{n-1}) is (i_0 * H + i_1) * H +
+    ..., i_k = floor(x_k * H).  A point outside [0, 1) (or not finite) gets
+    the extra cell H ** n.
     """
-    P = np.asarray(points, dtype=float) * BOUND_CELLS
+    H = _per_axis(BOUND_CELLS, np.shape(points)[-1])
+    P = np.asarray(points, dtype=float) * H
     inside = None
-    if not (P.min(initial=0.0) >= 0 and P.max(initial=0.0) < BOUND_CELLS):  # NaN fails both tests
-        inside = ((P >= 0) & (P < BOUND_CELLS)).all(axis=-1)
+    if not (P.min(initial=0.0) >= 0 and P.max(initial=0.0) < H):  # NaN fails both tests
+        inside = ((P >= 0) & (P < H)).all(axis=-1)
         P = np.where(inside[..., None], P, 0.0)
     c = P.astype(np.int32)  # truncation is floor here, and int32 casts fastest
     flat = c[..., 0]
     for k in range(1, P.shape[-1]):
-        flat *= BOUND_CELLS
+        flat *= H
         flat += c[..., k]
-    return flat if inside is None else np.where(inside, flat, BOUND_CELLS ** P.shape[-1])
+    return flat if inside is None else np.where(inside, flat, H ** P.shape[-1])
 
 
 def lattice_points(G: int, dim: int, offset: float = 0.0, idx=None) -> np.ndarray:
     """Points of the lattice with coordinates (k + offset) / G, k = 0..G-1 per axis.
 
-    Points are numbered by flat index in ij order: on the torus, index i sits
-    at k = i // G on the first axis and k = i % G on the second.  ``idx``
-    selects some of them; the default is the whole lattice.  Returns shape
-    (number of points, dim).
+    Points are numbered by flat index in ij order: index i sits at its base-G
+    digits, the first axis most significant.  ``idx`` selects some of them
+    (default: all).  Returns shape (number of points, dim).
     """
     idx = np.arange(G ** dim) if idx is None else np.asarray(idx)
-    if dim == 1:
-        return ((idx + offset) / G)[:, None]
-    return np.stack([(idx // G + offset) / G, (idx % G + offset) / G], axis=1)
+    out = np.empty(idx.shape + (dim,))
+    for k in range(dim - 1, 0, -1):
+        idx, out[..., k] = np.divmod(idx, G)
+    out[..., 0] = idx
+    return np.divide(out + offset, G, out=out)
 
 
 @dataclass(frozen=True)
 class TorusPoint:
-    """A point of the circle (dim 1) or the 2-torus (dim 2).
+    """A point of the n-torus; n = 1 is the circle.
 
     Coordinates are reduced to [0,1) at construction, so two representations of
     the same point compare equal as long as their reductions agree bitwise.
@@ -227,8 +240,8 @@ class TorusPoint:
         arr = np.atleast_1d(np.asarray(self.coords, dtype=float))
         _check_finite(arr, "point")
         arr = reduce_to_unit(arr)
-        if arr.ndim != 1 or arr.size not in (1, 2):
-            raise ValueError(f"phase space is 1- or 2-dimensional, got coords of shape {arr.shape}")
+        if arr.ndim != 1 or not arr.size:
+            raise ValueError(f"a point has one or more coordinates in a flat sequence, got coords of shape {arr.shape}")
         object.__setattr__(self, "coords", tuple(float(v) for v in arr))
 
     @property
@@ -247,7 +260,7 @@ class TorusPoint:
 
 
 def torus_dist(p: TorusPoint, q: TorusPoint) -> float:
-    """Quotient distance d(p, q); at most 1/2 on the circle, sqrt(2)/2 on the torus."""
+    """Quotient distance d(p, q); at most sqrt(n)/2 on the n-torus."""
     if p.dim != q.dim:
         raise ValueError(f"dimension mismatch: {p.dim} vs {q.dim}")
     return float(dist_array(p.as_array(), q.as_array()))

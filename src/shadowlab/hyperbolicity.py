@@ -74,12 +74,16 @@ def anosov_certificate_linear(A) -> AnosovCertificate | None:
     """Expansion/contraction certificate for a linear automorphism, or None.
 
     None is the defined negative outcome (an eigenvalue on the unit circle,
-    decided exactly by :func:`_is_hyperbolic`), not an error.  For a granted
+    decided exactly by :func:`_is_hyperbolic`), not an error.  Its rule
+    |tr| > |1 + det| holds for 2x2 matrices only, so any other shape raises
+    ValueError.  For a granted
     certificate the decay inequalities ||A^n v_s|| <= C lambda^n and
     ||A^{-n} v_u|| <= C lambda^n are re-verified for n = 1..20 before it is
     returned.
     """
     aut = A if isinstance(A, LinearAutomorphism) else LinearAutomorphism(A)
+    if aut.matrix.shape != (2, 2):
+        raise ValueError(f"the Anosov certificate is defined for 2x2 matrices only, got shape {aut.matrix.shape}")
     if not _is_hyperbolic(aut.matrix.tolist()):
         return None
     Af = aut.matrix.astype(float)

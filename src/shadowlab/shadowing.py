@@ -498,12 +498,9 @@ def horizon_lipschitz_bound(g: SystemMap, N: int) -> float | None:
     """
     if g.linear_part is not None:
         B = np.asarray(g.linear_part, dtype=float)
-        if B.shape == (1, 1):
-            return 1.0  # |entry| = 1 for an invertible circle translation model
         Binv = LinearAutomorphism(g.linear_part).inverse_matrix().astype(float)
         L = 1.0
-        M = np.eye(2)
-        Mi = np.eye(2)
+        M = Mi = np.eye(len(B))
         for _ in range(N):
             M = M @ B
             Mi = Mi @ Binv

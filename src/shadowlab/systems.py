@@ -1,4 +1,4 @@
-"""Invertible volume-preserving maps of the circle and 2-torus.
+"""Invertible volume-preserving maps of the n-torus; n = 1 is the circle.
 
 Every map is packaged as a :class:`SystemMap`: vectorized forward/backward
 actions on reduced coordinates, a Jacobian field, declared Lipschitz bounds,
@@ -8,16 +8,17 @@ also a valid conservative system.
 
 Three primitives write out their own actions: toral automorphisms, the
 translation x -> x + v (a circle rotation is one), and a sine shear.  Each
-also acts on one point given as a tuple of Python floats, with the same
-roundings as its array action, so a one-point orbit walks without numpy's
-per-call cost and with the array walk's bits.  An automorphism has that
-action only when every entry of its matrix (and so of its inverse) is 0
-or +-2^k: then every product a*x is exact, and a matrix row rounds once, as
-``x @ M.T`` does, fused multiply-add or not.  Every other map is built by
-``_compose``, the one place that knows how maps compose: forward is outer
-after inner, backward runs the inverses in reverse order, the differential
-follows the chain rule, the Lipschitz bounds and linear parts multiply, and
-a one-point action exists when both parts have one.  A drift is
+also acts on one reduced point given as a tuple of Python floats, with the
+same roundings as its array action, so a one-point orbit walks without
+numpy's per-call cost and with the array walk's bits.  An automorphism
+has that action only when every row of its matrix and of the inverse has
+at most two nonzero entries, each +-2^k: then every product a*x is exact,
+and a row rounds once, as ``x @ M.T`` does, fused multiply-add or not.
+Every other map is built by ``_compose``, the one place that knows how maps
+compose: forward is outer after inner, backward runs the inverses in
+reverse order, the differential follows the chain rule, the Lipschitz
+bounds and linear parts multiply, and a one-point action exists when both
+parts have one.  A drift is
 ``translate(delta) o f`` and a perturbation is ``f o tau``.  Either is one
 composition away from f, so its descriptor fixes its C0/C1 gap
 to f in closed form: a drift moves every point by delta and keeps the
@@ -39,7 +40,7 @@ from typing import Callable
 
 import numpy as np
 
-from .geometry import dist_array, lattice_points, reduce_coord, reduce_to_unit
+from .geometry import _per_axis, dist_array, lattice_points, reduce_coord, reduce_to_unit
 
 __all__ = [
     "ConstructionError",
@@ -79,19 +80,21 @@ class ConstructionError(ValueError):
 
 
 def spectral_norm(M) -> float:
-    """Spectral norm of a 1x1 or 2x2 matrix, closed form from the singular values."""
+    """Spectral norm of a square matrix: a closed form from the singular values up to 2x2."""
     M = np.asarray(M, dtype=float)
-    if M.shape not in ((1, 1), (2, 2)):
-        raise ValueError(f"expected a 1x1 or 2x2 matrix, got shape {M.shape}")
+    if M.ndim != 2 or M.shape[0] != M.shape[1] or not M.size:
+        raise ValueError(f"expected a square matrix, got shape {M.shape}")
     return float(_spectral_norm_batch(M))
 
 
 def _spectral_norm_batch(M) -> np.ndarray:
-    """Spectral norms over a stack (..., n, n) with n = 1 or 2."""
+    """Spectral norms over a stack (..., n, n): closed forms for n <= 2, an SVD above."""
     M = np.asarray(M, dtype=float)
     n = M.shape[-1]
     if n == 1:
         return np.abs(M[..., 0, 0])
+    if n > 2:
+        return np.linalg.norm(M, 2, axis=(-2, -1))
     a, b = M[..., 0, 0], M[..., 0, 1]
     c, d = M[..., 1, 0], M[..., 1, 1]
     s = a * a + b * b + c * c + d * d
@@ -100,35 +103,66 @@ def _spectral_norm_batch(M) -> np.ndarray:
     return np.sqrt(0.5 * (s + np.sqrt(disc)))
 
 
+def _check_int64(v, role: str) -> None:
+    if not -2**63 <= v < 2**63:
+        raise ConstructionError(f"{role} entry {v} does not fit a 64-bit integer")
+
+
+def _det_and_inverse(rows: list) -> tuple[int, list | None]:
+    """(det A, A^-1 if |det A| = 1 else None) of a square integer matrix, in Python integers.
+
+    Fraction-free Gauss-Jordan on [A | I] (Bareiss), each update divided exactly
+    by the last pivot, ends with d * I | d * A^-1, d = +-det A by the row swaps.
+    """
+    n = len(rows)
+    M = [r + [0] * n for r in rows]
+    for i in range(n):
+        M[i][n + i] = 1
+    sign = prev = 1
+    for k in range(n):
+        for p in range(k, n):
+            if M[p][k]:
+                break
+        else:
+            return 0, None
+        if p != k:
+            M[k], M[p], sign = M[p], M[k], -sign
+        row = M[k]
+        pivot = row[k]
+        for i in range(n):
+            a = M[i][k]
+            if i != k and (a or pivot != prev):  # a row that neither term changes stays as it is
+                M[i] = [(pivot * x - a * y) // prev for x, y in zip(M[i], row)]
+        prev = pivot
+    return sign * prev, [r[n:] if prev == 1 else [-v for v in r[n:]] for r in M] if abs(prev) == 1 else None
+
+
 @dataclass(frozen=True, eq=False)
 class LinearAutomorphism:
-    """An integer 2x2 matrix with |det| = 1, acting on the 2-torus."""
+    """An integer n x n matrix with |det| = 1, acting on the n-torus; ``det`` and the inverse are exact."""
 
     matrix: np.ndarray
 
     def __post_init__(self):
         arr = np.asarray(self.matrix, dtype=object)  # exact entries, before any cast can wrap one
-        if arr.shape != (2, 2):
-            raise ConstructionError(f"expected a 2x2 matrix, got shape {arr.shape}")
+        if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or not arr.size:
+            raise ConstructionError(f"expected a square matrix, got shape {arr.shape}")
         for v in arr.flat:
             if v != v // 1:
                 raise ConstructionError("matrix entries must be integers")
-            if not -2**63 <= v < 2**63:
-                raise ConstructionError(f"matrix entry {v} does not fit a 64-bit integer")
+            _check_int64(v, "matrix")
         object.__setattr__(self, "matrix", arr.astype(np.int64))
-        if abs(self.det) != 1:
-            raise ConstructionError(f"|det| must be 1 for an invertible torus map, got det = {self.det}")
-
-    @property
-    def det(self) -> int:
-        m = self.matrix
-        return int(m[0, 0]) * int(m[1, 1]) - int(m[0, 1]) * int(m[1, 0])
+        det, inverse = _det_and_inverse(self.matrix.tolist())
+        object.__setattr__(self, "det", det)
+        object.__setattr__(self, "_inverse", inverse)
+        if abs(det) != 1:
+            raise ConstructionError(f"|det| must be 1 for an invertible torus map, got det = {det}")
 
     def inverse_matrix(self) -> np.ndarray:
-        """Exact integer inverse: adj(A) * det(A), valid because det = +-1."""
-        m = self.matrix
-        adj = np.array([[m[1, 1], -m[0, 1]], [-m[1, 0], m[0, 0]]], dtype=np.int64)
-        return adj * self.det
+        for row in self._inverse:
+            for v in row:
+                _check_int64(v, "inverse")
+        return np.array(self._inverse, dtype=np.int64)
 
 
 @dataclass(frozen=True, eq=False)
@@ -141,11 +175,12 @@ class SystemMap:
     upper bounds for the Lipschitz constant of a single application (exact for
     affine maps).  ``linear_part`` is the constant integer linear part when the
     map is affine, else None.  ``point_forward`` / ``point_backward`` act on
-    one point given as a tuple of Python floats and return a tuple equal bit
-    for bit to the array action's row, or are None where float arithmetic on
-    one point could round differently from the array action.  One-point
-    walks use them in place of ``forward`` / ``backward``, so a copy that
-    replaces the array actions must replace or clear them too.
+    one point of [0,1)^dim given as a tuple of Python floats and return a
+    tuple equal bit for bit to the array action's row, or are None where
+    float arithmetic on one point could round differently from the array
+    action.  One-point walks use them in place of ``forward`` /
+    ``backward``, so a copy that replaces the array actions must replace or
+    clear them too.
     """
 
     label: str
@@ -165,9 +200,10 @@ class SystemMap:
 
 
 def _volume_defect_at(f: SystemMap, pts: np.ndarray):
-    """Largest deviation of |det Df| from 1 at the points ``pts`` (dim 1 or 2)."""
+    """Largest deviation of |det Df| from 1 at the points ``pts``: closed forms up to dim 2, LU above."""
     M = np.asarray(f.differential(pts), dtype=float)
-    det = M[..., 0, 0] if M.shape[-1] == 1 else M[..., 0, 0] * M[..., 1, 1] - M[..., 0, 1] * M[..., 1, 0]
+    det = np.linalg.det(M) if M.shape[-1] > 2 else M[..., 0, 0] if M.shape[-1] == 1 else \
+        M[..., 0, 0] * M[..., 1, 1] - M[..., 0, 1] * M[..., 1, 0]
     return np.max(np.abs(np.abs(det) - 1.0))
 
 
@@ -190,56 +226,67 @@ def _constant_differential(x, M: np.ndarray):
     return np.broadcast_to(M, np.shape(x)[:-1] + M.shape)
 
 
-def _exact_products(M) -> bool:
-    """Is every entry of the integer matrix M 0 or +-2^k, so that each product a*x of a float is exact?"""
-    return all(v & (v - 1) == 0 for v in (abs(int(e)) for e in np.ravel(M)))
+def _row_terms(M) -> list | None:
+    """(i, a, j, b) per row of the integer matrix M, row . x = a*x_i + b*x_j, or None.
+
+    None unless every row has at most two nonzero entries, each +-2^k: then
+    each product a*x is exact, and ``x @ M.T`` rounds once per output, in any order.
+    """
+    terms = []
+    for row in M.tolist():
+        nz = [(k, float(v)) for k, v in enumerate(row) if v]
+        if len(nz) > 2 or any(v & (v - 1) for v in map(abs, row)):
+            return None
+        (i, a), (j, b) = (nz + [(0, 0.0)])[:2]
+        terms.append((i, a, j, b))
+    return terms
 
 
-def _point_act(M: np.ndarray):
-    """One-point ``x @ M.T`` reduced, for a 2x2 M with ``_exact_products``: 0.0 + a*x0 + b*x1 per row."""
-    (a, b), (c, d) = M.tolist()
+def _point_act(terms: list):
+    """One-point ``x @ M.T`` reduced, from M's ``_row_terms``: 0.0 + a*x_i + b*x_j per row.
 
-    def act(p):
-        x0, x1 = p
-        return reduce_coord(0.0 + a * x0 + b * x1), reduce_coord(0.0 + c * x0 + d * x1)
-
-    return act
+    Two rows are written out: a loop would take most of a 2-torus step's time.
+    """
+    if len(terms) == 2:
+        (i, a, j, b), (k, c, l, d) = terms
+        return lambda p: (reduce_coord(0.0 + a * p[i] + b * p[j]), reduce_coord(0.0 + c * p[k] + d * p[l]))
+    return lambda p: tuple([reduce_coord(0.0 + a * p[i] + b * p[j]) for i, a, j, b in terms])
 
 
 def make_linear(A, label: str | None = None) -> SystemMap:
-    """Toral automorphism x -> A x (mod 1) for an integer 2x2 matrix with |det| = 1."""
+    """Toral automorphism x -> A x (mod 1) for an integer n x n matrix with |det| = 1."""
     aut = A if isinstance(A, LinearAutomorphism) else LinearAutomorphism(A)
-    Af = aut.matrix.astype(float)
-    Ainv = aut.inverse_matrix().astype(float)
+    inv = aut.inverse_matrix()
+    Af, Ainv = aut.matrix.astype(float), inv.astype(float)
 
     def act(x, MT):
         return reduce_to_unit(np.asarray(x, dtype=float) @ MT)
 
-    exact = _exact_products(aut.matrix)  # the inverse has the same entries, up to sign and place
+    terms = _row_terms(aut.matrix), _row_terms(inv)
+    exact = None not in terms  # one-point walks step both ways
 
     def transposed(M):
         # A matmul on the view M.T takes about three times as long as on a
-        # contiguous copy.  With exact products each output rounds once, so
+        # contiguous copy.  With ``_row_terms`` each output rounds once, so
         # the order BLAS sums in cannot matter but for the sign of a zero,
         # which reduce_to_unit clears.  Other matrices keep the view: their
         # batch bits depend on the BLAS kernel.
         return np.ascontiguousarray(M.T) if exact else M.T
 
     if label is None:
-        r = aut.matrix
-        label = f"linear[{r[0,0]},{r[0,1]};{r[1,0]},{r[1,1]}]"
+        label = "linear[" + ";".join(",".join(map(str, row)) for row in aut.matrix.tolist()) + "]"
     m = SystemMap(
         label=label,
-        dim=2,
+        dim=len(Af),
         forward=partial(act, MT=transposed(Af)),
         backward=partial(act, MT=transposed(Ainv)),
         differential=partial(_constant_differential, M=Af),
         lip_forward=spectral_norm(Af),
         lip_backward=spectral_norm(Ainv),
-        descriptor={"kind": "linear", "matrix": [[int(v) for v in row] for row in aut.matrix]},
+        descriptor={"kind": "linear", "matrix": aut.matrix.tolist()},
         linear_part=aut.matrix.copy(),
-        point_forward=_point_act(Af) if exact else None,
-        point_backward=_point_act(Ainv) if exact else None,
+        point_forward=_point_act(terms[0]) if exact else None,
+        point_backward=_point_act(terms[1]) if exact else None,
     )
     return _construction_check(m)
 
@@ -278,12 +325,13 @@ def _translation(v) -> SystemMap:
     )
 
 
-def _sine_shear(delta: float, axis: int, phase: float) -> SystemMap:
-    """Shift coordinate ``axis`` by delta*sin(2*pi*(other + phase)); unit determinant.
+def _sine_shear(delta: float, axis: int, phase: float, dim: int) -> SystemMap:
+    """Shift coordinate ``axis`` by delta*sin(2*pi*(x_other + phase)), other the next axis; unit det.
 
-    Not affine, so it has no linear part, and neither has any composition with it.
+    Not affine, so it has no linear part, and neither has any composition
+    with it.  The one-point action reduces only the coordinate it changes.
     """
-    other = 1 - axis
+    other = (axis + 1) % dim
     c = 2.0 * math.pi * delta
 
     def shift(x, sign):
@@ -296,23 +344,21 @@ def _sine_shear(delta: float, axis: int, phase: float) -> SystemMap:
 
         def act(p):  # numpy's sin, so that its bits are the array action's
             q = list(p)
-            q[axis] += step * float(np.sin(two_pi * (q[other] + phase)))
-            return reduce_coord(q[0]), reduce_coord(q[1])
+            q[axis] = reduce_coord(q[axis] + step * float(np.sin(two_pi * (q[other] + phase))))
+            return tuple(q)
 
         return act
 
     def diff(x):
         x = np.asarray(x, dtype=float)
-        out = np.zeros(x.shape[:-1] + (2, 2))
-        out[..., 0, 0] = 1.0
-        out[..., 1, 1] = 1.0
+        out = np.broadcast_to(np.eye(dim), x.shape[:-1] + (dim, dim)).copy()
         out[..., axis, other] = c * np.cos(2.0 * math.pi * (x[..., other] + phase))
         return out
 
-    factor = (c + math.sqrt(c * c + 4.0)) / 2.0  # spectral norm of [[1, c], [0, 1]], c >= 0
+    factor = (c + math.sqrt(c * c + 4.0)) / 2.0  # spectral norm of I + c e_axis e_other^T, c >= 0
     return SystemMap(
         label="shear-sin",
-        dim=2,
+        dim=dim,
         forward=partial(shift, sign=1.0),
         backward=partial(shift, sign=-1.0),
         differential=diff,
@@ -335,12 +381,7 @@ def _compose(outer: SystemMap, inner: SystemMap, label: str, descriptor: dict) -
     if outer.point_forward is not None and inner.point_forward is not None:
         out_f, out_b = outer.point_forward, outer.point_backward
         in_f, in_b = inner.point_forward, inner.point_backward
-
-        def pf(p):
-            return out_f(in_f(p))
-
-        def pb(p):
-            return in_b(out_b(p))
+        pf, pb = (lambda p: out_f(in_f(p))), (lambda p: in_b(out_b(p)))
 
     def fwd(x):
         return outer.forward(inner.forward(x))
@@ -432,9 +473,10 @@ def _shift_vector(delta: float, angle: float | None) -> np.ndarray:
 def make_conservative_perturbation(base: SystemMap, delta: float, mode: str, seed: int | None = None) -> SystemMap:
     """Perturb ``base`` by an exactly volume-preserving pre-composition.
 
-    mode "shear-sin" (2-D only): tau shifts one coordinate by
-    delta*sin(2*pi*(other + phase)); the Jacobian of tau is unit-determinant by
-    construction.  mode "translation": tau is a rigid translation.  A ``seed``
+    mode "shear-sin" (two or more coordinates): tau shifts coordinate a by
+    delta*sin(2*pi*(x_b + phase)), b = (a + 1) mod dim; the Jacobian of tau is
+    unit-determinant by construction.  mode "translation" (circle and
+    2-torus, whose shift has an angle): tau is a rigid translation.  A ``seed``
     randomizes the free parameters (phase and sheared axis, or the translation
     direction) so that families of distinct perturbations are reproducible.
     """
@@ -444,19 +486,18 @@ def make_conservative_perturbation(base: SystemMap, delta: float, mode: str, see
     rng = np.random.default_rng(seed) if seed is not None else None
     descriptor = {"kind": "perturbation", "mode": mode, "delta": delta, "seed": seed}
     if mode == "shear-sin":
-        if base.dim != 2:
-            raise ConstructionError("shear-sin perturbation is defined on the 2-torus only")
+        if base.dim < 2:
+            raise ConstructionError("shear-sin perturbation needs two or more coordinates")
         if 2.0 * math.pi * delta >= 1.0:
             raise ConstructionError(f"|2*pi*delta| must stay below 1, got delta = {delta}")
         phase = float(rng.random()) if rng is not None else 0.0
-        axis = int(rng.integers(2)) if rng is not None else 0
-        tau = _sine_shear(delta, axis, phase)
+        axis = int(rng.integers(base.dim)) if rng is not None else 0
+        tau = _sine_shear(delta, axis, phase, base.dim)
         descriptor.update(phase=phase, axis=axis)
     elif mode == "translation":
-        if base.dim == 2:
-            angle = float(rng.random()) * 2.0 * math.pi if rng is not None else 0.0
-        else:
-            angle = None
+        if base.dim > 2:
+            raise ConstructionError("translation perturbation is defined on the circle and the 2-torus only")
+        angle = None if base.dim == 1 else float(rng.random()) * 2.0 * math.pi if rng is not None else 0.0
         tau = _translation(_shift_vector(delta, angle))
         descriptor["angle"] = angle
     else:
@@ -482,13 +523,14 @@ def c1_distance(f: SystemMap, g: SystemMap, samples: int = 256) -> float:
     The gap is the larger of the sup of pointwise quotient distances and the
     sup of spectral norms of the Jacobian difference; both sups are taken over
     a per-axis lattice of at least ``samples`` points (dyadically rounded, so
-    the estimate is monotone in ``samples``).  Methods built by this module
-    get their gap from ``_method_gap`` instead; sampling is the fallback for
-    pairs whose descriptors do not fix it.
+    the estimate is monotone in ``samples``), fewer above two axes
+    (``geometry._per_axis``).  Methods built by this module get their gap from
+    ``_method_gap`` instead; sampling is the fallback for pairs whose
+    descriptors do not fix it.
     """
     if f.dim != g.dim:
         raise ValueError(f"dimension mismatch: {f.dim} vs {g.dim}")
-    pts = lattice_points(_dyadic(samples), f.dim)
+    pts = lattice_points(_per_axis(_dyadic(samples), f.dim), f.dim)
     c0 = float(dist_array(f.forward(pts), g.forward(pts)).max())
     dd = np.asarray(f.differential(pts), dtype=float) - np.asarray(g.differential(pts), dtype=float)
     c1 = float(_spectral_norm_batch(dd).max())
@@ -530,8 +572,8 @@ def _method_gap(f: SystemMap, g: SystemMap) -> float:
 
 
 def volume_defect(f: SystemMap, samples: int = 128) -> float:
-    """Largest deviation of |det Df| from 1 over a per-axis sample lattice."""
-    return float(_volume_defect_at(f, lattice_points(_dyadic(samples), f.dim)))
+    """Largest deviation of |det Df| from 1 over the sample lattice ``c1_distance`` takes."""
+    return float(_volume_defect_at(f, lattice_points(_per_axis(_dyadic(samples), f.dim), f.dim)))
 
 
 def map_to_descriptor(m: SystemMap) -> dict:

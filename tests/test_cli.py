@@ -371,8 +371,7 @@ def test_usage_errors_exit_two(argv, capsys):
 
 @pytest.mark.parametrize(
     "x, message",
-    [("0.2,0.3,0.4", "argument --x: points have one or two comma-separated coordinates, got 3"),
-     ("0.2,abc", "argument --x: coordinates must be numbers, got '0.2,abc'")],
+    [("0.2,abc", "argument --x: coordinates must be numbers, got '0.2,abc'")],
 )
 def test_bad_point_exits_two_naming_the_problem(x, message, capsys):
     with pytest.raises(SystemExit) as exc:
@@ -382,6 +381,81 @@ def test_bad_point_exits_two_naming_the_problem(x, message, capsys):
     err = capsys.readouterr().err
     assert message in err
     assert "_parse_point" not in err
+
+
+def test_a_point_with_more_coordinates_than_the_system_exits_two_naming_the_shape(capsys):
+    # --x takes any number of coordinates; the system's dimension decides
+    rc, out, err = run_cli(["check", "inverse", "--system", "cat", "--method", "same",
+                            "--x", "0.2,0.3,0.4", "--eps", "0.1", "--N", "5"], capsys)
+    assert (rc, out) == (2, "")
+    assert err == "shadowlab: error: anchor has shape (3,), expected (2,)\n"
+
+
+def _nested_translate(levels: int) -> str:
+    """A translate descriptor ``levels`` deep over the shear, written out (json.dumps would recurse)."""
+    return ('{"kind": "translate", "delta": 0.01, "base": ' * levels
+            + '{"kind": "linear", "matrix": [[1, 0], [1, 1]]}' + "}" * levels)
+
+
+@pytest.mark.parametrize("flag", ["--system", "--method"])
+@pytest.mark.parametrize("levels, got", [(1200, ""), (300, ", got 303")])
+def test_an_over_deep_descriptor_exits_two_naming_the_nesting(flag, levels, got, capsys):
+    # 1200 levels are deeper than json.loads goes; 300 parse but are refused before any map is built
+    argv = ["check", "inverse", "--system", "shear", "--method", "same",
+            "--x", "0.2,0.3", "--eps", "0.1", "--N", "3"]
+    argv[argv.index(flag) + 1] = _nested_translate(levels)
+    rc, out, err = run_cli(argv, capsys)
+    assert (rc, out) == (2, "")
+    assert err == ("shadowlab: error: JSON descriptor is nested too deeply: "
+                   f"at most {cli._DESCRIPTOR_DEPTH} levels of objects and arrays{got}\n")
+
+
+def test_a_descriptor_at_the_nesting_limit_is_read():
+    levels = cli._DESCRIPTOR_DEPTH - 3  # the matrix adds three levels
+    d = cli._load_descriptor(_nested_translate(levels))
+    for _ in range(levels):
+        d = d["base"]
+    assert d == {"kind": "linear", "matrix": [[1, 0], [1, 1]]}
+    with pytest.raises(ValueError, match=r", got 201$"):
+        cli._load_descriptor(_nested_translate(levels + 1))
+
+
+# --- the 3-torus -------------------------------------------------------------
+
+# The companion matrix of x^3 - x - 1: hyperbolic, det 1, rows with at most two nonzero entries.
+COMPANION = "linear:0,1,0,0,0,1,1,1,0"
+
+
+def test_a_hyperbolic_3x3_with_a_sine_shear_method_tracks_with_the_newton_witness(capsys):
+    rc, out, _ = run_cli(["check", "inverse", "--system", COMPANION, "--method", "perturb:shear-sin:0.001",
+                          "--x", "0.2,0.3,0.4", "--eps", "0.1", "--N", "30"], capsys)
+    record = json.loads(out)
+    assert rc == 0
+    assert record["outcome"] == "tracked"
+    assert record["note"] == "witness from newton solver"
+    assert len(record["witness"]) == 3
+
+
+@pytest.mark.parametrize("prop", ["weak", "orbital"])
+def test_a_drift_on_the_3_torus_identity_is_certified(prop, capsys):
+    rc, out, _ = run_cli(["check", prop, "--system", "linear:1,0,0,0,1,0,0,0,1", "--method", "translate:0.01",
+                          "--x", "0,0,0", "--eps", "0.1", "--N", "25", "--grid", "32"], capsys)
+    record = json.loads(out)
+    assert rc == 3
+    assert record["outcome"] == "failed" and record["certified"] is True
+    assert record["note"] == "covering certificate holds"
+
+
+@pytest.mark.parametrize("spec, message", [
+    ("linear:1,0,0,0,1,0,0,0,2", "|det| must be 1 for an invertible torus map, got det = 2"),
+    ("linear:1,0,0,0,1", "linear spec needs n*n integers, row by row, got 5"),
+    ("linear:1,2,3,4,5,6,7,8,9", "|det| must be 1 for an invertible torus map, got det = 0"),
+])
+def test_a_linear_spec_that_is_not_unimodular_or_not_square_exits_two(spec, message, capsys):
+    rc, out, err = run_cli(["check", "inverse", "--system", spec, "--method", "same",
+                            "--x", "0,0,0", "--eps", "0.1", "--N", "5"], capsys)
+    assert (rc, out) == (2, "")
+    assert err == f"shadowlab: error: {message}\n"
 
 
 @pytest.mark.parametrize(

@@ -23,6 +23,7 @@ from shadowlab.geometry import (
     torus_dist,
     wrap_to_half,
 )
+from shadowlab.geometry import _per_axis
 from shadowlab.systems import shear_map
 
 
@@ -238,8 +239,9 @@ def test_translation_invariance_1d(x, t):
 def test_torus_point_reduces_and_compares():
     assert TorusPoint((1.25, -0.75)) == TorusPoint((0.25, 0.25))
     assert TorusPoint((0.25,)).dim == 1
-    with pytest.raises(ValueError):
-        TorusPoint((0.1, 0.2, 0.3))
+    p = TorusPoint((0.25, -0.75, 2.5))  # a point of the 3-torus
+    assert p.dim == 3 and p == TorusPoint((1.25, 0.25, 0.5))
+    assert torus_dist(p, TorusPoint((0.25, 0.75, 0.0))) == math.sqrt(0.5)
 
 
 @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
@@ -264,9 +266,9 @@ def test_torus_point_coordinates_are_reduce_to_unit_bit_for_bit():
 
 
 @pytest.mark.parametrize("coords, want", [
-    ((0.1, 0.2, 0.3), "phase space is 1- or 2-dimensional, got coords of shape (3,)"),
-    ((), "phase space is 1- or 2-dimensional, got coords of shape (0,)"),
-    (((0.1, 0.2),), "phase space is 1- or 2-dimensional, got coords of shape (1, 2)"),
+    (((0.1, 0.2, 0.3),), "a point has one or more coordinates in a flat sequence, got coords of shape (1, 3)"),
+    ((), "a point has one or more coordinates in a flat sequence, got coords of shape (0,)"),
+    (((0.1, 0.2),), "a point has one or more coordinates in a flat sequence, got coords of shape (1, 2)"),
     ((math.inf,), "point coordinates must be finite, got [inf]"),
     ((0.1, -math.inf), "point coordinates must be finite, got [0.1, -inf]"),
     ((math.nan, 0.1, 0.2), "point coordinates must be finite, got [nan, 0.1, 0.2]"),
@@ -312,6 +314,9 @@ def test_lattice_points_match_the_meshgrid_in_ij_order(G, offset):
     assert np.array_equal(lattice_points(G, 2, offset), np.stack([g0.ravel(), g1.ravel()], axis=1))
     assert np.array_equal(lattice_points(G, 1, offset), ax[:, None])
     assert np.array_equal(lattice_points(G, 2, offset, idx=[3, G + 1]), [[ax[0], ax[3]], [ax[1], ax[1]]])
+    g3 = np.stack([g.ravel() for g in np.meshgrid(ax, ax, ax, indexing="ij")], axis=1)
+    assert lattice_points(G, 3, offset).tobytes() == g3.tobytes()
+    assert lattice_points(G, 3, offset, idx=[G * G + 2]).tobytes() == np.array([[ax[1], ax[0], ax[2]]]).tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -320,7 +325,7 @@ def test_lattice_points_match_the_meshgrid_in_ij_order(G, offset):
 
 def _bound_test_points(rng, targets, dim):
     """Random points, points on cell edges k/H, 1 ulp below 1.0, and on (and 1 ulp off) the targets."""
-    H = BOUND_CELLS
+    H = _per_axis(BOUND_CELLS, dim)
     below_one = np.nextafter(1.0, 0.0)
     edges = rng.integers(0, H, (400, dim)) / H
     mixed = rng.random((400, dim))
@@ -337,10 +342,10 @@ def _bound_test_points(rng, targets, dim):
 
 @pytest.mark.parametrize("lifted", [False, True])
 @pytest.mark.parametrize("n", [1, 2, 51, 601])
-@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("dim", [1, 2, 3])
 def test_sq_dist_bounds_enclose_the_float_minimum(dim, n, lifted):
     """lo <= min over targets of sq_dist_array <= hi at every point of every cell, bit for bit."""
-    H = BOUND_CELLS
+    H = _per_axis(BOUND_CELLS, dim)
     rng = np.random.default_rng(1000 * n + 10 * dim + lifted)
     targets = rng.random((n, dim))
     targets[: n // 3] = rng.integers(0, H, (n // 3, dim)) / H  # targets on cell edges
@@ -368,6 +373,15 @@ def test_bound_cells_numbers_cells_in_ij_order_and_sends_outsiders_to_the_extra_
     assert bound_cells(outside).tolist() == [H * H] * 4 + [int(0.2 * H) * H + int(0.3 * H)]
     lo, hi = sq_dist_bounds(np.array([[0.2, 0.3]]), block=2048)
     assert (lo[-1], hi[-1]) == (0.0, math.inf)
+
+
+def test_cells_per_axis_stay_128_on_two_axes_and_within_128_squared_above():
+    assert [_per_axis(BOUND_CELLS, d) for d in (1, 2, 3, 4, 5, 8)] == [128, 128, 16, 8, 4, 2]
+    H = _per_axis(BOUND_CELLS, 3)
+    pts = np.array([[0.0, 0.0, 1 / H], [1 / H, 2 / H, np.nextafter(1.0, 0.0)], [0.5, 0.5, 1.0]])
+    assert bound_cells(pts).tolist() == [1, H * H + 2 * H + H - 1, H ** 3]
+    lo, hi = sq_dist_bounds(np.array([[0.2, 0.3, 0.4]]), block=2048)
+    assert lo.shape == (H ** 3 + 1,) and (lo[-1], hi[-1]) == (0.0, math.inf)
 
 
 def _per_target_bounds(targets, block):

@@ -8,6 +8,7 @@ matrix with |det| = 1.
 import itertools
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -79,3 +80,11 @@ def test_certificate_record_keys():
     assert set(rec) == {"lambda", "C", "stable", "unstable"}
     assert json.loads(json.dumps(rec)) == rec
     assert isinstance(anosov_certificate_linear(CAT), AnosovCertificate)
+
+
+@pytest.mark.parametrize("M, shape", [([[0, 1, 0], [0, 0, 1], [1, 1, 0]], "(3, 3)"), ([[1]], "(1, 1)")])
+def test_the_2x2_rule_refuses_other_shapes(M, shape):
+    # |tr| > |1 + det| says nothing about a 3x3: this companion matrix of x^3 - x - 1 is
+    # hyperbolic, with tr = 0 and det = 1, so the rule would silently call it not hyperbolic
+    with pytest.raises(ValueError, match=re.escape(f"defined for 2x2 matrices only, got shape {shape}") + "$"):
+        anosov_certificate_linear(M)

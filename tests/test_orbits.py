@@ -82,14 +82,23 @@ def _array_walk(g, y, N):
     return out
 
 
-@pytest.mark.parametrize("idx", range(len(library_maps())))
+def _walk_test_maps():
+    """Every library map, then on the 3-torus the companion matrix of x^3 - x - 1, two of its
+    sine-shear perturbations (axes 0 and 2, which shears by the first coordinate) and a drift."""
+    f = make_linear([[0, 1, 0], [0, 0, 1], [1, 1, 0]])
+    return library_maps() + [f, make_conservative_perturbation(f, 1e-3, "shear-sin"),
+                             make_conservative_perturbation(f, 1e-3, "shear-sin", seed=1),
+                             make_translation_method_map(f, 0.01)]
+
+
+@pytest.mark.parametrize("idx", range(len(_walk_test_maps())))
 def test_one_point_walk_equals_the_array_walk_bit_for_bit(idx):
     """Every library map walks one point in floats, and each step is the array step's row exactly.
 
     Compared with a one-row array walk and with the rows of a 2048-point
     batch, 300 steps each way.
     """
-    g, N = library_maps()[idx], 300
+    g, N = _walk_test_maps()[idx], 300
     assert g.point_forward is not None and g.point_backward is not None
     ys = np.random.default_rng(100 + idx).random((2048, g.dim))
     batch = _array_walk(g, ys, N)
@@ -112,6 +121,10 @@ def test_a_matrix_with_inexact_products_keeps_the_array_walk():
         assert all(isinstance(z, np.ndarray) and z.shape == y.shape for _, z in steps)
     assert make_linear([[1, -4], [0, 1]]).point_backward is not None
     assert make_linear([[2, 3], [1, 2]]).point_backward is None
+    # exact both ways, or neither: the inverse [[0, 1, 0], [1, -1, 0], [-1, 1, 1]] has a row of three
+    g = cli.parse_system_spec("linear:1,1,0,1,0,0,0,1,1")
+    assert g.point_forward is None and g.point_backward is None
+    assert len(list(orbits._orbit_steps(g, np.array([0.2, 0.3, 0.4]), 3))) == 7
 
 
 def test_orbit_segment_rejects_bad_horizon():

@@ -88,6 +88,116 @@ def test_integer_inverse_is_exact():
         assert np.array_equal(prod, np.eye(2, dtype=np.int64))
 
 
+# The companion matrices of x^3 - x - 1 (det 1) and of x^3 - x + 1 (det -1).
+COMPANION = [[0, 1, 0], [0, 0, 1], [1, 1, 0]]
+COMPANION_DET_MINUS_ONE = [[0, 1, 0], [0, 0, 1], [-1, 1, 0]]
+
+
+@pytest.mark.parametrize("M, det", [(COMPANION, 1), (COMPANION_DET_MINUS_ONE, -1),
+                                    ([[2, 1, 1], [1, 1, 0], [1, 0, 1]], 0),
+                                    ([[1, 0, 0], [0, 1, 0], [0, 0, 2]], 2),
+                                    ([[0, 0, 1, 0], [1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, -1]], -1),
+                                    ([[3, 5, 0, 1], [1, 2, 0, 0], [0, 0, 2, 1], [0, 0, 1, 1]], 1)])
+def test_square_integer_det_and_inverse_are_exact(M, det):
+    """det and inverse agree with Laplace expansion and A A^-1 = I in integers; |det| != 1 is refused."""
+    def laplace(A):
+        return A[0][0] if len(A) == 1 else sum(
+            (-1) ** j * A[0][j] * laplace([r[:j] + r[j + 1:] for r in A[1:]]) for j in range(len(A)))
+    assert laplace(M) == det
+    if abs(det) != 1:
+        with pytest.raises(ConstructionError, match=re.escape(f"got det = {det}")):
+            LinearAutomorphism(M)
+        return
+    aut = LinearAutomorphism(M)
+    assert aut.det == det and type(aut.det) is int
+    inv = aut.inverse_matrix()
+    assert inv.dtype == np.int64
+    assert np.array_equal(aut.matrix @ inv, np.eye(len(M), dtype=np.int64))
+    assert np.array_equal(inv @ aut.matrix, np.eye(len(M), dtype=np.int64))
+
+
+def test_random_unimodular_products_invert_exactly():
+    """Products of integer shears and a row swap: det +-1, and the inverse is exact in int64."""
+    rng = np.random.default_rng(11)
+    for n in (2, 3, 4, 5):
+        for _ in range(10):
+            A = np.eye(n, dtype=np.int64)
+            for _ in range(6):
+                E = np.eye(n, dtype=np.int64)
+                i, j = rng.choice(n, 2, replace=False)
+                E[i, j] = rng.integers(-3, 4)
+                A = A @ E
+            swap = rng.integers(2)
+            if swap:
+                A = A[[1, 0] + list(range(2, n))]
+            aut = LinearAutomorphism(A)
+            assert aut.det == (-1) ** swap
+            assert np.array_equal(A @ aut.inverse_matrix(), np.eye(n, dtype=np.int64))
+
+
+def test_non_square_matrices_are_refused():
+    for M in ([[1, 0, 0], [0, 1, 0]], [1, 0], [], [[1, 0], [0]]):
+        with pytest.raises(ConstructionError, match="^expected a square matrix"):
+            LinearAutomorphism(M)
+
+
+def test_an_inverse_int64_cannot_hold_is_refused_when_asked_for():
+    aut = LinearAutomorphism([[-2**63, 1], [1, 0]])  # its inverse holds 2**63
+    with pytest.raises(ConstructionError, match="^inverse entry 9223372036854775808 does not fit a 64-bit integer$"):
+        aut.inverse_matrix()
+
+
+def test_a_3x3_automorphism_is_a_map_of_the_3_torus():
+    f = make_linear(COMPANION)
+    assert (f.label, f.dim, f.descriptor) == ("linear[0,1,0;0,0,1;1,1,0]", 3,
+                                              {"kind": "linear", "matrix": COMPANION})
+    x = np.array([0.25, 0.5, 0.75])
+    assert f.forward(x).tolist() == [0.5, 0.75, 0.75]
+    assert f.backward(f.forward(x)).tolist() == x.tolist()
+    assert f.lip_forward == pytest.approx(np.linalg.norm(COMPANION, 2), rel=1e-12)
+    g = make_linear([[1, 1, 0], [0, 1, 0], [0, 0, 1]])
+    h = make_linear([[1, 1, 1], [0, 1, 0], [0, 0, 1]])  # a row of three exact products rounds twice
+    assert g.point_forward is not None and h.point_forward is None and h.point_backward is None
+    assert volume_defect(f) == 0.0
+
+
+def test_c1_samples_on_the_3_torus_stay_within_the_2_torus_lattice_size():
+    """A linear method on T^3 is a pair _method_gap cannot read; its sample uses 16^3, not 128^3, points."""
+    import tracemalloc
+    from shadowlab.geometry import lattice_points
+    f, g = make_linear(COMPANION), make_linear([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
+    tracemalloc.start()
+    gap = _method_gap(f, g)
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert peak < 4 * 2**20  # a 128^3 lattice alone takes 50 MB
+    pts = lattice_points(16, 3)
+    assert gap == max(float(dist_array(f.forward(pts), g.forward(pts)).max()),
+                      float(np.linalg.norm(np.array(COMPANION) - np.eye(3), 2)))
+    # on the 2-torus the lattice is 128^2, as before
+    cat, shear = cat_map(), shear_map()
+    pts = lattice_points(128, 2)
+    assert _method_gap(cat, shear) == max(float(dist_array(cat.forward(pts), shear.forward(pts)).max()),
+                                          spectral_norm(np.array(CAT_MATRIX) - np.array(SHEAR_MATRIX)))
+
+
+def test_constructions_that_are_2d_by_nature_keep_their_boundary_errors():
+    f = make_linear(COMPANION)
+    with pytest.raises(ConstructionError, match="^translation perturbation is defined on the circle and the 2-torus only$"):
+        make_conservative_perturbation(f, 1e-3, "translation", seed=3)
+    with pytest.raises(ConstructionError, match="^block form is defined on the 2-torus only$"):
+        make_translation_method_map(f, 0.01, block=1)
+    with pytest.raises(ConstructionError, match="^shear-sin perturbation needs two or more coordinates$"):
+        make_conservative_perturbation(circle_identity(), 1e-3, "shear-sin")
+
+
+def test_spectral_norm_of_a_3x3_is_the_largest_singular_value():
+    M = np.random.default_rng(7).normal(size=(3, 3))
+    assert spectral_norm(M) == pytest.approx(np.linalg.svd(M)[1][0], rel=1e-12)
+    with pytest.raises(ValueError, match=r"^expected a square matrix, got shape \(2, 3\)$"):
+        spectral_norm(np.ones((2, 3)))
+
+
 def test_hyperbolicity_classification():
     assert anosov_certificate_linear(CAT_MATRIX) is not None
     assert anosov_certificate_linear(SHEAR_MATRIX) is None
@@ -389,7 +499,8 @@ def _old_shift(v, sign):
 def _old_sine_shear(delta, axis, phase, sign):
     def act(x):
         out = np.array(x, dtype=float)
-        out[..., axis] += sign * delta * np.sin(2.0 * math.pi * (out[..., 1 - axis] + phase))
+        other = (axis + 1) % out.shape[-1]
+        out[..., axis] += sign * delta * np.sin(2.0 * math.pi * (out[..., other] + phase))
         return reduce_to_unit(out)
     return act
 
@@ -427,7 +538,14 @@ def _action_test_maps():
     drifts = [make_translation_method_map(b, delta) for b in bases for delta in (1e-3, 0.01, 0.49)]
     blocks = [make_translation_method_map(torus_identity(), 0.01, block=b) for b in (1, -1)]
     return library_maps() + [inexact, make_conservative_perturbation(inexact, 1e-3, "translation", seed=5)] \
-        + drifts + blocks
+        + drifts + blocks + three_torus_maps()
+
+
+def three_torus_maps():
+    """The companion matrix of x^3 - x - 1, its sine-shear perturbations (axes 0 and 2) and a drift."""
+    f = make_linear(COMPANION)
+    return [f, make_conservative_perturbation(f, 1e-3, "shear-sin"),
+            make_conservative_perturbation(f, 1e-3, "shear-sin", seed=1), make_translation_method_map(f, 0.01)]
 
 
 def _action_test_rows(dim: int) -> np.ndarray:

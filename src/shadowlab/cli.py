@@ -61,7 +61,7 @@ __all__ = [
 _SYSTEM_HELP = ("system spec: cat | shear | identity2 | identity1 | golden | "
                 "rotation:THETA | linear:A11,A12,...,Ann (n*n integers, row by row) | a JSON descriptor")
 _METHOD_HELP = ("method spec: same | translate:DELTA | rotation:THETA | rotation:+DELTA | "
-                "perturb:MODE:DELTA[:SEED] | random:DELTA[:SEED] | a JSON map descriptor")
+                "perturb:MODE:DELTA[:SEED] | random:DELTA[:SEED] (direct checks only) | a JSON map descriptor")
 
 # Deepest nesting of objects and arrays a JSON descriptor may use: building a
 # map recurses through it, two frames a level where it is copied.

@@ -4,9 +4,9 @@ A pseudo-orbit is a two-sided finite sequence indexed -N..N whose consecutive
 gaps d(f(x_i), x_{i+1}) stay strictly below a bound delta;
 ``PseudoOrbit.checked`` is the one gap test.  A "method" assigns to every
 point an anchored pseudo-orbit (entry 0 is the point itself); the operative
-class consists of methods induced by iterating a nearby map g, with raw
-callable methods kept around for exercising the validator.  An orbit dump is
-the CSV text of ``orbit_csv_text``.
+class consists of methods induced by iterating a nearby map g.  Raw callable
+methods have no such map and serve only as the pseudo-orbits of direct
+checks.  An orbit dump is the CSV text of ``orbit_csv_text``.
 
 Bi-infinite sequences are truncated at an explicit horizon N.  Every verdict
 built on top of these objects is a finite-horizon statement and says so.
@@ -160,10 +160,11 @@ class MethodSpec:
     """A delta-method for ``target``: point -> anchored pseudo-orbit.
 
     kind "induced": the output at x is the orbit segment of ``source`` (a map
-    within delta of the target in the C1 estimate), the operative class of the
-    checkers.  kind "raw": ``producer(x_array, N)`` returns the points array;
-    raw methods exist to exercise the validator and have no structure the grid
-    search can exploit.
+    within delta of the target in the C1 estimate), the driver map through
+    which the inverse, weak and orbital checkers evaluate candidates.  kind
+    "raw": ``producer(x_array, N)`` returns the points array; a raw method has
+    no driver map, so it serves direct checks only, as the pseudo-orbit to
+    track.
     """
 
     kind: str

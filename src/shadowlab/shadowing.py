@@ -24,7 +24,7 @@ local refinement around the least unsettled value follows.  A certificate
 means every cell is settled, so *no* point of the continuum tracks at this
 horizon — failure is a finite proof, not sampling evidence.  Lattice points
 are evaluated with stop = max(eps, b) + slack, b the binding margin so far
-(no stop without a Lipschitz bound): a value above it already settles its
+(infinite without a Lipschitz bound): a value above it already settles its
 cell and can never bind (the cut-off test of interval branch and bound,
 after Hansen and Walster).  A pointwise block of lattice points ends its
 walk once every point has passed stop.  In the weak and orbital modes a
@@ -45,9 +45,12 @@ On failed and inconclusive records, ``min_over_grid`` and ``grid_step`` are
 the value and covering diameter (per-axis spacing times sqrt(dim)) of the
 binding cell, the final cell of least margin, so the record alone restates
 the certificate inequality or shows where it fails.  The ``grid_points``
-counter counts lattice points evaluated.  Without a Lipschitz bound the
-covering is one sweep of the requested lattice, coarsened to at most
-UNBOUNDED_GRID_CAP points (RAW_GRID_CAP for a raw method), with a note.
+counter counts lattice points evaluated.  A missing Lipschitz bound is
+math.inf: no covering level fits, so the covering is one sweep of the
+requested lattice, coarsened to at most UNBOUNDED_GRID_CAP points, with a
+note.  Candidates are evaluated through the check's driver map: f for
+direct shadowing, else the method's source map, so a raw method, which has
+none, serves direct checks only.
 
 Objectives fold consecutive orbit steps in blocks, with one distance call
 per block and exact max/min reductions, so neither the blocking nor the
@@ -94,9 +97,6 @@ GRID_CHUNK = 65536
 # Generic (non-affine) Lipschitz horizon bounds grow like lip^N; past this cap
 # on N*log(lip) the bound is useless for certification and is not computed.
 LIP_CAP = 25.0
-# Raw (callable) methods are evaluated point by point in Python; grids are
-# deterministically coarsened to at most this many points for them.
-RAW_GRID_CAP = 20000
 # Without a Lipschitz bound the covering is one sweep of the whole lattice,
 # which no finer grid can turn into a certificate; it is coarsened to at most
 # this many points (1024 per axis on the torus) so that its arrays stay small.
@@ -166,7 +166,7 @@ class ShadowVerdict:
         if self.outcome == "tracked" and not (self.achieved is not None and self.achieved < self.epsilon):
             raise ValueError("tracked verdicts require achieved < epsilon")
         if self.outcome == "failed" and (
-                None in (self.min_over_grid, self.grid_step)
+                None in (self.min_over_grid, self.grid_step, self.lipschitz_bound)
                 or _certify(self.min_over_grid, self.grid_step, self.lipschitz_bound, self.epsilon)[0] != "failed"):
             raise ValueError("failed verdicts require a holding covering certificate")
 
@@ -487,14 +487,14 @@ def orbital_objective(g: SystemMap, targets, ys, N: int):
     return _objective_core(g, T, np.asarray(ys, dtype=float), N, "orbital")
 
 
-def horizon_lipschitz_bound(g: SystemMap, N: int) -> float | None:
+def horizon_lipschitz_bound(g: SystemMap, N: int) -> float:
     """Lipschitz constant of y -> max_{|k|<=N} d(g^k(y), .) on the torus.
 
     Affine maps (integer linear part) get the exact bound max_k ||B^k||_2 over
     both iteration directions — integer matrices commute with the quotient, so
     the operator norm of the power really is a torus Lipschitz constant.  For
-    everything else the crude max(lip_f, lip_b)^N is returned, or None past
-    the cap where it could not certify anything anyway.
+    everything else the crude max(lip_f, lip_b)^N is returned, or math.inf
+    past the cap where it could not certify anything anyway.
     """
     if g.linear_part is not None:
         B = np.asarray(g.linear_part, dtype=float)
@@ -510,7 +510,7 @@ def horizon_lipschitz_bound(g: SystemMap, N: int) -> float | None:
     if lip == 1.0:
         return 1.0
     if N * math.log(lip) > LIP_CAP:
-        return None
+        return math.inf
     return lip ** N
 
 
@@ -557,11 +557,12 @@ def _cover(objective, dim: int, G: int, eps: float, lip, threads: int, counters:
 
     Returns (hit or None, binding value, binding covering diameter).  With
     G = g0 * 2**k (g0 odd) the levels are g0, 2*g0, ..., G, starting at the
-    coarsest whose cells could certify at all (at G without a bound).  A
-    lattice point whose margin value - lip * cover / 2 exceeds eps is a
-    certified leaf; every other point sends its 3**dim children 2k + {-1,0,1}
-    per axis to the next level, whose cells cover its own.  Point k/g is
-    point 2k/(2g) exactly, so its value is carried, not recomputed.  A hit is
+    coarsest whose cells could certify at all (at G if none could, as under
+    an infinite bound, which leaves every point unresolved).  A lattice
+    point whose margin value - lip * cover / 2 exceeds eps is a certified
+    leaf; every other point sends its 3**dim children 2k + {-1,0,1} per axis
+    to the next level, whose cells cover its own.  Point k/g is point
+    2k/(2g) exactly, so its value is carried, not recomputed.  A hit is
     (point, value, note): the first qualifying point of the first level that
     has one, else the refinement's best point around the least unresolved
     value at level G.  The binding cell is the leaf of least margin (ties go
@@ -573,8 +574,8 @@ def _cover(objective, dim: int, G: int, eps: float, lip, threads: int, counters:
     The objective takes ``stop``: a value at or below stop is exact, one
     above it may be a lower bound (``_fold_objective``).  Lattice points are
     evaluated with stop = max(eps, b) + slack, b the binding margin of the
-    coarser levels (eps before there is one); without a bound stop is
-    infinite, since every point of that one sweep is a leaf that could
+    coarser levels (eps before there is one); an infinite bound makes slack
+    and stop infinite, as every point of its one sweep is a leaf that could
     bind.  A value above stop is still a certified leaf, since its margin
     exceeds eps, and once there is a binding cell it can never bind, since
     its margin exceeds b.  So only the level that sets the first binding
@@ -590,8 +591,7 @@ def _cover(objective, dim: int, G: int, eps: float, lip, threads: int, counters:
     while levels[0] % 2 == 0:
         levels.insert(0, levels[0] // 2)
     # The fitting test is monotone in g, so the fitting levels are a suffix of the list.
-    fits = [g for g in levels
-            if lip is not None and lip * (math.sqrt(dim) / g) / 2.0 < math.sqrt(dim) / 2.0 - eps]
+    fits = [g for g in levels if lip * (math.sqrt(dim) / g) / 2.0 < math.sqrt(dim) / 2.0 - eps]
     levels = fits or [G]
     if levels[0] ** dim > UNBOUNDED_GRID_CAP:
         raise ValueError(f"grid {G} per axis is too fine: its first covering level has "
@@ -603,8 +603,8 @@ def _cover(objective, dim: int, G: int, eps: float, lip, threads: int, counters:
     for g in levels:
         todo = idx[new]
         cover = math.sqrt(dim) / g
-        slack = 0.0 if lip is None else lip * cover / 2.0
-        stop = math.inf if lip is None else (eps if binding is None else max(eps, binding[0])) + slack
+        slack = lip * cover / 2.0
+        stop = (eps if binding is None else max(eps, binding[0])) + slack
 
         def eval_chunk(start: int):
             return objective(lattice_points(g, dim, idx=todo[start:start + GRID_CHUNK]), stop=stop)
@@ -618,7 +618,7 @@ def _cover(objective, dim: int, G: int, eps: float, lip, threads: int, counters:
         vals[new] = np.concatenate(parts)
         counters["grid_points"] = counters.get("grid_points", 0) + len(todo)
         low = new & (vals > stop)  # values that may be lower bounds
-        unresolved = np.ones(len(idx), dtype=bool) if lip is None else vals - slack <= eps
+        unresolved = vals - slack <= eps
         qual = np.flatnonzero(vals < eps)
         last = len(qual) > 0 or g == G or not unresolved.any()
         leaf = np.ones(len(idx), dtype=bool) if last else ~unresolved
@@ -663,32 +663,33 @@ def _cover(objective, dim: int, G: int, eps: float, lip, threads: int, counters:
 
 def _certify(gmin: float, cover: float, lip, eps: float):
     """(outcome, note) when nothing tracked: "failed" exactly when the covering certificate holds."""
-    if lip is None:
+    if math.isinf(lip):
         return "inconclusive", "no usable Lipschitz bound at this horizon"
     if math.isfinite(gmin) and gmin - lip * cover / 2.0 > eps:
         return "failed", "covering certificate holds"
     return "inconclusive", "grid too coarse to certify at this Lipschitz bound"
 
 
-def _search(objective, dim: int, eps: float, grid_step: float, candidates, lip_bound,
-            threads: int, counters: dict, raw: bool = False):
+def _search(objective, dim: int, eps: float, grid_step: float, candidates, lip_bound: float,
+            threads: int, counters: dict):
     """Candidate pass, then covering, then certificate. Returns verdict fields.
 
     A grid too fine for ``_cover`` is refused only if no candidate tracks.
+    An infinite ``lip_bound`` is recorded as None: no usable bound.
     """
     hit = _candidate_pass(objective, candidates, eps, counters)
     grid = {}
     if hit is None:
         G = max(1, int(round(1.0 / grid_step)))
-        cap = G if lip_bound is not None else int((RAW_GRID_CAP if raw else UNBOUNDED_GRID_CAP) ** (1.0 / dim))
-        why = "for a raw method" if raw else "without a Lipschitz bound"
-        coarsened = f"grid coarsened to {cap} per axis {why}; " if G > cap else ""
+        cap = G if math.isfinite(lip_bound) else int(UNBOUNDED_GRID_CAP ** (1.0 / dim))
+        coarsened = f"grid coarsened to {cap} per axis without a Lipschitz bound; " if G > cap else ""
         G = min(G, cap)
         hit, gmin, cover = _cover(objective, dim, G, eps, lip_bound, threads, counters)
         grid = {"min_over_grid": gmin, "grid_step": cover}
         if hit is None:
             outcome, note = _certify(gmin, cover, lip_bound, eps)
-            return {"outcome": outcome, "note": coarsened + note, "lipschitz_bound": lip_bound, **grid}
+            return {"outcome": outcome, "note": coarsened + note,
+                    "lipschitz_bound": lip_bound if math.isfinite(lip_bound) else None, **grid}
     pt, v, note = hit
     return {"outcome": "tracked", "witness": TorusPoint.from_array(pt), "achieved": v,
             "note": note, **grid}
@@ -756,25 +757,20 @@ def _run_check(property_name: str, f: SystemMap, m: MethodSpec, x, eps: float,
     if property_name == "direct":
         targets = m.evaluate(x0, N).as_array()
         driver = f
-    else:
+    elif m.is_induced:
         targets = orbit_segment(f, x0, N).as_array()
-        driver = m.source if m.is_induced else None
-
-    candidates = [("anchor", x0)] + [("seed", _as_coords(s, f.dim, "seed")) for s in seeds]
-    T = _fold_targets(targets, N, mode)
-    if driver is None:
-        def objective(ys, stop=math.inf):
-            orbits = np.stack([m.evaluate(y, N).as_array() for y in ys], axis=1)
-            return np.sqrt(_fold_objective(T, enumerate(orbits), len(ys), mode, stop))
-        lip = None
+        driver = m.source
     else:
-        objective = partial(_objective_core, driver, T, N=N, mode=mode,
-                            bounds=_once(partial(sq_dist_bounds, T, FOLD_BLOCK)))
-        candidates = itertools.chain(candidates, _solver_candidate(driver, targets, m.delta, counters))
-        lip = horizon_lipschitz_bound(driver, N)
+        raise ValueError(f"{property_name} checks need a method with a driver map; the raw method "
+                         f"{m.label} has none, and raw methods serve direct checks only")
 
-    fields = _search(objective, f.dim, eps, grid_step, candidates, lip, workers, counters,
-                     raw=driver is None)
+    candidates = itertools.chain([("anchor", x0)], [("seed", _as_coords(s, f.dim, "seed")) for s in seeds],
+                                 _solver_candidate(driver, targets, m.delta, counters))
+    T = _fold_targets(targets, N, mode)
+    objective = partial(_objective_core, driver, T, N=N, mode=mode,
+                        bounds=_once(partial(sq_dist_bounds, T, FOLD_BLOCK)))
+    fields = _search(objective, f.dim, eps, grid_step, candidates, horizon_lipschitz_bound(driver, N),
+                     workers, counters)
     return ShadowVerdict(
         property_name=property_name,
         epsilon=float(eps),

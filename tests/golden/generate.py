@@ -15,33 +15,37 @@ on the rotation in the dichotomy and in the gallery, and a drift-inverse run
 whose 2*eps is too wide for an anchor separation.  The checks run with
 ``--timings`` and together cover all four properties, all three outcomes,
 witnesses from the anchor, Newton, the Newton polish, the grid and refinement,
-a raw ``random:`` method (also as the pseudo-orbit of a direct check), both
-the circle and the torus, and every derived map constructor: translation
-drifts, the block drift, and shear-sin and translation perturbations.  The
-covering appears in both forms: certified failures settled on coarser levels
-than the requested lattice (the shear drift at level 32, circle and identity
-drifts at levels 2 to 4), and the single sweep of the requested lattice that
-raw methods and a grid too coarse to certify (the shear at grid 8) run.  One
-check sweeps the whole default lattice with no usable Lipschitz bound (the
-shear-sin perturbation of the cat at N=40): its 262,144 points run as four
-chunks on the sweep's thread pool.  Two checks decide in the candidate pass
-with a Newton witness after the anchor misses: a long horizon (the shear-sin
-perturbation of the shear at N=300) and a set-mode property (orbital, on the
-shear-sin perturbation of the cat).  One decides with the polished Newton
-witness (``check-inverse-cat-perturbed-polish``, the shear-sin perturbation
-of size 0.01 of the cat at N=30): the solver's point stops at a residual near
-1e-12, which the cat stretches past eps over 30 steps each way, and further
-Newton steps while the residual at least halves bring it near roundoff.
+a raw ``random:`` method as the pseudo-orbit of a direct check (the only
+property a raw method serves), both the circle and the torus, and every
+derived map constructor: translation drifts, the block drift, and shear-sin
+and translation perturbations.  Two shear drifts give the covering's
+witnesses: ``check-inverse-shear-refinement`` tracks by refinement around
+the least value of its 32-lattice, which itself misses eps, and
+``check-orbital-shear-grid`` tracks by the first qualifying point of the
+whole 32-lattice.  The covering appears in both forms: certified failures
+settled on coarser levels than the requested lattice (the shear drift at
+level 32, circle and identity drifts at levels 2 to 4), and the single sweep
+of the requested lattice that a grid too coarse to certify (the shear at
+grid 8) or a missing Lipschitz bound runs.  One check sweeps the whole
+default lattice with no usable Lipschitz bound (the shear-sin perturbation
+of the cat at N=40): its 262,144 points run as four chunks on the sweep's
+thread pool.  Two checks decide in the candidate pass with a Newton witness
+after the anchor misses: a long horizon (the shear-sin perturbation of the
+shear at N=300) and a set-mode property (orbital, on the shear-sin
+perturbation of the cat).  One decides with the polished Newton witness
+(``check-inverse-cat-perturbed-polish``, the shear-sin perturbation of size
+0.01 of the cat at N=30): the solver's point stops at a residual near 1e-12,
+which the cat stretches past eps over 30 steps each way, and further Newton
+steps while the residual at least halves bring it near roundoff.
 
-Every failed record carries a covering certificate.  Four checks end
+Every failed record carries a covering certificate.  Two checks end
 inconclusive, and their records name the reason.  One has reason "grid": the
 shear drift at grid 8 (``check-inverse-shear-inconclusive``) has a Lipschitz
-bound, but its cells are too coarse to certify.  Three have reason
-"no-lipschitz", where no bound exists, so a grid miss proves nothing: the raw
-``random:`` methods of ``check-inverse-random-uncertified`` and
-``check-orbital-random-uncertified``, and the shear-sin perturbation of the
-cat at N=40 (``check-inverse-cat-perturbed-no-bound``), a non-affine driver
-past the cap on N*log(lip).
+bound, but its cells are too coarse to certify.  The other has reason
+"no-lipschitz", where no bound exists, so a grid miss proves nothing: the
+shear-sin perturbation of the cat at N=40
+(``check-inverse-cat-perturbed-no-bound``), a non-affine driver past the cap
+on N*log(lip).
 """
 
 from __future__ import annotations
@@ -55,7 +59,6 @@ from pathlib import Path
 HERE = Path(__file__).resolve().parent
 
 _DRIFT = ["--system", "shear", "--method", "translate:0.01", "--x", "0,0", "--eps", "0.1"]
-_RANDOM = ["--system", "cat", "--x", "0.2,0.3", "--N", "3"]
 
 CASES = {
     "experiment-drift-inverse": ["experiment", "drift-inverse"],
@@ -77,8 +80,8 @@ CASES = {
                                  "--x", "0.2,0.3", "--eps", "0.1", "--N", "10"],
     "check-direct-cat-affine": ["check", "direct", "--system", "cat", "--method", "translate:0.001",
                                 "--x", "0.2,0.3", "--eps", "0.05", "--N", "10"],
-    "check-direct-cat-random": ["check", "direct", *_RANDOM, "--method", "random:0.01",
-                                "--eps", "0.05", "--grid", "8"],
+    "check-direct-cat-random": ["check", "direct", "--system", "cat", "--method", "random:0.01",
+                                "--x", "0.2,0.3", "--eps", "0.05", "--N", "3", "--grid", "8"],
     "check-inverse-cat-perturbed-newton": ["check", "inverse", "--system", "cat",
                                            "--method", "perturb:shear-sin:0.001",
                                            "--x", "0.2,0.3", "--eps", "0.05", "--N", "20"],
@@ -87,15 +90,12 @@ CASES = {
     "check-inverse-shear-inconclusive": ["check", "inverse", *_DRIFT, "--N", "25", "--grid", "8"],
     "check-weak-shear-certified": ["check", "weak", *_DRIFT, "--N", "25", "--grid", "64"],
     "check-orbital-shear-certified": ["check", "orbital", *_DRIFT, "--N", "25", "--grid", "64"],
-    "check-weak-random-grid": ["check", "weak", *_RANDOM, "--method", "random:0.01",
-                               "--eps", "0.1", "--grid", "16"],
-    "check-inverse-random-refinement": ["check", "inverse", *_RANDOM, "--method", "random:0.01",
-                                        "--eps", "0.05", "--grid", "4"],
-    "check-orbital-random-uncertified": ["check", "orbital", *_RANDOM, "--method", "random:0.01",
-                                         "--eps", "0.02", "--grid", "8"],
-    "check-inverse-random-uncertified": ["check", "inverse", "--system", "cat",
-                                         "--method", "random:0.001", "--x", "0.2,0.3",
-                                         "--eps", "0.1", "--N", "10", "--grid", "32"],
+    "check-inverse-shear-refinement": ["check", "inverse", "--system", "shear",
+                                       "--method", "translate:0.001", "--x", "0.269285,0.118446",
+                                       "--eps", "0.03", "--N", "10", "--grid", "32"],
+    "check-orbital-shear-grid": ["check", "orbital", "--system", "shear",
+                                 "--method", "translate:0.003", "--x", "0.127244,0.669036",
+                                 "--eps", "0.05", "--N", "15", "--grid", "32"],
     "check-orbital-golden-anchor": ["check", "orbital", "--system", "golden",
                                     "--method", "rotation:+0.01", "--x", "0.0",
                                     "--eps", "0.1", "--N", "25"],

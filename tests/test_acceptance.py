@@ -28,7 +28,6 @@ from shadowlab import (
     make_translation_method_map,
     method_from_map,
     orbit_segment,
-    random_method,
     run_drift_weak,
     shadow_solve_newton,
     shear_map,
@@ -215,8 +214,6 @@ def test_criterion_09_tracking_witnesses_pass_weak_and_orbital():
         (shear, method_from_map(shear, make_translation_method_map(shear, 0.001), 10), (0.5, 0.25), 0.1, 10),
         (golden, method_from_map(golden, make_rotation(GOLDEN_ROTATION + 0.005), 12), (0.0,), 0.08, 12),
         (ident, method_from_map(ident, make_translation_method_map(ident, 0.004), 12), (0.8, 0.8), 0.1, 12),
-        (cat, random_method(cat, 5e-4, 13), (0.6, 0.2), 0.05, 6),
-        (golden, random_method(golden, 1e-3, 17), (0.33,), 0.05, 6),
         (cat, method_from_map(cat, make_conservative_perturbation(cat, 1e-3, "translation", seed=23), 15), (0.45, 0.9), 0.1, 15),
         (shear, method_from_map(shear, make_conservative_perturbation(shear, 2e-3, "shear-sin", seed=29), 8), (0.2, 0.6), 0.1, 8),
     ]
@@ -237,7 +234,7 @@ def test_criterion_09_tracking_witnesses_pass_weak_and_orbital():
         assert pointwise < eps
         for checker in (check_weak_inverse, check_orbital_inverse):
             assert checker(f, m, x, eps, N, grid_step=1 / 16, seeds=[w]).outcome == "tracked"
-    assert tracked == 9  # one battery entry is the designed drift failure
+    assert tracked == 7  # one battery entry is the designed drift failure
 
 
 def test_criterion_10_reports_are_thread_deterministic():

@@ -265,21 +265,34 @@ def test_check_inconclusive_exits_four(capsys):
     assert "grid too coarse" in record["note"]
 
 
-def test_check_raw_method_failure_is_uncertified(capsys):
-    """Raw methods carry no Lipschitz data, so a grid miss is inconclusive, not a failure."""
-    rc, out, _ = run_cli(
-        ["check", "inverse", "--system", "cat", "--method", "random:0.001",
+@pytest.mark.parametrize("prop", ["inverse", "weak", "orbital"])
+def test_check_refuses_raw_methods_outside_direct(prop, capsys):
+    """A raw method has no driver map, so only a direct check takes it."""
+    rc, out, err = run_cli(
+        ["check", prop, "--system", "cat", "--method", "random:0.001",
          "--x", "0.2,0.3", "--eps", "0.1", "--N", "10", "--grid", "32"],
         capsys,
     )
+    assert rc == 2
+    assert out == ""
+    assert err == (f"shadowlab: error: {prop} checks need a method with a driver map; the raw method "
+                   "random(0.001,seed=0) has none, and raw methods serve direct checks only\n")
+
+
+# The 2x2 closed form of spectral_norm overflows on cat powers near N = 185.
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
+                            "ignore:invalid value encountered:RuntimeWarning")
+def test_check_with_an_overflowing_bound_reads_no_lipschitz_in_strict_json(capsys):
+    """An infinite horizon bound is no usable bound: the record omits it and stays strict JSON."""
+    rc, out, _ = run_cli(
+        ["check", "inverse", "--system", "cat", "--method", "translate:0.001",
+         "--x", "0.2,0.3", "--eps", "0.05", "--N", "200", "--grid", "8"],
+        capsys,
+    )
     assert rc == 4
-    record = json.loads(out)
-    assert record["outcome"] == "inconclusive"
-    assert record["certified"] is False
-    assert record["reason"] == "no-lipschitz"
+    record = json.loads(out, parse_constant=lambda name: pytest.fail(f"non-standard JSON {name}"))
+    assert (record["reason"], record["note"]) == ("no-lipschitz", "no usable Lipschitz bound at this horizon")
     assert "lipschitz_bound" not in record
-    assert record["min_over_grid"] == 0.5207696520081438
-    assert record["note"] == "no usable Lipschitz bound at this horizon"
 
 
 def test_check_circle_orbital_tracked(capsys):
@@ -340,7 +353,7 @@ def test_check_thread_count_does_not_change_output(capsys):
 
 def test_check_seed_flows_into_random_method(capsys):
     rc, out, _ = run_cli(
-        ["check", "inverse", "--system", "cat", "--method", "random:0.001",
+        ["check", "direct", "--system", "cat", "--method", "random:0.001",
          "--x", "0.2,0.3", "--eps", "0.1", "--N", "3", "--grid", "24", "--seed", "5"],
         capsys,
     )

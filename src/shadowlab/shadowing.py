@@ -13,33 +13,36 @@ those miss, then, for a non-affine driver, that output polished by further
 Newton steps), a covering, and a certifier that, when nothing tracked,
 issues a Lipschitz covering certificate or says why none holds.  Every
 objective takes a stop: a value at or below it is exact, and one above it
-may be a lower bound.  A candidate is evaluated with stop = eps: a hit
-gets its exact value, and a candidate that misses quits its lazy,
-orbit-order walk within one step block past eps, since a lower bound above
-eps settles it.  The covering walks nested dyadic lattices from coarse to
-fine (branch and bound after Piyavskii and Shubert): a lattice point's cell
-is settled once its value minus lipschitz_bound * (cell diameter) / 2
-exceeds eps, and every other cell is split, down to the requested lattice;
-local refinement around the least unsettled value follows.  A certificate
-means every cell is settled, so *no* point of the continuum tracks at this
-horizon — failure is a finite proof, not sampling evidence.  Lattice points
-are evaluated with stop = max(eps, b) + slack, b the binding margin so far
-(infinite without a Lipschitz bound): a value above it already settles its
-cell and can never bind (the cut-off test of interval branch and bound,
-after Hansen and Walster).  A pointwise block of lattice points ends its
-walk once every point has passed stop.  In the weak and orbital modes a
-check builds, on its first multi-point call, a table of lower and upper
-bounds on the squared distance from each cell of the phase space to the
-targets (``geometry.sq_dist_bounds``).  A point whose largest lower bound
-over its orbit steps passes stop is settled by that bound; the others fold
-the weak value exactly over only the steps whose upper bound reaches their
-running max, and in orbital mode those still at or below stop then fold the
-reverse inclusion, each only until every target lies within its weak value
-of some position, as from then on its weak value is its value.  Only the
-level that sets the first binding cell evaluates its leaves above stop
-again, in one batch of those whose value could still undercut that level's
-least exact leaf value, with that value as stop, so the binding cell is
-chosen among exact values.
+may be a lower bound.  Two folds compute them: ``_fold_objective`` the
+pointwise objective, ``_set_fold`` the weak and orbital ones.  A candidate
+is evaluated with stop = eps: a hit gets its exact value, and a pointwise
+candidate that misses quits its lazy, orbit-order walk within one step block
+past eps, since a lower bound above eps settles it.  The covering walks
+nested dyadic lattices from coarse to fine (branch and bound after Piyavskii
+and Shubert): a lattice point's cell is settled once its value minus
+lipschitz_bound * (cell diameter) / 2 exceeds eps, and every other cell is
+split, down to the requested lattice; local refinement around the least
+unsettled value follows.  A certificate means every cell is settled, so *no*
+point of the continuum tracks at this horizon — failure is a finite proof,
+not sampling evidence.  Lattice points are evaluated with stop =
+max(eps, b) + slack, b the binding margin so far (infinite without a
+Lipschitz bound): a value above it already settles its cell and can never
+bind (the cut-off test of interval branch and bound, after Hansen and
+Walster).  A pointwise block
+of lattice points ends its walk once every point has passed stop.  In the
+weak and orbital modes a check builds, on its first call with several
+points, a table of lower and upper bounds on the squared distance from each
+cell of the phase space to the targets (``geometry.sq_dist_bounds``).  A
+point whose largest lower bound over its orbit steps passes stop is settled
+by that bound; the others fold the weak value exactly over only the steps
+whose upper bound reaches their running max, and in orbital mode those still
+at or below stop then fold the reverse inclusion, each only until every
+target lies within its weak value of some position, as from then on its weak
+value is its value.  One point builds no table and folds every step of its
+weak value.  Only the level that sets the first binding cell evaluates its
+leaves above stop again, in one batch of those whose value could still
+undercut that level's least exact leaf value, with that value as stop, so
+the binding cell is chosen among exact values.
 
 On failed and inconclusive records, ``min_over_grid`` and ``grid_step`` are
 the value and covering diameter (per-axis spacing times sqrt(dim)) of the
@@ -76,7 +79,7 @@ import numpy as np
 from .geometry import (TorusPoint, bound_cells, dist_array, lattice_points, reduce_to_unit, sq_dist_array,
                        sq_dist_bounds, wrap_to_half)
 from .orbits import TRUE_ORBIT_DELTA, MethodSpec, PseudoOrbit, _as_coords, _orbit_steps, orbit_segment
-from .systems import LinearAutomorphism, SystemMap, spectral_norm
+from .systems import LinearAutomorphism, SystemMap, _spectral_norm_batch
 
 __all__ = [
     "ShadowVerdict",
@@ -317,58 +320,41 @@ def shadow_solve_newton(f: SystemMap, po: PseudoOrbit, tol: float = 1e-10, max_i
 # ---------------------------------------------------------------------------
 
 def _fold_targets(targets, N: int, mode: str) -> np.ndarray:
-    """What ``_fold_objective`` compares positions with: the 2N+1 targets, or their distinct points."""
+    """What the folds compare positions with: the 2N+1 targets (pointwise), or their distinct points."""
     T = np.asarray(targets, dtype=float)
     if len(T) != 2 * N + 1:
         raise ValueError("targets must cover indices -N..N")
     return T if mode == "pointwise" else np.unique(T, axis=0)
 
 
-def _fold_objective(targets: np.ndarray, steps, n: int, mode: str,
-                    stop: float = math.inf) -> np.ndarray:
-    """Squared objective of n candidates, folded over their orbit positions.
+def _fold_objective(targets: np.ndarray, steps, n: int, stop: float = math.inf) -> np.ndarray:
+    """Squared pointwise objective of n candidates, folded over their orbit positions.
 
     ``steps`` yields (i, z): z holds the candidates' positions at orbit
     index i, where index N is the anchor, as an (n, dim) array or, for one
-    candidate, a tuple (``_orbit_steps``).  "pointwise" compares z with
-    targets[i], the index-matched target; in the set modes ``targets`` holds
-    the distinct targets (``_fold_targets``), "weak" compares z with that set,
-    and "orbital" also folds the reverse inclusion.  Consecutive steps are
-    folded in blocks of up to STEP_BLOCK steps, fewer where the block would
-    pass FOLD_BLOCK point-steps (point-step-targets in the set modes), but
-    at least one: one ``sq_dist_array`` call per block, reduced by max (and
-    min over the block's steps).  max and min are exact and the distance is
-    elementwise, so neither the blocks nor the order of the steps change a
-    value.
+    candidate, a tuple (``_orbit_steps``), and is compared with targets[i],
+    the index-matched target.  Consecutive steps are folded in blocks of up
+    to STEP_BLOCK steps, fewer where the block would pass FOLD_BLOCK
+    point-steps, but at least one: one ``sq_dist_array`` call per block,
+    reduced by max.  max is exact and the distance is elementwise, so
+    neither the blocks nor the order of the steps change a value.
 
     A value at or below ``stop`` is exact; one above it may be a lower bound.
     The fold ends at the end of the first block after which every
     candidate's running max exceeds stop (compared as a distance), and a lazy
     ``steps`` computes no further positions: the results are those running
-    maxes, lower bounds of the values (in orbital mode the reverse inclusion
-    is skipped).  Otherwise every step is folded and every value is exact.
+    maxes, lower bounds of the values.  Otherwise every step is folded and
+    every value is exact.
     """
-    width = n if mode == "pointwise" else n * len(targets)
-    size = max(1, min(STEP_BLOCK, FOLD_BLOCK // width))
+    size = max(1, min(STEP_BLOCK, FOLD_BLOCK // n))
     steps = iter(steps)
     run = np.zeros(n)
-    rmin = np.full((n, len(targets)), np.inf) if mode == "orbital" else None
     while block := list(itertools.islice(steps, size)):
         Z = np.array([z for _, z in block], dtype=float).reshape(len(block), n, -1)  # (steps, candidates, dim)
-        if mode == "pointwise":
-            T = targets[[i for i, _ in block]]
-            np.maximum(run, sq_dist_array(Z, T[:, None, :]).max(axis=0), out=run)
-        else:
-            D = sq_dist_array(Z[:, :, None, :], targets)
-            np.maximum(run, D.min(axis=2).max(axis=0), out=run)
-            if rmin is not None:
-                for Dk in D:
-                    np.minimum(rmin, Dk, out=rmin)
-            del D  # free the (steps, candidates, targets) block before the next one
+        T = targets[[i for i, _ in block]]
+        np.maximum(run, sq_dist_array(Z, T[:, None, :]).max(axis=0), out=run)
         if math.sqrt(run.min()) > stop:
             return run
-    if rmin is not None:
-        np.maximum(run, rmin.max(axis=1), out=run)
     return run
 
 
@@ -376,21 +362,20 @@ def _objective_core(g: SystemMap, targets: np.ndarray, ys: np.ndarray, N: int, m
                     stop: float = math.inf, bounds=None) -> np.ndarray:
     """The objective of ys: a value at or below ``stop`` is exact, one above it may be a lower bound.
 
-    ``targets`` is ``_fold_targets``' output for this N and mode.  One point,
-    and every pointwise block of points, walks its orbit lazily in orbit
-    order (index N, then forward, then backward) with ``_fold_objective``;
-    one point walks in Python floats where its map allows (``_orbit_steps``).
-    Set modes fold several points in blocks of FOLD_BLOCK with ``_set_fold``,
-    which bounds each position's distance to the targets from the
-    ``sq_dist_bounds`` table; ``bounds`` returns that table (it is built
-    here when None).
+    ``targets`` is ``_fold_targets``' output for this N and mode.  Pointwise
+    mode walks the orbits lazily in orbit order (index N, then forward, then
+    backward) with ``_fold_objective``, one point in Python floats where its
+    map allows (``_orbit_steps``).  The weak and orbital modes fold blocks of
+    FOLD_BLOCK points with ``_set_fold``: several points with the
+    ``sq_dist_bounds`` table, which ``bounds`` returns (built here when
+    None), and one point with none.
     """
     scalar = ys.ndim == 1
     Y = ys[None, :] if scalar else ys
-    if mode == "pointwise" or len(Y) == 1:
-        sq = _fold_objective(targets, _orbit_steps(g, Y, N), len(Y), mode, stop)
+    if mode == "pointwise":
+        sq = _fold_objective(targets, _orbit_steps(g, Y, N), len(Y), stop)
     else:
-        table = bounds() if bounds is not None else sq_dist_bounds(targets, FOLD_BLOCK)
+        table = None if len(Y) == 1 else bounds() if bounds is not None else sq_dist_bounds(targets, FOLD_BLOCK)
         sq = np.concatenate([_set_fold(g, targets, B, N, mode, stop, table)
                              for B in np.split(Y, range(FOLD_BLOCK, len(Y), FOLD_BLOCK))])
     out = np.sqrt(sq)
@@ -399,7 +384,7 @@ def _objective_core(g: SystemMap, targets: np.ndarray, ys: np.ndarray, N: int, m
 
 def _set_fold(g: SystemMap, targets: np.ndarray, Y: np.ndarray, N: int, mode: str,
               stop: float, table) -> np.ndarray:
-    """Squared set-mode objective of the points Y; a value at or below stop is exact.
+    """Squared weak or orbital objective of the points Y; a value at or below stop is exact.
 
     Every position is computed first and looked up in ``table`` = (lo, hi):
     step k's squared distance m_k to the targets lies in [lo_k, hi_k], so
@@ -408,39 +393,45 @@ def _set_fold(g: SystemMap, targets: np.ndarray, Y: np.ndarray, N: int, mode: st
     weak value exactly, one step block at a time, only over the steps with
     hi_k >= r, r their running max (at least L): a skipped step has m_k <=
     hi_k < r, so it cannot set the max, and the result is bit for bit the
-    full fold's.  In orbital mode the points whose weak value is still at
-    most stop then fold the reverse inclusion: a running minimum of each
-    target's distance, whose max over the targets joins their value.  A
-    point leaves after the step block where every minimum is at or below
-    its weak value, which is then its value bit for bit, as minima only
-    fall.  Its blocks follow ``_fold_objective``'s, so it holds the (points,
-    targets) minimum, shrunk in place to the live rows, and one step's
-    distances.
+    full fold's.  ``table`` None is for one point, whose whole fold costs
+    less than a table: one distance call over every step gives its weak
+    value.  In orbital mode the points whose weak value is still at most
+    stop then fold the reverse inclusion: a running minimum of each target's
+    distance, whose max over the targets joins their value.  A point leaves
+    after the step block where every minimum is at or below its weak value,
+    which is then its value bit for bit, as minima only fall.  A block takes
+    up to STEP_BLOCK steps, fewer past FOLD_BLOCK point-step-targets, so the
+    fold holds the (points, targets) minimum, shrunk in place to the live
+    rows, and one block's distances.
     """
     pos = np.empty((2 * N + 1,) + Y.shape)
     for i, z in _orbit_steps(g, Y, N):
         pos[i] = z
-    lo, hi = table
-    cells = np.empty(pos.shape[:2], dtype=np.int32)
-    for s in range(0, 2 * N + 1, STEP_BLOCK):
-        cells[s:s + STEP_BLOCK] = bound_cells(pos[s:s + STEP_BLOCK])
-    out = np.take(lo, cells).max(axis=0)
-    todo = np.flatnonzero(np.sqrt(out) <= stop)
-    for s in range(0, 2 * N + 1, STEP_BLOCK):
-        # this block's steps that can still set a max, as (point, step) pairs grouped by point
-        points, steps = np.nonzero((np.take(hi, cells[s:s + STEP_BLOCK, todo]) >= out[todo]).T)
-        if not len(points):
-            continue
-        Z = pos[s + steps, todo[points]]
-        m = np.concatenate([sq_dist_array(Z[c:c + FOLD_BLOCK, None, :], targets).min(axis=1)
-                            for c in range(0, len(Z), FOLD_BLOCK)])
-        first = np.flatnonzero(np.r_[True, points[1:] != points[:-1]])
-        rows = todo[points[first]]
-        out[rows] = np.maximum(out[rows], np.maximum.reduceat(m, first))
+    todo = np.arange(len(Y))
+    if table is None:
+        out = sq_dist_array(pos[:, :, None, :], targets).min(axis=2).max(axis=0)
+    else:
+        lo, hi = table
+        cells = np.empty(pos.shape[:2], dtype=np.int32)
+        for s in range(0, 2 * N + 1, STEP_BLOCK):
+            cells[s:s + STEP_BLOCK] = bound_cells(pos[s:s + STEP_BLOCK])
+        out = np.take(lo, cells).max(axis=0)
+        todo = np.flatnonzero(np.sqrt(out) <= stop)
+        for s in range(0, 2 * N + 1, STEP_BLOCK):
+            # this block's steps that can still set a max, as (point, step) pairs grouped by point
+            points, steps = np.nonzero((np.take(hi, cells[s:s + STEP_BLOCK, todo]) >= out[todo]).T)
+            if not len(points):
+                continue
+            Z = pos[s + steps, todo[points]]
+            m = np.concatenate([sq_dist_array(Z[c:c + FOLD_BLOCK, None, :], targets).min(axis=1)
+                                for c in range(0, len(Z), FOLD_BLOCK)])
+            first = np.flatnonzero(np.r_[True, points[1:] != points[:-1]])
+            rows = todo[points[first]]
+            out[rows] = np.maximum(out[rows], np.maximum.reduceat(m, first))
+        del cells  # free them before the reverse inclusion
     todo = todo[np.sqrt(out[todo]) <= stop]
     if mode == "weak" or not len(todo):
         return out
-    del cells  # free them before the reverse inclusion
     rmin = np.full((len(todo), len(targets)), np.inf)
     size = max(1, min(STEP_BLOCK, FOLD_BLOCK // rmin.size))
     for s in range(0, 2 * N + 1, size):
@@ -494,18 +485,20 @@ def horizon_lipschitz_bound(g: SystemMap, N: int) -> float:
     both iteration directions — integer matrices commute with the quotient, so
     the operator norm of the power really is a torus Lipschitz constant.  For
     everything else the crude max(lip_f, lip_b)^N is returned, or math.inf
-    past the cap where it could not certify anything anyway.
+    past the cap where it could not certify anything anyway.  A power past
+    float range (from N = 738 on the cat) makes the bound math.inf too.
     """
     if g.linear_part is not None:
         B = np.asarray(g.linear_part, dtype=float)
         Binv = LinearAutomorphism(g.linear_part).inverse_matrix().astype(float)
-        L = 1.0
+        powers = np.empty((2, N) + B.shape)
         M = Mi = np.eye(len(B))
-        for _ in range(N):
-            M = M @ B
-            Mi = Mi @ Binv
-            L = max(L, spectral_norm(M), spectral_norm(Mi))
-        return L
+        with np.errstate(over="ignore", invalid="ignore"):
+            for k in range(N):
+                M = powers[0, k] = M @ B
+                Mi = powers[1, k] = Mi @ Binv
+            L = float(_spectral_norm_batch(powers).max(initial=1.0))
+        return L if math.isfinite(L) else math.inf
     lip = max(g.lip_forward, g.lip_backward, 1.0)
     if lip == 1.0:
         return 1.0
@@ -572,7 +565,7 @@ def _cover(objective, dim: int, G: int, eps: float, lip, threads: int, counters:
     only when a covering would walk it, never by a check a candidate settles.
 
     The objective takes ``stop``: a value at or below stop is exact, one
-    above it may be a lower bound (``_fold_objective``).  Lattice points are
+    above it may be a lower bound (``_objective_core``).  Lattice points are
     evaluated with stop = max(eps, b) + slack, b the binding margin of the
     coarser levels (eps before there is one); an infinite bound makes slack
     and stop infinite, as every point of its one sweep is a leaf that could

@@ -95,12 +95,16 @@ def _spectral_norm_batch(M) -> np.ndarray:
         return np.abs(M[..., 0, 0])
     if n > 2:
         return np.linalg.norm(M, 2, axis=(-2, -1))
+    # Exact scaling by 2**-e to a largest entry in [1/2, 1): s * s cannot overflow, and bits
+    # move only where the unscaled or the scaled form over- or underflows.
+    e = np.frexp(np.abs(M).max(axis=(-2, -1), keepdims=True))[1]
+    M = np.ldexp(M, -e)
     a, b = M[..., 0, 0], M[..., 0, 1]
     c, d = M[..., 1, 0], M[..., 1, 1]
     s = a * a + b * b + c * c + d * d
     det = a * d - b * c
     disc = np.maximum(s * s - 4.0 * det * det, 0.0)
-    return np.sqrt(0.5 * (s + np.sqrt(disc)))
+    return np.ldexp(np.sqrt(0.5 * (s + np.sqrt(disc))), e[..., 0, 0])
 
 
 def _check_int64(v, role: str) -> None:
@@ -438,31 +442,19 @@ def circle_identity() -> SystemMap:
     return make_rotation(0.0, label="identity1")
 
 
-def make_translation_method_map(base: SystemMap, delta: float, block=None) -> SystemMap:
+def make_translation_method_map(base: SystemMap, delta: float) -> SystemMap:
     """Compose ``base`` with a translation by ``delta`` in the first coordinate.
 
     The result stays at C0 distance exactly ``delta`` from ``base`` while its
-    differential is unchanged, which makes it the canonical drifting method
-    map.  With ``block`` given (2-D only, an integer with |block| = 1), the
-    standalone product map (x0 + delta, block * x1) is built instead and the
-    dynamics of ``base`` are ignored; ``base`` then only fixes the dimension.
+    differential is unchanged: the canonical drifting method map.
     """
     delta = float(delta)
     if not (0.0 < delta < 0.5):
         raise ConstructionError(f"delta must lie in (0, 1/2), got {delta}")
     off = np.zeros(base.dim)
     off[0] = delta
-    if block is None:
-        descriptor = {"kind": "translate", "delta": delta, "base": copy.deepcopy(base.descriptor)}
-        return _compose(_translation(off), base, f"translate({delta:.12g})*{base.label}", descriptor)
-
-    if base.dim != 2:
-        raise ConstructionError("block form is defined on the 2-torus only")
-    if not isinstance(block, int) or isinstance(block, bool) or abs(block) != 1:
-        raise ConstructionError(f"block must be an integer with |block| = 1, got {block!r}")
-    descriptor = {"kind": "translate-block", "delta": delta, "block": block}
-    return _compose(_translation(off), make_linear([[1, 0], [0, block]]),
-                    f"translate-block({delta:.12g},{block})", descriptor)
+    descriptor = {"kind": "translate", "delta": delta, "base": copy.deepcopy(base.descriptor)}
+    return _compose(_translation(off), base, f"translate({delta:.12g})*{base.label}", descriptor)
 
 
 def _shift_vector(delta: float, angle: float | None) -> np.ndarray:
@@ -598,11 +590,6 @@ def map_from_descriptor(d: dict) -> SystemMap:
             return make_rotation(float(d["theta"]))
         if kind == "translate":
             return make_translation_method_map(map_from_descriptor(d["base"]), float(d["delta"]))
-        if kind == "translate-block":
-            block = d["block"]
-            if not isinstance(block, int) or isinstance(block, bool):
-                raise ValueError(f"translate-block descriptor needs an integer block, got {block!r}")
-            return make_translation_method_map(torus_identity(), float(d["delta"]), block=block)
         if kind == "perturbation":
             base = map_from_descriptor(d["base"])
             return make_conservative_perturbation(base, float(d["delta"]), d["mode"], seed=d.get("seed"))

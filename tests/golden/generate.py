@@ -17,10 +17,11 @@ whose 2*eps is too wide for an anchor separation.  The checks run with
 witnesses from the anchor, Newton, the Newton polish, the grid and refinement,
 a raw ``random:`` method as the pseudo-orbit of a direct check (the only
 property a raw method serves), both the circle and the torus, and every
-derived map constructor: translation drifts, the block drift, and shear-sin
-and translation perturbations.  Two shear drifts give the covering's
-witnesses: ``check-inverse-shear-refinement`` tracks by refinement around
-the least value of its 32-lattice, which itself misses eps, and
+derived map constructor: translation drifts (one on the reflection
+[[1,0],[0,-1]], whose weak check fails), and shear-sin and translation
+perturbations.  Two shear drifts give the covering's witnesses:
+``check-inverse-shear-refinement`` tracks by refinement around the least
+value of its 32-lattice, which itself misses eps, and
 ``check-orbital-shear-grid`` tracks by the first qualifying point of the
 whole 32-lattice.  The covering appears in both forms: certified failures
 settled on coarser levels than the requested lattice (the shear drift at
@@ -114,7 +115,7 @@ CASES = {
                                                  "--grid", "1024"],
     "check-weak-block-certified": ["check", "weak", "--system",
                                    '{"kind":"linear","matrix":[[1,0],[0,-1]]}',
-                                   "--method", '{"kind":"translate-block","delta":0.01,"block":-1}',
+                                   "--method", "translate:0.01",
                                    "--x", "0,0", "--eps", "0.1", "--N", "25", "--grid", "64"],
     "check-inverse-cat-perturbed-no-bound": ["check", "inverse", "--system", "cat",
                                              "--method", "perturb:shear-sin:0.001",

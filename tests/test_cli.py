@@ -279,20 +279,36 @@ def test_check_refuses_raw_methods_outside_direct(prop, capsys):
                    "random(0.001,seed=0) has none, and raw methods serve direct checks only\n")
 
 
-# The 2x2 closed form of spectral_norm overflows on cat powers near N = 185.
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
-                            "ignore:invalid value encountered:RuntimeWarning")
-def test_check_with_an_overflowing_bound_reads_no_lipschitz_in_strict_json(capsys):
-    """An infinite horizon bound is no usable bound: the record omits it and stays strict JSON."""
+def test_check_without_a_usable_bound_reads_no_lipschitz_in_strict_json(capsys):
+    """An infinite horizon bound is no usable bound: the record omits it and stays strict JSON.
+
+    The driver, the shear-sin perturbation of the cat, is not affine, and at
+    N = 40 its bound lip**N is past the cap.
+    """
     rc, out, _ = run_cli(
-        ["check", "inverse", "--system", "cat", "--method", "translate:0.001",
-         "--x", "0.2,0.3", "--eps", "0.05", "--N", "200", "--grid", "8"],
+        ["check", "inverse", "--system", "cat", "--method", "perturb:shear-sin:0.001",
+         "--x", "0.2,0.3", "--eps", "0.1", "--N", "40", "--grid", "8"],
         capsys,
     )
     assert rc == 4
     record = json.loads(out, parse_constant=lambda name: pytest.fail(f"non-standard JSON {name}"))
     assert (record["reason"], record["note"]) == ("no-lipschitz", "no usable Lipschitz bound at this horizon")
     assert "lipschitz_bound" not in record
+
+
+def test_check_at_a_horizon_whose_cat_powers_pass_1e77_carries_a_finite_bound(tmp_path):
+    """At N = 200 the bound, the norm phi**400 of the cat's 200th power, is a finite float.
+
+    The record differs from a no-lipschitz one only in its reason, note and
+    bound, and a fresh interpreter prints no RuntimeWarning on the way.
+    """
+    proc = run_fresh_check(["inverse", "--system", "cat", "--method", "translate:0.001", "--x", "0.2,0.3",
+                            "--eps", "0.05", "--N", "200", "--grid", "8"], tmp_path)
+    assert proc.returncode == 4 and proc.stderr == ""
+    record = json.loads(proc.stdout, parse_constant=lambda name: pytest.fail(f"non-standard JSON {name}"))
+    assert (record["reason"], record["note"]) == ("grid", "grid too coarse to certify at this Lipschitz bound")
+    assert record["lipschitz_bound"] == pytest.approx(((1 + 5 ** 0.5) / 2) ** 400, rel=1e-9)
+    assert (record["min_over_grid"], record["grid_step"]) == (0.65738584442152, 0.1767766952966369)
 
 
 def test_check_circle_orbital_tracked(capsys):

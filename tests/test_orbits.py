@@ -253,7 +253,7 @@ def test_method_from_map_reads_library_gaps_without_sampling(monkeypatch):
 
 
 def test_method_from_map_samples_what_it_cannot_read(monkeypatch):
-    """A block drift, a linear method and maps on another base keep the sampled delta bit for bit."""
+    """A drift of another map, a linear method and maps on another base keep the sampled delta bit for bit."""
     sampled = []
     c1_distance = systems.c1_distance
 
@@ -265,7 +265,7 @@ def test_method_from_map_samples_what_it_cannot_read(monkeypatch):
     cat, shear, ident = cat_map(), shear_map(), torus_identity()
     wobbly = make_conservative_perturbation(cat, 1e-3, "shear-sin", seed=2)  # not affine
     pairs = [
-        (ident, make_translation_method_map(ident, 0.01, block=-1)),
+        (ident, make_translation_method_map(make_linear([[1, 0], [0, -1]]), 0.01)),
         (cat, make_linear([[1, 1], [1, 0]])),
         (cat, make_translation_method_map(shear, 0.01)),
         (cat, make_conservative_perturbation(shear, 1e-3, "shear-sin", seed=1)),

@@ -327,15 +327,14 @@ def test_objective_with_stop_is_exact_or_a_lower_bound_above_stop(mode):
     lowered = 0
     for stop in np.quantile(exact, [0.05, 0.3, 0.6, 0.95]):
         lowered += lowered_by(stop, shadowing._objective_core(g, targets, ys, 25, mode, stop=stop), exact)
-        if mode == "pointwise":  # a pointwise block ends early only once all its points have passed stop
-            one = np.array([shadowing._objective_core(g, targets, y, 25, mode, stop=stop) for y in ys[::16]])
-            lowered += lowered_by(stop, one, exact[::16])
+        # one point, which in the set modes folds with no table
+        one = np.array([shadowing._objective_core(g, targets, y, 25, mode, stop=stop) for y in ys[::16]])
+        lowered += lowered_by(stop, one, exact[::16])
     assert lowered > 0
 
 
-@pytest.mark.parametrize("mode", ["pointwise", "weak", "orbital"])
-def test_fold_ends_only_once_every_candidate_has_passed_stop(mode):
-    """All or nothing: a fold with one candidate at or below stop is exact for every candidate.
+def test_fold_ends_only_once_every_candidate_has_passed_stop():
+    """All or nothing: a pointwise fold with one candidate at or below stop is exact for every candidate.
 
     With a stop below every candidate's max over the first step block, the
     fold returns those maxes and draws no step past that block.
@@ -344,7 +343,7 @@ def test_fold_ends_only_once_every_candidate_has_passed_stop(mode):
     sh = shear_map()
     g = make_translation_method_map(sh, 0.01)
     x = np.array([0.2, 0.3])
-    T = shadowing._fold_targets(orbit_segment(sh, x, N).as_array(), N, mode)
+    T = shadowing._fold_targets(orbit_segment(sh, x, N).as_array(), N, "pointwise")
     ys = np.concatenate([x[None, :], np.random.default_rng(5).random((7, 2))])
     drawn = []
 
@@ -353,18 +352,17 @@ def test_fold_ends_only_once_every_candidate_has_passed_stop(mode):
             drawn.append(i)
             yield i, z
 
-    exact = shadowing._fold_objective(T, steps(), len(ys), mode)
+    exact = shadowing._fold_objective(T, steps(), len(ys))
     assert len(drawn) == 2 * N + 1
     stop = float(np.sqrt(exact[0]))  # the anchor never passes it; the others do
     assert (np.sqrt(exact[1:]) > stop).all()
-    assert np.array_equal(shadowing._fold_objective(T, _orbit_steps(g, ys, N), len(ys), mode, stop), exact)
-    width = len(ys) if mode == "pointwise" else len(ys) * len(T)
-    size = max(1, min(shadowing.STEP_BLOCK, shadowing.FOLD_BLOCK // width))
+    assert np.array_equal(shadowing._fold_objective(T, _orbit_steps(g, ys, N), len(ys), stop), exact)
+    size = max(1, min(shadowing.STEP_BLOCK, shadowing.FOLD_BLOCK // len(ys)))
     assert size < 2 * N + 1
     first = list(itertools.islice(_orbit_steps(g, ys, N), size))
-    reached = shadowing._fold_objective(T, first, len(ys), "weak" if mode == "orbital" else mode)
+    reached = shadowing._fold_objective(T, first, len(ys))
     drawn.clear()
-    low = shadowing._fold_objective(T, steps(), len(ys), mode, float(np.sqrt(reached.min())) / 2)
+    low = shadowing._fold_objective(T, steps(), len(ys), float(np.sqrt(reached.min())) / 2)
     assert len(drawn) == size
     assert np.array_equal(low, reached) and (low <= exact).all()
 
@@ -588,6 +586,35 @@ def test_weak_check_whose_anchor_tracks_never_builds_the_table(monkeypatch):
 
 
 @pytest.mark.parametrize("prop", ["weak", "orbital"])
+def test_a_set_check_settled_by_a_newton_candidate_never_builds_the_table(monkeypatch, prop):
+    """The golden check-orbital-cat-perturbed-newton case, and its weak twin.
+
+    The anchor misses and the Newton solver's point tracks.  Each of the two
+    one-point evaluations is one ``_set_fold`` call with no table, and
+    ``sq_dist_bounds`` is never called.
+    """
+    def no_table(*args, **kwargs):
+        raise AssertionError("the bound table was built")
+
+    fold, folds = shadowing._set_fold, []
+
+    def counted_fold(g, targets, Y, N, mode, stop, table):
+        folds.append((len(Y), mode, stop, table))
+        return fold(g, targets, Y, N, mode, stop, table)
+
+    monkeypatch.setattr(shadowing, "sq_dist_bounds", no_table)
+    monkeypatch.setattr(shadowing, "_set_fold", counted_fold)
+    f = cat_map()
+    m = cli.parse_method_spec("perturb:shear-sin:0.001", f, 30, 0)
+    check = check_weak_inverse if prop == "weak" else check_orbital_inverse
+    counters = {}
+    v = check(f, m, (0.2, 0.3), eps=0.1, N=30, grid_step=1 / 64, threads=1, counters=counters)
+    assert v.outcome == "tracked" and v.note == "witness from newton solver"
+    assert counters["candidate_evaluations"] == 2 and "grid_points" not in counters
+    assert folds == [(1, prop, 0.1, None)] * 2
+
+
+@pytest.mark.parametrize("prop", ["weak", "orbital"])
 def test_a_covering_check_builds_the_table_once(monkeypatch, prop):
     built = []
 
@@ -681,6 +708,19 @@ def test_affine_bound_never_lapses():
     L = horizon_lipschitz_bound(cat_map(), 30)
     assert math.isfinite(L)
     assert L == pytest.approx(3461452808002.0, rel=1e-9)
+
+
+@pytest.mark.parametrize("N", [185, 200, 700])
+def test_cat_bound_stays_finite_once_its_powers_pass_1e77(N):
+    """The exact bound ((3 + sqrt 5) / 2)**N is a finite float up to N = 737, past the closed form's old overflow."""
+    L = horizon_lipschitz_bound(cat_map(), N)
+    assert L == pytest.approx(((3.0 + math.sqrt(5.0)) / 2.0) ** N, rel=1e-9)
+
+
+@pytest.mark.parametrize("N", [738, 2000])
+def test_cat_bound_past_float_range_is_infinite_without_a_warning(N):
+    """From N = 738 the cat's powers themselves overflow: no usable bound, and no RuntimeWarning."""
+    assert horizon_lipschitz_bound(cat_map(), N) == math.inf
 
 
 def test_isometries_have_unit_bound():

@@ -30,7 +30,7 @@ from shadowlab.systems import (
     torus_identity,
     volume_defect,
 )
-from shadowlab.systems import _method_gap
+from shadowlab.systems import _method_gap, _spectral_norm_batch
 
 
 def fd_jacobian(f: SystemMap, x, h: float = 1e-6) -> np.ndarray:
@@ -185,8 +185,6 @@ def test_constructions_that_are_2d_by_nature_keep_their_boundary_errors():
     f = make_linear(COMPANION)
     with pytest.raises(ConstructionError, match="^translation perturbation is defined on the circle and the 2-torus only$"):
         make_conservative_perturbation(f, 1e-3, "translation", seed=3)
-    with pytest.raises(ConstructionError, match="^block form is defined on the 2-torus only$"):
-        make_translation_method_map(f, 0.01, block=1)
     with pytest.raises(ConstructionError, match="^shear-sin perturbation needs two or more coordinates$"):
         make_conservative_perturbation(circle_identity(), 1e-3, "shear-sin")
 
@@ -227,6 +225,20 @@ def test_spectral_norm_closed_form():
     for _ in range(20):
         M = rng.normal(size=(2, 2))
         assert spectral_norm(M) == pytest.approx(np.linalg.norm(M, 2), rel=1e-12)
+
+
+def test_spectral_norm_closed_form_is_scaled_exactly_and_does_not_overflow():
+    """Scaling by a power of two keeps the unscaled closed form's bits, and entries past 1e77 stay finite."""
+    rng = np.random.default_rng(6)
+    M = rng.normal(size=(64, 2, 2)) * 10.0 ** rng.integers(-60, 60, size=(64, 1, 1))
+    a, b, c, d = M[:, 0, 0], M[:, 0, 1], M[:, 1, 0], M[:, 1, 1]
+    s = a * a + b * b + c * c + d * d
+    det = a * d - b * c
+    unscaled = np.sqrt(0.5 * (s + np.sqrt(np.maximum(s * s - 4.0 * det * det, 0.0))))
+    assert _spectral_norm_batch(M).tobytes() == unscaled.tobytes()
+    P = np.linalg.matrix_power(np.array(CAT_MATRIX, dtype=float), 200)  # entries near 1e83
+    assert spectral_norm(P) == pytest.approx(np.linalg.norm(P, 2), rel=1e-12)
+    assert spectral_norm(np.zeros((2, 2))) == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -271,19 +283,23 @@ def test_translation_keeps_the_differential():
 
 
 def test_block_translation_values_and_gates():
-    b = make_translation_method_map(torus_identity(), 0.125, block=-1)
-    out = b.forward(np.array([0.25, 0.3]))
-    assert out.tolist() == [0.375, 0.7]
-    with pytest.raises(ConstructionError):
-        make_translation_method_map(torus_identity(), 0.1, block=2)
-    with pytest.raises(ConstructionError):
-        make_translation_method_map(circle_identity(), 0.1, block=1)
+    """The block translation (x0 + delta, block * x1) is the drift of the linear map diag(1, block).
+
+    Only |block| = 1 gives a torus map: diag(1, 2) fails the linear
+    constructor's determinant gate.
+    """
+    b = make_translation_method_map(make_linear([[1, 0], [0, -1]]), 0.125)
+    assert b.forward(np.array([0.25, 0.3])).tolist() == [0.375, 0.7]
+    assert b.label == "translate(0.125)*linear[1,0;0,-1]"
+    assert map_to_descriptor(b) == {"kind": "translate", "delta": 0.125,
+                                    "base": {"kind": "linear", "matrix": [[1, 0], [0, -1]]}}
+    with pytest.raises(ConstructionError, match=r"^\|det\| must be 1"):
+        make_linear([[1, 0], [0, 2]])
 
 
-@pytest.mark.parametrize("block", [-1.7, True, 1.0, "1", [1, 1]])
-def test_block_translation_rejects_a_block_that_is_not_a_unit_integer(block):
-    with pytest.raises(ConstructionError, match="block must be an integer"):
-        make_translation_method_map(torus_identity(), 0.01, block=block)
+def test_the_retired_translate_block_kind_is_an_unknown_descriptor():
+    with pytest.raises(ValueError, match="^unknown map kind 'translate-block'$"):
+        map_from_descriptor({"kind": "translate-block", "delta": 0.01, "block": -1})
 
 
 def test_perturbation_gates():
@@ -402,7 +418,7 @@ _PINNED = [
 
 @pytest.mark.parametrize("idx", range(15))
 def test_linear_data_and_lipschitz_bounds_are_pinned(idx):
-    maps = library_maps() + [make_translation_method_map(torus_identity(), 0.01, block=-1)]
+    maps = library_maps() + [make_translation_method_map(make_linear([[1, 0], [0, -1]]), 0.01)]
     f = maps[idx]
     linear, lip_f, lip_b = _PINNED[idx]
     if linear is None:
@@ -513,9 +529,8 @@ def _reference_actions(d: dict, dim: int):
         return _old_linear(aut.matrix), _old_linear(aut.inverse_matrix())
     if kind == "rotation":
         return _old_shift([d["theta"]], 1.0), _old_shift([d["theta"]], -1.0)
-    if kind in ("translate", "translate-block"):
-        base = d["base"] if kind == "translate" else {"kind": "linear", "matrix": [[1, 0], [0, d["block"]]]}
-        (bf, bb), off = _reference_actions(base, dim), np.eye(dim)[0] * d["delta"]
+    if kind == "translate":
+        (bf, bb), off = _reference_actions(d["base"], dim), np.eye(dim)[0] * d["delta"]
         out_f, out_b = _old_shift(off, 1.0), _old_shift(off, -1.0)
         return (lambda x: out_f(bf(x))), (lambda x: bb(out_b(x)))
     assert kind == "perturbation"
@@ -531,12 +546,12 @@ def _reference_actions(d: dict, dim: int):
 
 
 def _action_test_maps():
-    """Every library map, translate drifts of every base, both block maps, and inexact linear:5,8,3,5."""
+    """Every library map, translate drifts of every base and of diag(1, +-1), and inexact linear:5,8,3,5."""
     inexact = make_linear([[5, 8], [3, 5]])
     bases = [cat_map(), shear_map(), torus_identity(), make_linear([[1, 1], [1, 0]]), inexact,
              circle_identity(), make_rotation(GOLDEN_ROTATION)]
     drifts = [make_translation_method_map(b, delta) for b in bases for delta in (1e-3, 0.01, 0.49)]
-    blocks = [make_translation_method_map(torus_identity(), 0.01, block=b) for b in (1, -1)]
+    blocks = [make_translation_method_map(make_linear([[1, 0], [0, b]]), 0.01) for b in (1, -1)]
     return library_maps() + [inexact, make_conservative_perturbation(inexact, 1e-3, "translation", seed=5)] \
         + drifts + blocks + three_torus_maps()
 

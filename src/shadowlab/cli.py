@@ -33,6 +33,7 @@ from .shadowing import (
     check_weak_inverse,
 )
 from .systems import (
+    _TOO_DEEP,
     GOLDEN_ROTATION,
     ConstructionError,
     SystemMap,
@@ -63,10 +64,6 @@ _SYSTEM_HELP = ("system spec: cat | shear | identity2 | identity1 | golden | "
 _METHOD_HELP = ("method spec: same | translate:DELTA | rotation:THETA | rotation:+DELTA | "
                 "perturb:MODE:DELTA[:SEED] | random:DELTA[:SEED] (direct checks only) | a JSON map descriptor")
 
-# Deepest nesting of objects and arrays a JSON descriptor may use: building a
-# map recurses through it, two frames a level where it is copied.
-_DESCRIPTOR_DEPTH = 200
-
 _CHECKERS = {
     "direct": check_direct_shadowing,
     "inverse": check_inverse_shadowing,
@@ -80,18 +77,11 @@ _CHECKERS = {
 # ---------------------------------------------------------------------------
 
 def _load_descriptor(text: str):
-    """The JSON value of ``text``; ValueError when it nests deeper than _DESCRIPTOR_DEPTH."""
-    too_deep = f"JSON descriptor is nested too deeply: at most {_DESCRIPTOR_DEPTH} levels of objects and arrays"
+    """The JSON value of ``text``; ValueError when it nests deeper than json.loads goes."""
     try:
-        value = json.loads(text)
-    except RecursionError:  # deeper than json.loads itself goes
-        raise ValueError(too_deep) from None
-    depth, level = 0, [value]
-    while level := [c for c in level if isinstance(c, (dict, list))]:
-        depth, level = depth + 1, [v for c in level for v in (c.values() if isinstance(c, dict) else c)]
-    if depth > _DESCRIPTOR_DEPTH:
-        raise ValueError(f"{too_deep}, got {depth}")
-    return value
+        return json.loads(text)
+    except RecursionError:
+        raise ValueError(_TOO_DEEP) from None
 
 
 def parse_system_spec(spec: str) -> SystemMap:

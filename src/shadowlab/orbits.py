@@ -80,6 +80,14 @@ def _orbit_steps(g: SystemMap, y: np.ndarray, N: int):
         yield N - k, z
 
 
+def _orbit_array(g: SystemMap, y: np.ndarray, N: int) -> np.ndarray:
+    """The positions of ``_orbit_steps`` by orbit index, as an array of shape (2N+1,) + y.shape."""
+    out = np.empty((2 * N + 1,) + y.shape)
+    for i, z in _orbit_steps(g, y, N):
+        out[i] = z
+    return out
+
+
 def _as_points_array(seq, dim: int) -> np.ndarray:
     """Points as (m, dim) floats; a 1-D input is one coordinate per point."""
     arr = np.asarray(seq, dtype=float)
@@ -149,10 +157,7 @@ def orbit_segment(f: SystemMap, x, N: int) -> PseudoOrbit:
     """True orbit f^k(x) for -N <= k <= N, packaged as a (roundoff-level) pseudo-orbit."""
     if N < 1:
         raise ValueError("N must be at least 1")
-    arr = np.empty((2 * N + 1, f.dim))
-    for i, z in _orbit_steps(f, _as_coords(x, f.dim), N):
-        arr[i] = z
-    return PseudoOrbit.checked(f, arr, TRUE_ORBIT_DELTA)
+    return PseudoOrbit.checked(f, _orbit_array(f, _as_coords(x, f.dim), N), TRUE_ORBIT_DELTA)
 
 
 @dataclass(frozen=True, eq=False)

@@ -7,11 +7,12 @@ shadowing (some method orbit lies in the eps-neighborhood of the orbit of x),
 and orbital inverse shadowing (both one-sided inclusions).
 
 The existential quantifier "there is y" is realized in three stages, which
-``_search`` sequences: a candidate pass over explicit points (the anchor,
-caller-provided seeds, then the Newton solver's output, computed only if
-those miss, then, for a non-affine driver, that output polished by further
+``_run_check`` runs in order: a candidate pass over explicit points (the
+anchor, caller-provided seeds, then the Newton solver's output, computed only
+if those miss, then, for a non-affine driver, that output polished by further
 Newton steps), a covering, and a certifier that, when nothing tracked,
-issues a Lipschitz covering certificate or says why none holds.  Every
+issues a Lipschitz covering certificate or says why none holds.  Only a
+check whose candidates all miss computes the horizon Lipschitz bound.  Every
 objective takes a stop: a value at or below it is exact, and one above it
 may be a lower bound.  Two folds compute them: ``_fold_objective`` the
 pointwise objective, ``_set_fold`` the weak and orbital ones.  A candidate
@@ -30,15 +31,15 @@ Lipschitz bound): a value above it already settles its cell and can never
 bind (the cut-off test of interval branch and bound, after Hansen and
 Walster).  A pointwise block
 of lattice points ends its walk once every point has passed stop.  In the
-weak and orbital modes a check builds, on its first call with several
-points, a table of lower and upper bounds on the squared distance from each
+weak and orbital modes a check whose candidates all miss builds, before its
+covering, a table of lower and upper bounds on the squared distance from each
 cell of the phase space to the targets (``geometry.sq_dist_bounds``).  A
 point whose largest lower bound over its orbit steps passes stop is settled
 by that bound; the others fold the weak value exactly over only the steps
 whose upper bound reaches their running max, and in orbital mode those still
 at or below stop then fold the reverse inclusion, each only until every
 target lies within its weak value of some position, as from then on its weak
-value is its value.  One point builds no table and folds every step of its
+value is its value.  One point uses no table and folds every step of its
 weak value.  Only the level that sets the first binding cell evaluates its
 leaves above stop again, in one batch of those whose value could still
 undercut that level's least exact leaf value, with that value as stop, so
@@ -69,7 +70,6 @@ from __future__ import annotations
 import itertools
 import math
 import os
-import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import partial
@@ -78,7 +78,7 @@ import numpy as np
 
 from .geometry import (TorusPoint, bound_cells, dist_array, lattice_points, reduce_to_unit, sq_dist_array,
                        sq_dist_bounds, wrap_to_half)
-from .orbits import TRUE_ORBIT_DELTA, MethodSpec, PseudoOrbit, _as_coords, _orbit_steps, orbit_segment
+from .orbits import TRUE_ORBIT_DELTA, MethodSpec, PseudoOrbit, _as_coords, _orbit_array, _orbit_steps, orbit_segment
 from .systems import LinearAutomorphism, SystemMap, _spectral_norm_batch
 
 __all__ = [
@@ -359,7 +359,7 @@ def _fold_objective(targets: np.ndarray, steps, n: int, stop: float = math.inf) 
 
 
 def _objective_core(g: SystemMap, targets: np.ndarray, ys: np.ndarray, N: int, mode: str,
-                    stop: float = math.inf, bounds=None) -> np.ndarray:
+                    stop: float = math.inf, table=None) -> np.ndarray:
     """The objective of ys: a value at or below ``stop`` is exact, one above it may be a lower bound.
 
     ``targets`` is ``_fold_targets``' output for this N and mode.  Pointwise
@@ -367,7 +367,7 @@ def _objective_core(g: SystemMap, targets: np.ndarray, ys: np.ndarray, N: int, m
     backward) with ``_fold_objective``, one point in Python floats where its
     map allows (``_orbit_steps``).  The weak and orbital modes fold blocks of
     FOLD_BLOCK points with ``_set_fold``: several points with the
-    ``sq_dist_bounds`` table, which ``bounds`` returns (built here when
+    ``sq_dist_bounds`` table of these targets, ``table`` (built here when
     None), and one point with none.
     """
     scalar = ys.ndim == 1
@@ -375,7 +375,7 @@ def _objective_core(g: SystemMap, targets: np.ndarray, ys: np.ndarray, N: int, m
     if mode == "pointwise":
         sq = _fold_objective(targets, _orbit_steps(g, Y, N), len(Y), stop)
     else:
-        table = None if len(Y) == 1 else bounds() if bounds is not None else sq_dist_bounds(targets, FOLD_BLOCK)
+        table = None if len(Y) == 1 else sq_dist_bounds(targets, FOLD_BLOCK) if table is None else table
         sq = np.concatenate([_set_fold(g, targets, B, N, mode, stop, table)
                              for B in np.split(Y, range(FOLD_BLOCK, len(Y), FOLD_BLOCK))])
     out = np.sqrt(sq)
@@ -404,9 +404,7 @@ def _set_fold(g: SystemMap, targets: np.ndarray, Y: np.ndarray, N: int, mode: st
     fold holds the (points, targets) minimum, shrunk in place to the live
     rows, and one block's distances.
     """
-    pos = np.empty((2 * N + 1,) + Y.shape)
-    for i, z in _orbit_steps(g, Y, N):
-        pos[i] = z
+    pos = _orbit_array(g, Y, N)
     todo = np.arange(len(Y))
     if table is None:
         out = sq_dist_array(pos[:, :, None, :], targets).min(axis=2).max(axis=0)
@@ -445,19 +443,6 @@ def _set_fold(g: SystemMap, targets: np.ndarray, Y: np.ndarray, N: int, mode: st
             rmin = rmin[:len(todo)]
     out[todo] = np.maximum(out[todo], rmin.max(axis=1))
     return out
-
-
-def _once(build):
-    """A function returning build(), called on its first call only and shared by every thread."""
-    lock, built = threading.Lock(), []
-
-    def get():
-        with lock:
-            if not built:
-                built.append(build())
-        return built[0]
-
-    return get
 
 
 def tracking_objective(g: SystemMap, targets, ys, N: int):
@@ -500,8 +485,6 @@ def horizon_lipschitz_bound(g: SystemMap, N: int) -> float:
             L = float(_spectral_norm_batch(powers).max(initial=1.0))
         return L if math.isfinite(L) else math.inf
     lip = max(g.lip_forward, g.lip_backward, 1.0)
-    if lip == 1.0:
-        return 1.0
     if N * math.log(lip) > LIP_CAP:
         return math.inf
     return lip ** N
@@ -561,8 +544,7 @@ def _cover(objective, dim: int, G: int, eps: float, lip, threads: int, counters:
     value at level G.  The binding cell is the leaf of least margin (ties go
     to the coarser level, then the lower index); the points of the last level
     evaluated are all leaves.  A first level of more than UNBOUNDED_GRID_CAP
-    points raises ValueError before anything is allocated: a grid is refused
-    only when a covering would walk it, never by a check a candidate settles.
+    points raises ValueError before anything is allocated.
 
     The objective takes ``stop``: a value at or below stop is exact, one
     above it may be a lower bound (``_objective_core``).  Lattice points are
@@ -663,31 +645,6 @@ def _certify(gmin: float, cover: float, lip, eps: float):
     return "inconclusive", "grid too coarse to certify at this Lipschitz bound"
 
 
-def _search(objective, dim: int, eps: float, grid_step: float, candidates, lip_bound: float,
-            threads: int, counters: dict):
-    """Candidate pass, then covering, then certificate. Returns verdict fields.
-
-    A grid too fine for ``_cover`` is refused only if no candidate tracks.
-    An infinite ``lip_bound`` is recorded as None: no usable bound.
-    """
-    hit = _candidate_pass(objective, candidates, eps, counters)
-    grid = {}
-    if hit is None:
-        G = max(1, int(round(1.0 / grid_step)))
-        cap = G if math.isfinite(lip_bound) else int(UNBOUNDED_GRID_CAP ** (1.0 / dim))
-        coarsened = f"grid coarsened to {cap} per axis without a Lipschitz bound; " if G > cap else ""
-        G = min(G, cap)
-        hit, gmin, cover = _cover(objective, dim, G, eps, lip_bound, threads, counters)
-        grid = {"min_over_grid": gmin, "grid_step": cover}
-        if hit is None:
-            outcome, note = _certify(gmin, cover, lip_bound, eps)
-            return {"outcome": outcome, "note": coarsened + note,
-                    "lipschitz_bound": lip_bound if math.isfinite(lip_bound) else None, **grid}
-    pt, v, note = hit
-    return {"outcome": "tracked", "witness": TorusPoint.from_array(pt), "achieved": v,
-            "note": note, **grid}
-
-
 # ---------------------------------------------------------------------------
 # Checkers
 # ---------------------------------------------------------------------------
@@ -738,8 +695,8 @@ def _run_check(property_name: str, f: SystemMap, m: MethodSpec, x, eps: float,
         raise ValueError(f"eps must be finite and positive, got {eps}")
     if N < 1:
         raise ValueError("N must be at least 1")
-    if grid_step <= 0:
-        raise ValueError("grid_step must be positive")
+    if not (math.isfinite(grid_step) and grid_step > 0):
+        raise ValueError(f"grid_step must be finite and positive, got {grid_step}")
     if f.dim != m.target.dim:
         raise ValueError("method was built for a map of a different dimension")
     counters = counters if counters is not None else {}
@@ -760,10 +717,29 @@ def _run_check(property_name: str, f: SystemMap, m: MethodSpec, x, eps: float,
     candidates = itertools.chain([("anchor", x0)], [("seed", _as_coords(s, f.dim, "seed")) for s in seeds],
                                  _solver_candidate(driver, targets, m.delta, counters))
     T = _fold_targets(targets, N, mode)
-    objective = partial(_objective_core, driver, T, N=N, mode=mode,
-                        bounds=_once(partial(sq_dist_bounds, T, FOLD_BLOCK)))
-    fields = _search(objective, f.dim, eps, grid_step, candidates, horizon_lipschitz_bound(driver, N),
-                     workers, counters)
+    objective = partial(_objective_core, driver, T, N=N, mode=mode)
+    hit = _candidate_pass(objective, candidates, eps, counters)
+    fields = {}
+    if hit is None:
+        # Only the covering needs the horizon bound and the set modes' bound table,
+        # and only it refuses a grid too fine to walk.  An infinite bound is
+        # recorded as lipschitz_bound None: no usable bound.
+        lip = horizon_lipschitz_bound(driver, N)
+        if mode != "pointwise":
+            objective = partial(objective, table=sq_dist_bounds(T, FOLD_BLOCK))
+        G = max(1, int(round(1.0 / grid_step)))
+        cap = G if math.isfinite(lip) else int(UNBOUNDED_GRID_CAP ** (1.0 / f.dim))
+        coarsened = f"grid coarsened to {cap} per axis without a Lipschitz bound; " if G > cap else ""
+        G = min(G, cap)
+        hit, gmin, cover = _cover(objective, f.dim, G, eps, lip, workers, counters)
+        fields = {"min_over_grid": gmin, "grid_step": cover}
+        if hit is None:
+            outcome, note = _certify(gmin, cover, lip, eps)
+            fields.update(outcome=outcome, note=coarsened + note,
+                          lipschitz_bound=lip if math.isfinite(lip) else None)
+    if hit is not None:
+        pt, v, note = hit
+        fields.update(outcome="tracked", witness=TorusPoint.from_array(pt), achieved=v, note=note)
     return ShadowVerdict(
         property_name=property_name,
         epsilon=float(eps),

@@ -73,6 +73,10 @@ SHEAR_MATRIX = ((1, 0), (1, 1))
 # Largest inverse-roundtrip and volume defects a constructed map may show on the probe grid.
 _ROUNDTRIP_TOL = 1e-9
 _VOLUME_TOL = 1e-9
+# Deepest nesting of objects and arrays a map descriptor may use: building a
+# map recurses through it, two frames a level where it is copied.
+_DESCRIPTOR_DEPTH = 200
+_TOO_DEEP = f"JSON descriptor is nested too deeply: at most {_DESCRIPTOR_DEPTH} levels of objects and arrays"
 
 
 class ConstructionError(ValueError):
@@ -576,10 +580,16 @@ def map_to_descriptor(m: SystemMap) -> dict:
 def map_from_descriptor(d: dict) -> SystemMap:
     """Rebuild a map from its descriptor.  Inverse of :func:`map_to_descriptor`.
 
-    A descriptor that lacks a key its kind needs, or holds a value of the
-    wrong type, raises ValueError naming the kind; a descriptor that is not a
-    dict raises TypeError.
+    A descriptor nested deeper than _DESCRIPTOR_DEPTH levels of objects and
+    arrays raises ValueError before any map is built.  One that lacks a key
+    its kind needs, or holds a value of the wrong type, raises ValueError
+    naming the kind; a descriptor that is not a dict raises TypeError.
     """
+    depth, level = 0, [d]
+    while level := [c for c in level if isinstance(c, (dict, list))]:
+        depth, level = depth + 1, [v for c in level for v in (c.values() if isinstance(c, dict) else c)]
+    if depth > _DESCRIPTOR_DEPTH:
+        raise ValueError(f"{_TOO_DEEP}, got {depth}")
     if not isinstance(d, dict):
         raise TypeError(f"a map descriptor is a JSON object, got {d!r}")
     kind = d.get("kind")

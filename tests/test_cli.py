@@ -20,10 +20,11 @@ from shadowlab import (
     cat_map,
     make_conservative_perturbation,
     make_translation_method_map,
+    map_from_descriptor,
     method_from_map,
     shear_map,
 )
-from shadowlab import cli
+from shadowlab import cli, systems
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -436,17 +437,32 @@ def test_an_over_deep_descriptor_exits_two_naming_the_nesting(flag, levels, got,
     rc, out, err = run_cli(argv, capsys)
     assert (rc, out) == (2, "")
     assert err == ("shadowlab: error: JSON descriptor is nested too deeply: "
-                   f"at most {cli._DESCRIPTOR_DEPTH} levels of objects and arrays{got}\n")
+                   f"at most {systems._DESCRIPTOR_DEPTH} levels of objects and arrays{got}\n")
 
 
 def test_a_descriptor_at_the_nesting_limit_is_read():
-    levels = cli._DESCRIPTOR_DEPTH - 3  # the matrix adds three levels
-    d = cli._load_descriptor(_nested_translate(levels))
-    for _ in range(levels):
-        d = d["base"]
-    assert d == {"kind": "linear", "matrix": [[1, 0], [1, 1]]}
-    with pytest.raises(ValueError, match=r", got 201$"):
-        cli._load_descriptor(_nested_translate(levels + 1))
+    # a key the linear kind ignores carries the nesting, so the limit is reached without a chain to build
+    def shear_with_nesting(depth):
+        note = []
+        for _ in range(depth - 2):
+            note = [note]
+        return {"kind": "linear", "matrix": [[1, 0], [1, 1]], "note": note}
+
+    limit = systems._DESCRIPTOR_DEPTH
+    assert np.array_equal(map_from_descriptor(shear_with_nesting(limit)).linear_part, [[1, 0], [1, 1]])
+    with pytest.raises(ValueError, match=rf"levels of objects and arrays, got {limit + 1}$"):
+        map_from_descriptor(shear_with_nesting(limit + 1))
+
+
+def test_a_translate_chain_past_the_nesting_limit_is_refused_before_any_map_is_built(monkeypatch):
+    def no_build(*args, **kwargs):
+        raise AssertionError("a map was built")
+
+    monkeypatch.setattr(systems, "make_linear", no_build)
+    monkeypatch.setattr(systems, "make_translation_method_map", no_build)
+    d = json.loads(_nested_translate(systems._DESCRIPTOR_DEPTH - 2))  # the matrix adds three levels
+    with pytest.raises(ValueError, match=rf", got {systems._DESCRIPTOR_DEPTH + 1}$"):
+        map_from_descriptor(d)
 
 
 # --- the 3-torus -------------------------------------------------------------

@@ -585,16 +585,17 @@ def test_weak_check_whose_anchor_tracks_never_builds_the_table(monkeypatch):
     assert counters == {"candidate_evaluations": 1}
 
 
-@pytest.mark.parametrize("prop", ["weak", "orbital"])
+@pytest.mark.parametrize("prop", ["direct", "inverse", "weak", "orbital"])
 def test_a_set_check_settled_by_a_newton_candidate_never_builds_the_table(monkeypatch, prop):
-    """The golden check-orbital-cat-perturbed-newton case, and its weak twin.
+    """The golden check-orbital-cat-perturbed-newton case, in all four properties.
 
-    The anchor misses and the Newton solver's point tracks.  Each of the two
-    one-point evaluations is one ``_set_fold`` call with no table, and
-    ``sq_dist_bounds`` is never called.
+    The anchor misses and the Newton solver's point tracks, so the covering
+    never runs: neither its horizon Lipschitz bound nor, in the set modes,
+    its bound table is computed.  There each of the two one-point
+    evaluations is one ``_set_fold`` call with no table.
     """
-    def no_table(*args, **kwargs):
-        raise AssertionError("the bound table was built")
+    def covering_only(*args, **kwargs):
+        raise AssertionError("a covering input was computed")
 
     fold, folds = shadowing._set_fold, []
 
@@ -602,16 +603,16 @@ def test_a_set_check_settled_by_a_newton_candidate_never_builds_the_table(monkey
         folds.append((len(Y), mode, stop, table))
         return fold(g, targets, Y, N, mode, stop, table)
 
-    monkeypatch.setattr(shadowing, "sq_dist_bounds", no_table)
+    monkeypatch.setattr(shadowing, "sq_dist_bounds", covering_only)
+    monkeypatch.setattr(shadowing, "horizon_lipschitz_bound", covering_only)
     monkeypatch.setattr(shadowing, "_set_fold", counted_fold)
     f = cat_map()
     m = cli.parse_method_spec("perturb:shear-sin:0.001", f, 30, 0)
-    check = check_weak_inverse if prop == "weak" else check_orbital_inverse
     counters = {}
-    v = check(f, m, (0.2, 0.3), eps=0.1, N=30, grid_step=1 / 64, threads=1, counters=counters)
+    v = cli._CHECKERS[prop](f, m, (0.2, 0.3), eps=0.1, N=30, grid_step=1 / 64, threads=1, counters=counters)
     assert v.outcome == "tracked" and v.note == "witness from newton solver"
     assert counters["candidate_evaluations"] == 2 and "grid_points" not in counters
-    assert folds == [(1, prop, 0.1, None)] * 2
+    assert folds == ([(1, prop, 0.1, None)] * 2 if prop in ("weak", "orbital") else [])
 
 
 @pytest.mark.parametrize("prop", ["weak", "orbital"])
@@ -1342,6 +1343,9 @@ def test_checker_input_gates():
         check_inverse_shadowing(f, m, (0.2, 0.3), 0.1, 0)
     with pytest.raises(ValueError):
         check_inverse_shadowing(f, m, (0.2, 0.3), 0.1, 5, grid_step=0.0)
+    for bad in (math.nan, math.inf):  # refused although the anchor tracks
+        with pytest.raises(ValueError, match=rf"^grid_step must be finite and positive, got {bad}$"):
+            check_inverse_shadowing(f, m, (0.2, 0.3), 0.1, 5, grid_step=bad)
     with pytest.raises(ValueError):
         check_inverse_shadowing(f, m, (0.2,), 0.1, 5)
     c1 = circle_identity()

@@ -6,16 +6,22 @@ shadowing (the true orbit of x is tracked by some method orbit), weak inverse
 shadowing (some method orbit lies in the eps-neighborhood of the orbit of x),
 and orbital inverse shadowing (both one-sided inclusions).
 
-The existential quantifier "there is y" is realized in three stages, which
+The existential quantifier "there is y" is realized in phases, which
 ``_run_check`` runs in order: a candidate pass over explicit points (the
 anchor, caller-provided seeds, then the Newton solver's output, computed only
 if those miss, then, for a non-affine driver, that output polished by further
-Newton steps), a covering, and a certifier that, when nothing tracked,
-issues a Lipschitz covering certificate or says why none holds.  Only a
-check whose candidates all miss computes the horizon Lipschitz bound.  Every
-objective takes a stop: a value at or below it is exact, and one above it
-may be a lower bound.  Two folds compute them: ``_fold_objective`` the
-pointwise objective, ``_set_fold`` the weak and orbital ones.  A candidate
+Newton steps); in the weak and orbital modes of an affine driver with linear
+part B, a covering of each circle factor t = w.y, w an integer vector of the
+kernel of B^T -+ I (``_circle_covering``); a covering of the torus; and a
+certifier that, when nothing tracked, issues a Lipschitz covering certificate
+or says why none holds.  The circle's projected objective is a lower bound
+of the weak value, so a circle certificate is a certificate for every y,
+while a circle point under eps proves nothing and the torus covering
+follows.  Only a check that reaches the torus covering computes the horizon
+Lipschitz bound.  Every objective takes a stop: a value at or below it is
+exact, and one above it may be a lower bound.  Two folds compute the torus
+objectives: ``_fold_objective`` the pointwise objective, ``_set_fold`` the
+weak and orbital ones.  A candidate
 is evaluated with stop = eps: a hit gets its exact value, and a pointwise
 candidate that misses quits its lazy, orbit-order walk within one step block
 past eps, since a lower bound above eps settles it.  The covering walks
@@ -31,8 +37,8 @@ Lipschitz bound): a value above it already settles its cell and can never
 bind (the cut-off test of interval branch and bound, after Hansen and
 Walster).  A pointwise block
 of lattice points ends its walk once every point has passed stop.  In the
-weak and orbital modes a check whose candidates all miss builds, before its
-covering, a table of lower and upper bounds on the squared distance from each
+weak and orbital modes a check that reaches the torus covering builds, before
+it, a table of lower and upper bounds on the squared distance from each
 cell of the phase space to the targets (``geometry.sq_dist_bounds``).  A
 point whose largest lower bound over its orbit steps passes stop is settled
 by that bound; the others fold the weak value exactly over only the steps
@@ -48,8 +54,11 @@ the binding cell is chosen among exact values.
 On failed and inconclusive records, ``min_over_grid`` and ``grid_step`` are
 the value and covering diameter (per-axis spacing times sqrt(dim)) of the
 binding cell, the final cell of least margin, so the record alone restates
-the certificate inequality or shows where it fails.  The ``grid_points``
-counter counts lattice points evaluated.  A missing Lipschitz bound is
+the certificate inequality or shows where it fails.  A circle certificate
+records ``certificate`` "circle" and its ``functional`` w, and its binding
+cell, grid step and Lipschitz bound 1/|w| are the circle's.  The
+``grid_points`` counter counts lattice points evaluated, and the circle
+points of a circle certificate.  A missing Lipschitz bound is
 math.inf: no covering level fits, so the covering is one sweep of the
 requested lattice, coarsened to at most UNBOUNDED_GRID_CAP points, with a
 note.  Candidates are evaluated through the check's driver map: f for
@@ -67,6 +76,7 @@ one.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 import os
@@ -79,7 +89,7 @@ import numpy as np
 from .geometry import (TorusPoint, bound_cells, dist_array, lattice_points, reduce_to_unit, sq_dist_array,
                        sq_dist_bounds, wrap_to_half)
 from .orbits import TRUE_ORBIT_DELTA, MethodSpec, PseudoOrbit, _as_coords, _orbit_array, _orbit_steps, orbit_segment
-from .systems import LinearAutomorphism, SystemMap, _spectral_norm_batch
+from .systems import LinearAutomorphism, SystemMap, _integer_kernel, _spectral_norm_batch
 
 __all__ = [
     "ShadowVerdict",
@@ -114,7 +124,9 @@ REFINE_FACTOR = 8
 # takes up to STEP_BLOCK consecutive steps at once, fewer where they would
 # pass this many point-steps (point-step-targets in the set modes); the exact
 # steps of a bounded set fold and the rows of its bound table are taken in
-# blocks of at most this many pairs or cells against all targets.
+# blocks of at most this many pairs or cells against all targets.  A circle
+# walk takes at most this many points, and FOLD_BLOCK * STEP_BLOCK
+# point-targets, a step.
 FOLD_BLOCK = 2048
 STEP_BLOCK = 32
 
@@ -145,6 +157,8 @@ class ShadowVerdict:
     "tracked" carries a witness with achieved < epsilon.  "failed" is a proof:
     its binding cell and Lipschitz bound satisfy the covering inequality.
     ``certified`` and ``reason`` are derived from these fields, never stored.
+    A failed verdict proved on a circle factor names ``certificate`` "circle"
+    and its integer ``functional`` w; its cell and bound are then the circle's.
     """
 
     property_name: str
@@ -160,6 +174,8 @@ class ShadowVerdict:
     grid_step: float | None = None
     lipschitz_bound: float | None = None
     note: str = ""
+    certificate: str | None = None
+    functional: tuple | None = None
 
     def __post_init__(self):
         if self.outcome not in ("tracked", "failed", "inconclusive"):
@@ -172,6 +188,9 @@ class ShadowVerdict:
                 None in (self.min_over_grid, self.grid_step, self.lipschitz_bound)
                 or _certify(self.min_over_grid, self.grid_step, self.lipschitz_bound, self.epsilon)[0] != "failed"):
             raise ValueError("failed verdicts require a holding covering certificate")
+        if (self.certificate is None) != (self.functional is None) or (
+                self.certificate is not None and (self.certificate != "circle" or self.outcome != "failed")):
+            raise ValueError("only a failed verdict names a certificate, \"circle\" with its functional")
 
     @property
     def certified(self) -> bool | None:
@@ -198,9 +217,12 @@ class ShadowVerdict:
         }
         if self.witness is not None:
             rec["witness"] = [float(v) for v in self.witness.coords]
-        for key in ("achieved", "min_over_grid", "grid_step", "lipschitz_bound", "certified", "reason"):
+        for key in ("achieved", "min_over_grid", "grid_step", "lipschitz_bound", "certified", "reason",
+                    "certificate"):
             if getattr(self, key) is not None:
                 rec[key] = getattr(self, key)
+        if self.functional is not None:
+            rec["functional"] = list(self.functional)
         if self.note:
             rec["note"] = self.note
         return rec
@@ -646,6 +668,122 @@ def _certify(gmin: float, cover: float, lip, eps: float):
 
 
 # ---------------------------------------------------------------------------
+# Circle factors of affine drivers
+# ---------------------------------------------------------------------------
+
+def _circle_functionals(B) -> list:
+    """(sign, w) with w B = sign w: each basis vector w of the integer kernel of B^T - sign I, sign +1 then -1."""
+    Bt = np.asarray(B).T.tolist()
+    return [(sign, w) for sign in (1, -1)
+            for w in _integer_kernel([[v - sign * (i == j) for j, v in enumerate(row)] for i, row in enumerate(Bt)])]
+
+
+def _circle_objective(g: SystemMap, targets: np.ndarray, N: int, sign: int, w: list):
+    """The projected objective V_w of the circle factor t = w.y of g, and its Lipschitz bound 1/|w|.
+
+    With w B = sign w and v = g(0), the affine map y -> B y + v acts on t by
+    the circle map t -> sign * t + w.v, whose orbit of t is the projection
+    of the orbit of every y with w.y = t.  V_w(t) is the largest distance
+    from a point of that orbit, |k| <= N, to the projected targets w.T_j,
+    over |w|.  As |wrap(w.(a - b))| <= |w| d(a, b), V_w(w.y) is a lower bound
+    of the weak value of y, and so of its orbital value, and V_w is
+    (1/|w|)-Lipschitz in t.  The returned bound is 1/|w| rounded up.
+
+    Points are walked in float, in blocks of at most FOLD_BLOCK points and
+    FOLD_BLOCK * STEP_BLOCK point-targets, with one (points, targets)
+    distance call a step: each distance is then within 2N + 1 units of
+    2**-53 of its exact value, and so is the running max.  A point whose max
+    less that error is above ``stop`` gets it as a lower bound.  The others
+    walk again in exact integer arithmetic, every input being a dyadic
+    rational, with each step's distance taken to its two neighbours among
+    the sorted projected targets.  Their value is V_w(t) rounded down: with
+    |w| = 1 exact wherever V_w(t) is a float, else within a few ulps.
+    """
+    dim = g.dim
+    v = g.forward(np.zeros((1, dim)))[0]
+    ratios = [x.as_integer_ratio() for x in np.concatenate([v, targets.ravel()]).tolist()]
+    P = max(den.bit_length() for _, den in ratios) - 1
+    one = 1 << P
+    fixed = [num << (P + 1 - den.bit_length()) for num, den in ratios]  # each input times 2**P
+    A = sum(a * b for a, b in zip(w, fixed[:dim])) % one
+    Q = sorted({sum(a * b for a, b in zip(w, fixed[i:i + dim])) % one for i in range(dim, len(fixed), dim)})
+    a_f, q_f = A / one, np.array([q / one for q in Q])[:, None]
+    tol = (2 * N + 4) * 2.0 ** -53
+    size = max(1, min(FOLD_BLOCK, FOLD_BLOCK * STEP_BLOCK // len(Q)))
+    norm2 = sum(a * a for a in w)
+    norm = math.sqrt(norm2)
+
+    def down(x):
+        """x / |w| rounded down: the quotient rounds to within two ulps."""
+        return x if norm2 == 1 else np.nextafter(np.nextafter(x / norm, 0.0), 0.0)
+
+    def exact(t: float) -> float:
+        """|w| V_w(t) rounded down to a float, from an integer walk over 2**Pt."""
+        num, den = t.as_integer_ratio()
+        Pt = max(P, den.bit_length() - 1)
+        whole, shift = 1 << Pt, Pt - P
+        Qt, At = [q << shift for q in Q], A << shift
+
+        def gap(x):
+            i = bisect.bisect(Qt, x)
+            return min((x - Qt[i - 1]) % whole, (Qt[i % len(Qt)] - x) % whole)
+
+        x = y = num << (Pt + 1 - den.bit_length())
+        D = gap(x)
+        for _ in range(N):
+            x, y = (sign * x + At) % whole, sign * (y - At) % whole
+            D = max(D, gap(x), gap(y))
+        cut = max(D.bit_length() - 53, Pt - 1074, 0)  # floor to a float, subnormals included
+        return math.ldexp(D >> cut, cut - Pt)
+
+    def walk(t: np.ndarray) -> np.ndarray:
+        """The float V_w(t) |w| of a block of points, stepping both ways from t."""
+        def dist(z):
+            return dist_array(z[:, None, None], q_f).min(axis=1)
+
+        run = dist(t)
+        x = y = t
+        for _ in range(N):
+            x, y = reduce_to_unit(sign * x + a_f), reduce_to_unit(sign * (y - a_f))
+            np.maximum(run, np.maximum(dist(x), dist(y)), out=run)
+        return run
+
+    def objective(ts, stop: float = math.inf) -> np.ndarray:
+        t = np.asarray(ts, dtype=float)[:, 0]
+        out = down(np.maximum(np.concatenate([walk(b) for b in np.split(t, range(size, len(t), size))]) - tol, 0.0))
+        for i in np.flatnonzero(out <= stop):
+            out[i] = down(exact(float(t[i])))
+        return out
+
+    lip = 1.0 if norm2 == 1 else math.nextafter(math.nextafter(1.0 / norm, math.inf), math.inf)
+    return objective, lip
+
+
+def _circle_covering(driver: SystemMap, T: np.ndarray, N: int, G: int, eps: float, threads: int,
+                     counters: dict) -> dict:
+    """A failed verdict's fields from a covering of a circle factor of the affine driver, or {}.
+
+    Each (sign, w) of ``_circle_functionals`` in turn gets ``_cover`` on the
+    circle (dim 1) at the check's grid with ``_circle_objective``.  A hit
+    there proves nothing, so only a holding certificate is used: its
+    min_over_grid, grid_step and lipschitz_bound are the circle's, and the
+    circle points evaluated join ``grid_points``.  When no w certifies, the
+    counters are left as they were.
+    """
+    tried = {}
+    for sign, w in _circle_functionals(driver.linear_part):
+        objective, lip = _circle_objective(driver, T, N, sign, w)
+        hit, gmin, cover = _cover(objective, 1, G, eps, lip, threads, tried)
+        outcome, note = _certify(gmin, cover, lip, eps)
+        if hit is None and outcome == "failed":
+            for key, n in tried.items():
+                counters[key] = counters.get(key, 0) + n
+            return {"outcome": outcome, "note": note, "min_over_grid": gmin, "grid_step": cover,
+                    "lipschitz_bound": lip, "certificate": "circle", "functional": tuple(w)}
+    return {}
+
+
+# ---------------------------------------------------------------------------
 # Checkers
 # ---------------------------------------------------------------------------
 
@@ -719,15 +857,20 @@ def _run_check(property_name: str, f: SystemMap, m: MethodSpec, x, eps: float,
     T = _fold_targets(targets, N, mode)
     objective = partial(_objective_core, driver, T, N=N, mode=mode)
     hit = _candidate_pass(objective, candidates, eps, counters)
+    G = max(1, int(round(1.0 / grid_step)))
     fields = {}
-    if hit is None:
-        # Only the covering needs the horizon bound and the set modes' bound table,
-        # and only it refuses a grid too fine to walk.  An infinite bound is
+    if hit is None and mode != "pointwise" and driver.linear_part is not None and G <= UNBOUNDED_GRID_CAP:
+        # A set-mode check of an affine driver first covers its circle factors.  A grid
+        # past the cap per axis, whose first circle level _cover could refuse, is left
+        # to the torus covering.
+        fields = _circle_covering(driver, T, N, G, eps, workers, counters)
+    if hit is None and not fields:
+        # Only the torus covering needs the horizon bound and the set modes' bound
+        # table, and only it refuses a grid too fine to walk.  An infinite bound is
         # recorded as lipschitz_bound None: no usable bound.
         lip = horizon_lipschitz_bound(driver, N)
         if mode != "pointwise":
             objective = partial(objective, table=sq_dist_bounds(T, FOLD_BLOCK))
-        G = max(1, int(round(1.0 / grid_step)))
         cap = G if math.isfinite(lip) else int(UNBOUNDED_GRID_CAP ** (1.0 / f.dim))
         coarsened = f"grid coarsened to {cap} per axis without a Lipschitz bound; " if G > cap else ""
         G = min(G, cap)

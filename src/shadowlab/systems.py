@@ -99,16 +99,22 @@ def _spectral_norm_batch(M) -> np.ndarray:
         return np.abs(M[..., 0, 0])
     if n > 2:
         return np.linalg.norm(M, 2, axis=(-2, -1))
-    # Exact scaling by 2**-e to a largest entry in [1/2, 1): s * s cannot overflow, and bits
+    # Where a largest entry lies outside [2**-200, 2**200], s * s could over- or underflow:
+    # there the stack is scaled exactly by 2**-e to a largest entry in [1/2, 1).  Bits
     # move only where the unscaled or the scaled form over- or underflows.
-    e = np.frexp(np.abs(M).max(axis=(-2, -1), keepdims=True))[1]
-    M = np.ldexp(M, -e)
+    top = np.abs(M).max(axis=(-2, -1))
+    lo, hi = (top.min(), top.max()) if top.ndim else (float(top),) * 2  # a 0-d reduction costs microseconds
+    scale = not (2.0 ** -200 <= lo and hi <= 2.0 ** 200)
+    if scale:
+        e = np.frexp(top)[1]
+        M = np.ldexp(M, -e[..., None, None])
     a, b = M[..., 0, 0], M[..., 0, 1]
     c, d = M[..., 1, 0], M[..., 1, 1]
     s = a * a + b * b + c * c + d * d
     det = a * d - b * c
     disc = np.maximum(s * s - 4.0 * det * det, 0.0)
-    return np.ldexp(np.sqrt(0.5 * (s + np.sqrt(disc))), e[..., 0, 0])
+    norm = np.sqrt(0.5 * (s + np.sqrt(disc)))
+    return np.ldexp(norm, e) if scale else norm
 
 
 def _check_int64(v, role: str) -> None:
@@ -116,33 +122,67 @@ def _check_int64(v, role: str) -> None:
         raise ConstructionError(f"{role} entry {v} does not fit a 64-bit integer")
 
 
+def _bareiss(M: list, ncols: int) -> tuple[list, int, int]:
+    """Fraction-free Gauss-Jordan (Bareiss) on the integer rows M over its first ncols columns, in place.
+
+    Each update is divided exactly by the last pivot, and a column with no
+    nonzero entry left below the pivot rows is skipped.  Returns (pivot
+    columns, sign of the row swaps, last pivot d): each pivot row then holds
+    d at its own pivot column and 0 at the other pivot columns.
+    """
+    pivots, sign, prev = [], 1, 1
+    for k in range(ncols):
+        r = len(pivots)
+        p = next((p for p in range(r, len(M)) if M[p][k]), None)
+        if p is None:
+            continue
+        if p != r:
+            M[r], M[p], sign = M[p], M[r], -sign
+        row = M[r]
+        pivot = row[k]
+        for i in range(len(M)):
+            a = M[i][k]
+            if i != r and (a or pivot != prev):  # a row that neither term changes stays as it is
+                M[i] = [(pivot * x - a * y) // prev for x, y in zip(M[i], row)]
+        prev = pivot
+        pivots.append(k)
+    return pivots, sign, prev
+
+
 def _det_and_inverse(rows: list) -> tuple[int, list | None]:
     """(det A, A^-1 if |det A| = 1 else None) of a square integer matrix, in Python integers.
 
-    Fraction-free Gauss-Jordan on [A | I] (Bareiss), each update divided exactly
-    by the last pivot, ends with d * I | d * A^-1, d = +-det A by the row swaps.
+    ``_bareiss`` on [A | I] ends with d * I | d * A^-1, d = +-det A by the row swaps.
     """
     n = len(rows)
-    M = [r + [0] * n for r in rows]
-    for i in range(n):
-        M[i][n + i] = 1
-    sign = prev = 1
-    for k in range(n):
-        for p in range(k, n):
-            if M[p][k]:
-                break
-        else:
-            return 0, None
-        if p != k:
-            M[k], M[p], sign = M[p], M[k], -sign
-        row = M[k]
-        pivot = row[k]
-        for i in range(n):
-            a = M[i][k]
-            if i != k and (a or pivot != prev):  # a row that neither term changes stays as it is
-                M[i] = [(pivot * x - a * y) // prev for x, y in zip(M[i], row)]
-        prev = pivot
-    return sign * prev, [r[n:] if prev == 1 else [-v for v in r[n:]] for r in M] if abs(prev) == 1 else None
+    M = [r + [int(i == j) for j in range(n)] for i, r in enumerate(rows)]
+    pivots, sign, d = _bareiss(M, n)
+    if len(pivots) < n:
+        return 0, None
+    return sign * d, [r[n:] if d == 1 else [-v for v in r[n:]] for r in M] if abs(d) == 1 else None
+
+
+def _integer_kernel(rows: list) -> list[list[int]]:
+    """Primitive integer vectors spanning the kernel of an integer matrix, one per column without a pivot.
+
+    From ``_bareiss``: free column f gives d at f and minus each pivot row's
+    entry at f at that row's pivot column, divided by the entries' gcd and
+    signed so that its first nonzero entry is positive.
+    """
+    M = [list(r) for r in rows]
+    n = len(M[0])
+    pivots, _, d = _bareiss(M, n)
+    basis = []
+    for f in range(n):
+        if f in pivots:
+            continue
+        v = [0] * n
+        v[f] = d
+        for r, p in enumerate(pivots):
+            v[p] = -M[r][f]
+        g = math.gcd(*v) * (1 if next(x for x in v if x) > 0 else -1)
+        basis.append([x // g for x in v])
+    return basis
 
 
 @dataclass(frozen=True, eq=False)

@@ -491,6 +491,30 @@ def test_a_drift_on_the_3_torus_identity_is_certified(prop, capsys):
     assert record["note"] == "covering certificate holds"
 
 
+_ID_X_CAT = ["--system", "linear:1,0,0,0,2,1,0,1,1", "--method", "translate:0.01",
+             "--x", "0.2,0.3,0.4", "--eps", "0.1", "--N", "25", "--grid", "32"]
+
+
+@pytest.mark.parametrize("prop", ["weak", "orbital"])
+def test_a_drift_of_id_x_cat_is_certified_on_its_circle_factor(prop, capsys):
+    """The neutral first axis of id x cat on the 3-torus carries the drift: w = (1, 0, 0)."""
+    rc, out, _ = run_cli(["check", prop, *_ID_X_CAT, "--timings"], capsys)
+    record = json.loads(out)
+    assert rc == 3
+    assert (record["outcome"], record["certificate"], record["functional"]) == ("failed", "circle", [1, 0, 0])
+    assert (record["min_over_grid"], record["grid_step"], record["lipschitz_bound"]) == (0.45, 0.5, 1.0)
+    assert record["timings"]["grid_points"] == 2
+
+
+def test_an_inverse_check_of_id_x_cat_stays_inconclusive():
+    """Pointwise checks take no circle covering yet, so the torus covering's grid is too coarse."""
+    f = cli.parse_system_spec(_ID_X_CAT[1])
+    m = cli.parse_method_spec(_ID_X_CAT[3], f, 25, 0)
+    v = cli._CHECKERS["inverse"](f, m, (0.2, 0.3, 0.4), 0.1, 25, grid_step=1 / 32, threads=2)
+    assert (v.outcome, v.reason, v.certificate) == ("inconclusive", "grid", None)
+    assert cli.main(["check", "inverse", *_ID_X_CAT, "--out", os.devnull]) == 4
+
+
 @pytest.mark.parametrize("spec, message", [
     ("linear:1,0,0,0,1,0,0,0,2", "|det| must be 1 for an invertible torus map, got det = 2"),
     ("linear:1,0,0,0,1", "linear spec needs n*n integers, row by row, got 5"),

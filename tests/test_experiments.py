@@ -200,7 +200,8 @@ def test_drift_weak_fails_certified_and_flips_at_wide_eps():
     assert e["check"] == "weak"
     assert e["expected"] == "fail"
     assert e["record"]["certified"] is True
-    assert e["record"]["min_over_grid"] == 0.5
+    assert (e["record"]["certificate"], e["record"]["functional"]) == ("circle", [1, 0])
+    assert e["record"]["min_over_grid"] == 0.25
     assert e["record"]["lipschitz_bound"] == 1.0
     assert r.conclusion == "consistent"
     assert r.systems[0]["row"] == "identity2"
@@ -219,7 +220,8 @@ def test_drift_orbital_neutral_base_fails():
     e = r.verdicts[0]
     assert e["check"] == "orbital"
     assert e["record"]["outcome"] == "failed" and e["record"]["certified"] is True
-    assert e["record"]["min_over_grid"] == 0.5
+    assert (e["record"]["certificate"], e["record"]["functional"]) == ("circle", [1, 0])
+    assert e["record"]["min_over_grid"] == 0.25
     assert r.parameters["base"] == "neutral"
     assert r.conclusion == "consistent"
 

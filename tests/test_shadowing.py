@@ -48,7 +48,7 @@ from shadowlab import (
     weak_objective,
 )
 from shadowlab import cli, shadowing
-from shadowlab.geometry import lattice_points, sq_dist_array, sq_dist_bounds
+from shadowlab.geometry import lattice_points, reduce_to_unit, sq_dist_array, sq_dist_bounds
 from shadowlab.orbits import _orbit_steps
 from shadowlab.shadowing import _cover, _min_norm_newton_step
 from shadowlab.systems import _shift_vector
@@ -492,8 +492,10 @@ def test_objective_core_matches_a_per_step_reference_fold_where_the_reverse_incl
 
 
 def test_orbital_check_stops_the_reverse_inclusion_once_it_cannot_raise_the_value(monkeypatch):
-    """A sweep-set orbital check (seed 0), with the reverse inclusion's distance elements counted.
+    """A sweep-set orbital check (seed 0) on the torus, with the reverse inclusion's distance elements counted.
 
+    The circle covering, which would certify this check first, is switched
+    off, so the torus covering runs as it does where no circle certifies.
     The points that reach the reverse inclusion are those whose weak value is
     at or below stop, found by folding the same points in weak mode.  Folding
     every step would compute (2N+1) * targets elements for each of them; a
@@ -525,6 +527,7 @@ def test_orbital_check_stops_the_reverse_inclusion_once_it_cannot_raise_the_valu
 
     monkeypatch.setattr(shadowing, "_set_fold", counted_fold)
     monkeypatch.setattr(shadowing, "sq_dist_array", counted_dist)
+    monkeypatch.setattr(shadowing, "_circle_covering", lambda *args: {})  # the torus covering's folds
     x = (0.8646777328161376, 0.5735598523880991)
     v = check_orbital_inverse(f, m, x, eps=0.1, N=N, grid_step=1 / 128, threads=1)
     assert v.outcome == "failed"
@@ -617,20 +620,42 @@ def test_a_set_check_settled_by_a_newton_candidate_never_builds_the_table(monkey
 
 @pytest.mark.parametrize("prop", ["weak", "orbital"])
 def test_a_covering_check_builds_the_table_once(monkeypatch, prop):
+    """A drift of the identity along an angle: no circle factor certifies it, the torus covering does.
+
+    Each axis sees about 0.7 of the drift N * delta = 0.25, below eps = 0.2,
+    so both circle coverings find a point under eps and the check falls
+    through to the torus covering, which builds its table once.
+    """
     built = []
 
     def counted(*args, **kwargs):
         built.append(len(args[0]))
         return sq_dist_bounds(*args, **kwargs)
 
-    f = shear_map()
-    m = method_from_map(f, make_translation_method_map(f, 0.01), 25)
+    f = torus_identity()
+    m = cli.parse_method_spec("perturb:translation:0.01:7", f, 25, 0)
     monkeypatch.setattr(shadowing, "sq_dist_bounds", counted)
     check = check_weak_inverse if prop == "weak" else check_orbital_inverse
     counters = {}
-    v = check(f, m, (0.2, 0.3), eps=0.1, N=25, grid_step=1 / 128, threads=2, counters=counters)
-    assert v.outcome == "failed" and counters["grid_points"] > 0
+    v = check(f, m, (0.0, 0.0), eps=0.2, N=25, grid_step=1 / 64, threads=2, counters=counters)
+    assert v.outcome == "failed" and v.certificate is None and counters["grid_points"] > 0
     assert len(built) == 1
+
+
+@pytest.mark.parametrize("prop", ["weak", "orbital"])
+def test_a_circle_certificate_builds_no_table_and_no_horizon_bound(monkeypatch, prop):
+    def torus_only(*args, **kwargs):
+        raise AssertionError("a torus covering input was computed")
+
+    f = shear_map()
+    m = method_from_map(f, make_translation_method_map(f, 0.01), 25)
+    monkeypatch.setattr(shadowing, "sq_dist_bounds", torus_only)
+    monkeypatch.setattr(shadowing, "horizon_lipschitz_bound", torus_only)
+    check = check_weak_inverse if prop == "weak" else check_orbital_inverse
+    counters = {}
+    v = check(f, m, (0.2, 0.3), eps=0.1, N=25, grid_step=1 / 128, threads=2, counters=counters)
+    assert (v.outcome, v.certificate, v.functional, v.lipschitz_bound) == ("failed", "circle", (1, 0), 1.0)
+    assert 0 < counters["grid_points"] < 10
 
 
 def test_missing_anchor_stops_walking_and_the_newton_witness_walks_its_orbit():
@@ -972,12 +997,212 @@ def test_weak_and_orbital_drift_on_the_identity():
         v = check(f, m, (0.0, 0.0), 0.1, 25)
         assert v.outcome == "failed"
         assert v.certified is True
-        assert v.min_over_grid == 0.5
-        assert v.lipschitz_bound == 1.0
+        assert (v.certificate, v.functional) == ("circle", (1, 0))
+        assert v.min_over_grid == 0.25  # 25 * 0.01 in float is 0.25, the exact 25 * fl(0.01) rounded down
+        assert (v.grid_step, v.lipschitz_bound) == (0.25, 1.0)
         loose = check(f, m, (0.0, 0.0), 0.3, 25)
         assert loose.outcome == "tracked"
         assert loose.note == "witness from anchor"
         assert loose.achieved == pytest.approx(0.25, rel=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# circle factors: the projected objective and its certificates
+# ---------------------------------------------------------------------------
+
+# Affine drivers with a circle factor: (system spec, method spec, anchor).
+_CIRCLE_DRIVERS = {
+    "shear": ("shear", "translate:0.01", (0.2, 0.3)),
+    "identity2": ("identity2", "translate:0.01", (0.6, 0.1)),
+    "reflection": ('{"kind":"linear","matrix":[[1,0],[0,-1]]}', "translate:0.01", (0.3, 0.7)),
+    "id-x-cat": ("linear:1,0,0,0,2,1,0,1,1", "translate:0.01", (0.2, 0.3, 0.4)),
+    "swap": ("linear:0,1,1,0", "translate:0.01", (0.2, 0.3)),  # w = (1, 1) and (1, -1): |w| = sqrt(2)
+}
+
+
+@pytest.mark.parametrize("N", [3, 25])
+@pytest.mark.parametrize("mode", ["weak", "orbital"])
+@pytest.mark.parametrize("name", list(_CIRCLE_DRIVERS))
+def test_projected_objective_is_a_lower_bound_of_the_set_values(name, mode, N):
+    """V(y) >= V_w(w.y) at 400 random y, for every functional of the driver.
+
+    V(y) comes from the float orbit of the driver, V_w from the exact affine
+    orbit of its circle factor; the two orbits differ by the driver's float
+    roundings, a few ulps a step, hence the 1e-12.
+    """
+    spec, method, x = _CIRCLE_DRIVERS[name]
+    f = cli.parse_system_spec(spec)
+    g = cli.parse_method_spec(method, f, N, 0).source
+    targets = orbit_segment(f, x, N).as_array()
+    ys = np.random.default_rng(len(name) * N).random((400, f.dim))
+    value = (weak_objective if mode == "weak" else orbital_objective)(g, targets, ys, N)
+    functionals = shadowing._circle_functionals(g.linear_part)
+    assert functionals
+    for sign, w in functionals:
+        objective, lip = shadowing._circle_objective(g, shadowing._fold_targets(targets, N, mode), N, sign, w)
+        norm2 = sum(a * a for a in w)
+        assert lip == 1.0 if norm2 == 1 else Fraction(lip) ** 2 * norm2 > 1 > Fraction(lip * 0.999) ** 2 * norm2
+        ts = reduce_to_unit(ys @ np.array(w, dtype=float))[:, None]
+        projected = objective(ts)
+        assert (value >= projected - 1e-12).all(), (sign, w)
+        assert (objective(ts, stop=0.0) <= projected).all()  # lower bounds above stop
+
+
+def _exact_projected_value(f, g, x, N, sign, w, t) -> Fraction:
+    """|w| V_w(t) in fractions: the circle map walked from t, each point's distance to the projected targets."""
+    a = sum(wi * Fraction(vi) for wi, vi in zip(w, g.forward(np.zeros((1, g.dim)))[0].tolist()))
+    q = {sum(wi * Fraction(ti) for wi, ti in zip(w, T)) for T in orbit_segment(f, x, N).as_array().tolist()}
+
+    def dist(z):
+        return min(abs(z - p - round(z - p)) for p in q)
+
+    fwd = bwd = Fraction(t)
+    value = dist(fwd)
+    for _ in range(N):
+        fwd, bwd = sign * fwd + a, sign * (bwd - a)
+        value = max(value, dist(fwd), dist(bwd))
+    return value
+
+
+def _floor_float(x: Fraction) -> float:
+    """The largest float at or below x."""
+    f = float(x)
+    return f if Fraction(f) <= x else math.nextafter(f, -math.inf)
+
+
+@pytest.mark.parametrize("name", list(_CIRCLE_DRIVERS))
+def test_projected_objective_is_the_exact_value_rounded_down(name):
+    """At dyadic and non-dyadic t alike, against a walk of the circle map in fractions.
+
+    With |w| = 1 a value is the exact one rounded down; otherwise it lies
+    below the exact quotient by |w|, within six ulps: the floor, the rounded
+    quotient and the two steps down that cover its rounding.
+    """
+    spec, method, x = _CIRCLE_DRIVERS[name]
+    N = 25
+    f = cli.parse_system_spec(spec)
+    g = cli.parse_method_spec(method, f, N, 0).source
+    T = shadowing._fold_targets(orbit_segment(f, x, N).as_array(), N, "weak")
+    ts = np.concatenate([lattice_points(16, 1), np.random.default_rng(3).random((16, 1))])
+    for sign, w in shadowing._circle_functionals(g.linear_part):
+        objective, _ = shadowing._circle_objective(g, T, N, sign, w)
+        norm2 = sum(a * a for a in w)
+        for t, value in zip(ts[:, 0].tolist(), objective(ts).tolist()):
+            exact = _exact_projected_value(f, g, x, N, sign, w, t)
+            if norm2 == 1:
+                assert value == _floor_float(exact), (w, t)
+            else:
+                assert Fraction(value) ** 2 * norm2 <= exact ** 2
+                up = value
+                for _ in range(6):
+                    up = math.nextafter(up, 1.0)
+                assert Fraction(up) ** 2 * norm2 > exact ** 2
+
+
+_CIRCLE_CERTIFICATES = {
+    # check-weak-shear-certified and check-orbital-shear-certified
+    "shear-weak": ("weak", "shear", "translate:0.01", (0.0, 0.0), 0.1, 25, 64),
+    "shear-orbital": ("orbital", "shear", "translate:0.01", (0.0, 0.0), 0.1, 25, 64),
+    "shear-random-anchor": ("weak", "shear", "translate:0.01", (0.8646777328161376, 0.5735598523880991),
+                            0.1, 25, 128),
+    "shear-deep": ("orbital", "shear", "translate:0.01", (0.0, 0.0), 0.22, 25, 64),
+    # check-weak-block-certified, check-weak-circle-certified, and the drift-weak experiment's check
+    "reflection": ("weak", '{"kind":"linear","matrix":[[1,0],[0,-1]]}', "translate:0.01", (0.0, 0.0), 0.1, 25, 64),
+    "circle": ("weak", "identity1", "rotation:0.02", (0.3,), 0.1, 10, 64),
+    "identity2": ("weak", "identity2", "translate:0.01", (0.0, 0.0), 0.1, 25, 512),
+    "id-x-cat-weak": ("weak", "linear:1,0,0,0,2,1,0,1,1", "translate:0.01", (0.2, 0.3, 0.4), 0.1, 25, 32),
+    "id-x-cat-orbital": ("orbital", "linear:1,0,0,0,2,1,0,1,1", "translate:0.01", (0.2, 0.3, 0.4), 0.1, 25, 32),
+}
+
+
+@pytest.mark.parametrize("case", list(_CIRCLE_CERTIFICATES))
+def test_a_circle_certificate_restates_an_exact_binding_cell(case):
+    """Every point of the binding level is re-walked in fractions: one of them is the binding cell.
+
+    Its exact value rounded down is min_over_grid, so min_over_grid <= the
+    exact value, and the record's one inequality restates the proof.
+    """
+    prop, spec, method, x, eps, N, G = _CIRCLE_CERTIFICATES[case]
+    f = cli.parse_system_spec(spec)
+    m = cli.parse_method_spec(method, f, N, 0)
+    v = cli._CHECKERS[prop](f, m, x, eps, N, grid_step=1 / G, threads=1)
+    assert (v.outcome, v.certificate) == ("failed", "circle")
+    w = list(v.functional)
+    assert v.lipschitz_bound == 1.0 and sum(a * a for a in w) == 1
+    B = np.asarray(m.source.linear_part)
+    sign = 1 if (np.array(w) @ B == np.array(w)).all() else -1
+    assert (np.array(w) @ B == sign * np.array(w)).all()
+    g = round(1 / v.grid_step)
+    assert v.grid_step == 1 / g and G % g == 0
+    exact = [_exact_projected_value(f, m.source, x, N, sign, w, Fraction(i, g)) for i in range(g)]
+    binding = [e for e in exact if Fraction(v.min_over_grid) <= e < Fraction(math.nextafter(v.min_over_grid, 1.0))]
+    assert binding, (v.min_over_grid, [float(e) for e in exact])
+    assert Fraction(v.min_over_grid) - Fraction(v.grid_step) / 2 > Fraction(eps)
+
+
+def test_the_circle_factors_of_the_library_drivers():
+    """(sign, w) with w B = sign w: exact kernels of B^T -+ I, none for the hyperbolic matrices."""
+    cases = {
+        "shear": [(1, [1, 0])],
+        "identity2": [(1, [1, 0]), (1, [0, 1])],
+        '{"kind":"linear","matrix":[[1,0],[0,-1]]}': [(1, [1, 0]), (-1, [0, 1])],
+        "linear:0,1,1,0": [(1, [1, 1]), (-1, [1, -1])],
+        "linear:1,0,0,0,2,1,0,1,1": [(1, [1, 0, 0])],
+        "identity1": [(1, [1])],
+        "cat": [],
+        "linear:1,1,1,0": [],  # the golden mean matrix
+    }
+    for spec, expected in cases.items():
+        f = cli.parse_system_spec(spec)
+        assert shadowing._circle_functionals(f.linear_part) == expected, spec
+        for sign, w in expected:
+            assert (np.array(w) @ f.linear_part == sign * np.array(w)).all()
+
+
+@pytest.mark.parametrize("prop", ["weak", "orbital"])
+@pytest.mark.parametrize("spec, method, x, eps, N, G", [
+    ("cat", "translate:0.001", (0.2, 0.3), 0.0005, 5, 8),            # no circle factor
+    ("linear:1,1,1,0", "translate:0.001", (0.2, 0.3), 0.0005, 5, 8),  # the golden mean: none either
+    ("identity2", "perturb:translation:0.01:7", (0.0, 0.0), 0.2, 25, 64),  # circles that cannot certify
+    ("shear", "translate:0.003", (0.127244, 0.669036), 0.05, 15, 32),    # a torus grid witness
+])
+def test_a_set_check_no_circle_certifies_keeps_its_torus_record(monkeypatch, prop, spec, method, x, eps, N, G):
+    """The record and counters are those of the torus covering alone, byte for byte."""
+    f = cli.parse_system_spec(spec)
+    m = cli.parse_method_spec(method, f, N, 0)
+
+    def run():
+        counters = {}
+        v = cli._CHECKERS[prop](f, m, x, eps, N, grid_step=1 / G, threads=1, counters=counters)
+        return json.dumps(v.to_record(), sort_keys=True), counters
+
+    record, counters = run()
+    assert '"certificate":' not in record and counters["grid_points"] > 0
+    monkeypatch.setattr(shadowing, "_circle_covering", lambda *args: {})
+    assert run() == (record, counters)
+
+
+@pytest.mark.parametrize("prop", ["direct", "inverse"])
+def test_pointwise_and_direct_checks_never_try_a_circle(monkeypatch, prop):
+    def no_circle(*args):
+        raise AssertionError("a circle covering ran")
+
+    monkeypatch.setattr(shadowing, "_circle_covering", no_circle)
+    f = shear_map()
+    v = cli._CHECKERS[prop](f, drift_method(f, 0.01, 25), (0.0, 0.0), 0.1, 25, grid_step=1 / 64, threads=1)
+    assert v.outcome == "failed" and v.certificate is None and "certificate" not in v.to_record()
+
+
+def test_verdict_names_a_certificate_only_when_failed_with_its_functional():
+    base = dict(property_name="weak", epsilon=0.1, horizon=5, system_label="s", method_label="m",
+                anchor=TorusPoint((0.0, 0.0)), min_over_grid=0.4, grid_step=0.25, lipschitz_bound=1.0)
+    v = ShadowVerdict(outcome="failed", certificate="circle", functional=(1, 0), **base)
+    assert v.to_record()["functional"] == [1, 0] and v.to_record()["certificate"] == "circle"
+    for extra in ({"certificate": "circle"}, {"functional": (1, 0)}, {"certificate": "torus", "functional": (1, 0)}):
+        with pytest.raises(ValueError, match="certificate"):
+            ShadowVerdict(outcome="failed", **extra, **base)
+    with pytest.raises(ValueError, match="certificate"):
+        ShadowVerdict(outcome="inconclusive", certificate="circle", functional=(1, 0), **base)
 
 
 # ---------------------------------------------------------------------------
@@ -1397,8 +1622,13 @@ _CHUNK_CASES = {
     "uncertified": (check_orbital_inverse, "cat", "perturb:shear-sin:0.001:0", (0.2, 0.3),
                     0.02, 40, 8, 64, "no usable Lipschitz bound at this horizon"),
     "certified-inverse": (check_inverse_shadowing, *_DRIFT),
+    # the torus covering, with the circle covering that would certify first switched off
     "certified-weak": (check_weak_inverse, *_DRIFT),
     "certified-orbital": (check_orbital_inverse, *_DRIFT),
+    "circle-weak": (check_weak_inverse, "shear", "translate:0.01", (0.0, 0.0), 0.22, 25, 64, 10,
+                    "covering certificate holds"),
+    "circle-orbital": (check_orbital_inverse, "shear", "translate:0.01", (0.0, 0.0), 0.22, 25, 64, 10,
+                       "covering certificate holds"),
 }
 
 
@@ -1410,6 +1640,8 @@ def test_verdicts_identical_across_chunk_sizes_and_threads(case, monkeypatch):
     covering settles coarse cells without their lattice points.
     """
     check, system, method, x, eps, N, G, points, note = _CHUNK_CASES[case]
+    if case in ("certified-weak", "certified-orbital"):
+        monkeypatch.setattr(shadowing, "_circle_covering", lambda *args: {})
     f = cli.parse_system_spec(system)
     m = cli.parse_method_spec(method, f, N, 0)
 

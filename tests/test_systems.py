@@ -1,7 +1,9 @@
 """Tests for the map constructors, their gates, and the C1/volume estimators."""
 
+import itertools
 import math
 import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -30,7 +32,7 @@ from shadowlab.systems import (
     torus_identity,
     volume_defect,
 )
-from shadowlab.systems import _method_gap, _spectral_norm_batch
+from shadowlab.systems import _integer_kernel, _method_gap, _spectral_norm_batch
 
 
 def fd_jacobian(f: SystemMap, x, h: float = 1e-6) -> np.ndarray:
@@ -239,6 +241,102 @@ def test_spectral_norm_closed_form_is_scaled_exactly_and_does_not_overflow():
     P = np.linalg.matrix_power(np.array(CAT_MATRIX, dtype=float), 200)  # entries near 1e83
     assert spectral_norm(P) == pytest.approx(np.linalg.norm(P, 2), rel=1e-12)
     assert spectral_norm(np.zeros((2, 2))) == 0.0
+
+
+def _scaled_spectral_norm(M):
+    """The closed form scaled by 2**-e to a largest entry in [1/2, 1), whatever the entries."""
+    e = np.frexp(np.abs(M).max(axis=(-2, -1), keepdims=True))[1]
+    M = np.ldexp(M, -e)
+    a, b, c, d = M[..., 0, 0], M[..., 0, 1], M[..., 1, 0], M[..., 1, 1]
+    s = a * a + b * b + c * c + d * d
+    det = a * d - b * c
+    return np.ldexp(np.sqrt(0.5 * (s + np.sqrt(np.maximum(s * s - 4.0 * det * det, 0.0)))), e[..., 0, 0])
+
+
+@pytest.mark.parametrize("scale", [1e-300, 1e-120, 1e-61, 1.0, 1e60, 1e61, 1e76, 1e77, 1e78, 1e150, 1e300])
+def test_spectral_norm_is_bit_identical_to_the_scaled_form(scale):
+    """Inside the band the closed form runs unscaled, outside it scaled; both give the scaled form's bits."""
+    rng = np.random.default_rng(int(math.log10(scale)) + 400)
+    M = rng.normal(size=(32, 2, 2)) * scale
+    with np.errstate(over="ignore", under="ignore"):
+        M[::4] *= 10.0 ** rng.integers(-40, 40, size=(8, 2, 2))  # entries of mixed magnitude
+    M = M[np.isfinite(M).all(axis=(1, 2))]
+    assert _spectral_norm_batch(M).tobytes() == _scaled_spectral_norm(M).tobytes()
+    for m in M:
+        assert spectral_norm(m) == float(_scaled_spectral_norm(m))
+
+
+def test_spectral_norm_scales_only_outside_its_band(monkeypatch):
+    """A matrix whose largest entry lies in [2**-200, 2**200] never reaches the scaling calls."""
+    def no_scaling(*args, **kwargs):
+        raise AssertionError("the matrix was scaled")
+
+    band = (CAT_MATRIX, [[2.0 ** 200, 0.0], [0.0, 1.0]], [[2.0 ** -200, 0.0], [0.0, 0.0]])
+    expected = [spectral_norm(M) for M in band]
+    monkeypatch.setattr(np, "frexp", no_scaling)
+    assert [spectral_norm(M) for M in band] == expected
+    with pytest.raises(AssertionError, match="scaled"):
+        spectral_norm([[2.0 ** 201, 0.0], [0.0, 1.0]])
+
+
+def _rank(rows) -> int:
+    """Rank by Gaussian elimination in fractions."""
+    M, rank = [[Fraction(v) for v in r] for r in rows], 0
+    for c in range(len(M[0])):
+        p = next((i for i in range(rank, len(M)) if M[i][c]), None)
+        if p is None:
+            continue
+        M[rank], M[p] = M[p], M[rank]
+        for i in range(len(M)):
+            if i != rank and M[i][c]:
+                f = M[i][c] / M[rank][c]
+                M[i] = [a - f * b for a, b in zip(M[i], M[rank])]
+        rank += 1
+    return rank
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_integer_kernel_matches_a_brute_force_search(n):
+    """Bareiss kernel vectors against every integer vector with entries in [-2, 2], on n x n matrices.
+
+    Each basis vector is primitive, starts positive and lies in the kernel;
+    there are n - rank of them; and every kernel vector the search finds is
+    a rational combination of them.  The matrices are B^T -+ I for integer
+    B, low-rank products and small random ones.
+    """
+    rng = np.random.default_rng(n)
+    box = [v for v in itertools.product(range(-2, 3), repeat=n) if any(v)]
+    for trial in range(60):
+        kind = trial % 3
+        if kind == 0:
+            B = rng.integers(-2, 3, size=(n, n))
+            M = (B.T - int(rng.choice([-1, 1])) * np.eye(n, dtype=np.int64)).tolist()
+        elif kind == 1:
+            r = int(rng.integers(0, n + 1))
+            M = (rng.integers(-2, 3, size=(n, r)) @ rng.integers(-2, 3, size=(r, n))).tolist()
+        else:
+            M = rng.integers(-1, 2, size=(n, n)).tolist()
+        basis = _integer_kernel(M)
+        assert len(basis) == n - _rank(M), M
+        for w in basis:
+            assert math.gcd(*w) == 1 and next(x for x in w if x) > 0
+            assert all(sum(a * b for a, b in zip(row, w)) == 0 for row in M)
+        for v in box:
+            if all(sum(a * b for a, b in zip(row, v)) == 0 for row in M):
+                assert _rank(basis + [list(v)]) == len(basis), (M, basis, v)
+
+
+@pytest.mark.parametrize("M, basis", [
+    ([[0, 0], [0, 0]], [[1, 0], [0, 1]]),
+    ([[0, 1], [0, 0]], [[1, 0]]),                    # the shear's B^T - I
+    ([[-1, 1], [1, -1]], [[1, 1]]),                  # the swap's B^T - I
+    ([[1, 1], [1, 1]], [[1, -1]]),                   # the swap's B^T + I
+    ([[2, 1], [1, 1]], []),
+    ([[0, 0, 0], [0, 1, 1], [0, 1, 0]], [[1, 0, 0]]),  # id x cat's B^T - I
+    ([[2, 4], [3, 6]], [[2, -1]]),
+])
+def test_integer_kernel_of_small_matrices(M, basis):
+    assert _integer_kernel(M) == basis
 
 
 # ---------------------------------------------------------------------------
